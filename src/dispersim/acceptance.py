@@ -21,6 +21,7 @@ import numpy as np
 from .coefficients import (
     PhysParams,
     RegParams,
+    dispersion_entries,
     dispersion_tensor,
     divergence,
     eigen_bounds,
@@ -285,13 +286,7 @@ def check_hessian_reconstruction(seed: int = DEFAULT_SEED) -> CheckRow:
     rng = np.random.default_rng(seed + 4)
     n = 1000
     q1, q2 = rng.uniform(-3, 3, size=(2, n))
-    p = PhysParams(1.0, 2.0, 1.0)
-    qn = np.hypot(q1, q2)
-    iso = p.a * qn + p.m
-    scale = np.where(qn > 0, (p.b - p.a) / np.where(qn > 0, qn, 1.0), 0.0)
-    d11 = iso + scale * q1 * q1
-    d12 = scale * q1 * q2
-    d22 = iso + scale * q2 * q2
+    d11, d12, d22 = dispersion_entries(q1, q2, PhysParams(1.0, 2.0, 1.0))
     ux1 = rng.uniform(0.3, 2.0, n) * rng.choice([-1.0, 1.0], n)
     ux2 = rng.uniform(0.3, 2.0, n) * rng.choice([-1.0, 1.0], n)
     s11, s12, s22 = rng.uniform(-2, 2, size=(3, n))

@@ -88,12 +88,6 @@ def bump_kernel(radius: float, hx: float, hy: float) -> np.ndarray:
     return k
 
 
-def _mollify_values(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    num = convolve2d(values, kernel, mode="same", boundary="fill")
-    den = convolve2d(np.ones_like(values), kernel, mode="same", boundary="fill")
-    return num / den
-
-
 def mollify(q: VectorField, radius: float) -> VectorField:
     """Componentwise convolution with the normalized bump of the given radius."""
     if radius < 0:
@@ -104,30 +98,37 @@ def mollify(q: VectorField, radius: float) -> VectorField:
     if radius == 0.0:
         return VectorField(g, q.comp1.copy(), q.comp2.copy())
     kernel = bump_kernel(radius, g.hx, g.hy)
-    return VectorField(g, _mollify_values(q.comp1, kernel), _mollify_values(q.comp2, kernel))
+    den = convolve2d(np.ones(g.shape), kernel, mode="same", boundary="fill")
+    return VectorField(
+        g,
+        convolve2d(q.comp1, kernel, mode="same", boundary="fill") / den,
+        convolve2d(q.comp2, kernel, mode="same", boundary="fill") / den,
+    )
+
+
+def dispersion_entries(q1, q2, p: PhysParams, eps: float = 0.0):
+    """Entries (d11, d12, d22) of D (eps = 0) or of D_eps (eps > 0) at velocity (q1, q2).
+
+    The exact branch takes (q x q)/|q| := 0 at q = 0, so D = m I there.
+    """
+    if eps > 0.0:
+        qn = np.sqrt(q1**2 + q2**2 + eps)
+        scale = (p.b - p.a) / qn
+    else:
+        qn = np.hypot(q1, q2)
+        scale = np.zeros_like(qn)
+        np.divide(p.b - p.a, qn, out=scale, where=qn > 0.0)
+    iso = p.a * qn + p.m
+    return iso + scale * q1**2, scale * q1 * q2, iso + scale * q2**2
 
 
 def dispersion_tensor(q: VectorField, p: PhysParams) -> SymTensorField:
     """Velocity-dependent dispersion tensor with the exact branch at q = 0."""
-    qn = q.magnitude()
-    iso = p.a * qn + p.m
-    nonzero = qn > 0.0
-    scale = np.zeros_like(qn)
-    np.divide(p.b - p.a, qn, out=scale, where=nonzero)
-    d11 = iso + scale * q.comp1**2
-    d12 = scale * q.comp1 * q.comp2
-    d22 = iso + scale * q.comp2**2
-    return SymTensorField(q.grid, d11, d12, d22)
+    return SymTensorField(q.grid, *dispersion_entries(q.comp1, q.comp2, p))
 
 
 def dispersion_tensor_regularized(q_eps: VectorField, p: PhysParams, r: RegParams) -> SymTensorField:
-    qreg = np.sqrt(q_eps.comp1**2 + q_eps.comp2**2 + r.eps)
-    iso = p.a * qreg + p.m
-    scale = (p.b - p.a) / qreg
-    d11 = iso + scale * q_eps.comp1**2
-    d12 = scale * q_eps.comp1 * q_eps.comp2
-    d22 = iso + scale * q_eps.comp2**2
-    return SymTensorField(q_eps.grid, d11, d12, d22)
+    return SymTensorField(q_eps.grid, *dispersion_entries(q_eps.comp1, q_eps.comp2, p, r.eps))
 
 
 def eigen_bounds(q: VectorField, p: PhysParams) -> tuple[ScalarField, ScalarField]:

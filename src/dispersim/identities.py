@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import PhysParams
+from .coefficients import PhysParams, dispersion_entries
 from .grid import GridSpec, ScalarField
 
 # ---------------------------------------------------------------------------
@@ -349,13 +349,6 @@ def forcing_coefficients(ws: IdentityWorkspace) -> ForcingCoefficients:
 # manufactured-field residual of the dissipation-power equation
 
 
-def _regularized_tensor_entries(q1, q2, p: PhysParams, reg_eps: float):
-    qreg = np.sqrt(q1 * q1 + q2 * q2 + reg_eps)
-    iso = p.a * qreg + p.m
-    scale = (p.b - p.a) / qreg
-    return iso + scale * q1 * q1, scale * q1 * q2, iso + scale * q2 * q2
-
-
 def power_equation_residual(
     u_fn,
     v_fn,
@@ -395,7 +388,7 @@ def power_equation_residual(
         v = np.asarray(v_fn(x1m, x2m, t), dtype=float)
         q1 = -deriv1_4(v, hy, axis=0)
         q2 = deriv1_4(v, hx, axis=1)
-        d11, d12, d22 = _regularized_tensor_entries(q1, q2, params, reg_eps)
+        d11, d12, d22 = dispersion_entries(q1, q2, params, reg_eps)
         ux1 = deriv1_4(u, hx, axis=1)
         ux2 = deriv1_4(u, hy, axis=0)
         phi = d11 * ux1**2 + 2.0 * d12 * ux1 * ux2 + d22 * ux2**2

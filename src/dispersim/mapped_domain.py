@@ -40,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coefficients import PhysParams
+from .coefficients import PhysParams, dispersion_entries
 from .grid import GridSpec, ScalarField
 from .identities import deriv1_4, deriv2_4
 
@@ -269,13 +269,6 @@ def default_transport_fields() -> TransportFields:
     )
 
 
-def _dispersion_entries(q1, q2, p: PhysParams):
-    qn = np.hypot(q1, q2)
-    iso = p.a * qn + p.m
-    scale = (p.b - p.a) / qn
-    return iso + scale * q1 * q1, scale * q1 * q2, iso + scale * q2 * q2
-
-
 def transport_expression_x(fix: TransportFields, x1, x2, t: float, p: PhysParams) -> np.ndarray:
     """Analytic value of u_t - div(D grad u) + grad(u).q in original coordinates.
 
@@ -287,7 +280,7 @@ def transport_expression_x(fix: TransportFields, x1, x2, t: float, p: PhysParams
     q1_1, q1_2 = -fix.v_x1x2(x1, x2), -fix.v_x2x2(x1, x2)
     q2_1, q2_2 = fix.v_x1x1(x1, x2), fix.v_x1x2(x1, x2)
     qn = np.hypot(q1, q2)
-    d11, d12, d22 = _dispersion_entries(q1, q2, p)
+    d11, d12, d22 = dispersion_entries(q1, q2, p)
     ba = p.b - p.a
 
     def d_entries_deriv(dq1, dq2):
@@ -326,7 +319,7 @@ def transport_expression_eta(chart: Chart, fix: TransportFields, n: int, t: floa
     beta1 = jg[0][0] * vt_1 + jg[0][1] * vt_2
     beta2 = jg[1][0] * vt_1 + jg[1][1] * vt_2
     qt1, qt2 = -beta2, beta1
-    d11, d12, d22 = _dispersion_entries(qt1, qt2, p)
+    d11, d12, d22 = dispersion_entries(qt1, qt2, p)
     # T = D J (rows k), M = J^T T
     t11 = d11 * jg[0][0] + d12 * jg[1][0]
     t12 = d11 * jg[0][1] + d12 * jg[1][1]
@@ -392,7 +385,7 @@ def plain_transport_residual(
     v_1 = deriv1_4(v, h1, axis=1)
     v_2 = deriv1_4(v, h2, axis=0)
     q1, q2 = -v_2, v_1
-    d11, d12, d22 = _dispersion_entries(q1, q2, p)
+    d11, d12, d22 = dispersion_entries(q1, q2, p)
     div_d1 = deriv1_4(d11, h1, axis=1) + deriv1_4(d12, h2, axis=0)
     div_d2 = deriv1_4(d12, h1, axis=1) + deriv1_4(d22, h2, axis=0)
     expr = (

@@ -39,7 +39,7 @@ def poisson_convergence(levels: int = 4, n0: int = 17) -> tuple[list[Convergence
         x1, x2 = g.nodes()
         exact = np.sin(np.pi * x1) * np.sin(np.pi * x2)
         rhs = ScalarField(g, -2.0 * np.pi**2 * exact)
-        v, rep = PoissonSolver(g).solve(rhs, tol=1e-12, max_iter=20000)
+        v, rep = PoissonSolver(g).solve(rhs, tol=1e-12)
         if not rep.converged:
             raise RuntimeError(f"poisson solve failed to converge at {n}x{n}")
         err = float(np.max(np.abs(v.values - exact)))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 from .coefficients import PhysParams, RegParams
 from .config import ConfigError
-from .transport import DIAGNOSTIC_COLUMNS, RunConfig, Trajectory, run
+from .transport import DIAGNOSTIC_COLUMNS, RunConfig, Trajectory, _format_row, run
 
 SWEEPABLE = ("a", "b", "m", "eps", "moll_radius", "dt")
 
@@ -62,13 +62,6 @@ def run_sweep(cfg: RunConfig, name: str, values: list[float], outdir) -> list[Tr
             subdir = base / f"{name}_{v:g}"
             tr = run(variant, outdir=subdir)
             results.append(tr)
-            last = tr.diagnostics[-1]
-            vals = [
-                str(last.step), format(last.t, ".17g"), format(last.umax, ".17g"), format(last.umin, ".17g"),
-                format(last.mass, ".17g"), format(last.l2sq, ".17g"), format(last.energy_dissip, ".17g"),
-                format(last.grad_sup, ".17g"), format(last.phi_max, ".17g"), format(last.ut_sup, ".17g"),
-                str(last.picard_iters), format(last.picard_gap, ".17g"), format(last.mass_drift, ".17g"),
-            ]
-            fh.write(f"{name},{v:.17g}," + ",".join(vals) + "\n")
+            fh.write(f"{name},{v:.17g}," + _format_row(tr.diagnostics[-1]) + "\n")
             fh.flush()
     return results
