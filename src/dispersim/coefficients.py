@@ -41,8 +41,9 @@ class PhysParams:
     m: float
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0 and self.m > 0):
-            raise ValueError(f"a, b, m must be positive, got a={self.a}, b={self.b}, m={self.m}")
+        for name in ("a", "b", "m"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.b < self.a:
             raise ValueError(f"dispersion ordering requires b > a (or b == a), got a={self.a}, b={self.b}")
 

@@ -9,12 +9,19 @@ blank lines are ignored.  Keys are exactly::
 
 Required: nx, ny, a, b, m, dt, t_end, ic.  Everything else has a
 documented default.  Errors carry the offending line number.
+
+Keys, types and defaults are the fields of ``GridSpec``, ``PhysParams``,
+``RegParams`` and ``RunConfig``; each value rule lives only in the
+``__post_init__`` of the dataclass owning the field, and its message
+names that field before any other key, which locates the line.
 """
 
 from __future__ import annotations
 
-from .coefficients import PhysParams, RegParams
-from .grid import GridSpec
+import re
+from dataclasses import fields, is_dataclass
+from typing import get_type_hints
+
 from .transport import RunConfig
 
 
@@ -26,25 +33,36 @@ class ConfigError(ValueError):
         super().__init__(message)
 
 
-_INT_KEYS = ("nx", "ny", "picard_max", "lin_max", "output_every")
-_FLOAT_KEYS = ("lx", "ly", "a", "b", "m", "eps", "moll_radius", "dt", "t_end", "picard_tol", "lin_tol")
-_STR_KEYS = ("ic", "ic_params", "outdir")
-ALL_KEYS = _INT_KEYS + _FLOAT_KEYS + _STR_KEYS
+_HINTS = get_type_hints(RunConfig)
+# RunConfig fields that are dataclasses of their own, each contributing its fields as keys
+_SECTIONS = {f.name: _HINTS[f.name] for f in fields(RunConfig) if is_dataclass(_HINTS[f.name])}
+
+
+def _key_table() -> dict[str, tuple[str | None, type]]:
+    """key -> (section holding it, or None for a top-level RunConfig field; value type), in file order."""
+    table: dict[str, tuple[str | None, type]] = {}
+    for f in fields(RunConfig):
+        if f.name in _SECTIONS:
+            cls = _SECTIONS[f.name]
+            hints = get_type_hints(cls)
+            table.update((g.name, (f.name, hints[g.name])) for g in fields(cls))
+        else:
+            table[f.name] = (None, _HINTS[f.name])
+    return table
+
+
+KEYS = _key_table()
+# stricter than the dataclasses: RunConfig.ic has a default, the file format does not
 REQUIRED_KEYS = ("nx", "ny", "a", "b", "m", "dt", "t_end", "ic")
 
-DEFAULTS: dict[str, object] = {
-    "lx": 1.0,
-    "ly": 1.0,
-    "eps": 1e-6,
-    "moll_radius": 0.0,
-    "picard_tol": 1e-10,
-    "picard_max": 30,
-    "lin_tol": 1e-10,
-    "lin_max": 5000,
-    "ic_params": "",
-    "output_every": 0,
-    "outdir": "",
-}
+
+def _build(values: dict[str, object]) -> RunConfig:
+    """Construct the nested dataclasses from flat values; their validators run here."""
+    groups: dict[str | None, dict[str, object]] = {None: {}, **{name: {} for name in _SECTIONS}}
+    for key, val in values.items():
+        groups[KEYS[key][0]][key] = val
+    sections = {name: cls(**groups[name]) for name, cls in _SECTIONS.items()}
+    return RunConfig(**sections, **groups[None])
 
 
 def parse_config(text: str) -> RunConfig:
@@ -59,87 +77,26 @@ def parse_config(text: str) -> RunConfig:
         key, _, val = stripped.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in ALL_KEYS:
+        if key not in KEYS:
             raise ConfigError(f"unknown key {key!r}", lineno)
         if key in values:
             raise ConfigError(f"duplicate key {key!r} (first set on line {lines[key]})", lineno)
         lines[key] = lineno
-        if key in _INT_KEYS:
-            try:
-                values[key] = int(val)
-            except ValueError:
-                raise ConfigError(f"{key} must be an integer, got {val!r}", lineno) from None
-        elif key in _FLOAT_KEYS:
-            try:
-                values[key] = float(val)
-            except ValueError:
-                raise ConfigError(f"{key} must be a number, got {val!r}", lineno) from None
-        else:
-            values[key] = val
+        kind = KEYS[key][1]
+        try:
+            values[key] = kind(val)
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{key} must be {noun}, got {val!r}", lineno) from None
 
     missing = [k for k in REQUIRED_KEYS if k not in values]
     if missing:
         raise ConfigError(f"missing required key(s): {', '.join(missing)}")
-    for key, default in DEFAULTS.items():
-        values.setdefault(key, default)
-
-    def fail(key: str, message: str):
-        raise ConfigError(message, lines.get(key))
-
-    nx, ny = values["nx"], values["ny"]
-    if nx < 3:
-        fail("nx", f"nx must be at least 3, got {nx}")
-    if ny < 3:
-        fail("ny", f"ny must be at least 3, got {ny}")
-    if values["lx"] <= 0:
-        fail("lx", f"lx must be positive, got {values['lx']}")
-    if values["ly"] <= 0:
-        fail("ly", f"ly must be positive, got {values['ly']}")
-    a, b, m = values["a"], values["b"], values["m"]
-    if a <= 0:
-        fail("a", f"a must be positive, got {a}")
-    if m <= 0:
-        fail("m", f"m must be positive, got {m}")
-    if b < a:
-        fail("b", f"the dispersion ordering requires b > a (b = a allowed as the isotropic limit), got a={a}, b={b}")
-    if b <= 0:
-        fail("b", f"b must be positive, got {b}")
-    if values["eps"] <= 0:
-        fail("eps", f"eps must be positive, got {values['eps']}")
-    if values["moll_radius"] < 0:
-        fail("moll_radius", f"moll_radius must be nonnegative, got {values['moll_radius']}")
-    if values["moll_radius"] > 0.5 * min(values["lx"], values["ly"]):
-        fail("moll_radius", f"moll_radius {values['moll_radius']} exceeds half the domain size")
-    if values["dt"] <= 0:
-        fail("dt", f"dt must be positive, got {values['dt']}")
-    if values["t_end"] < values["dt"]:
-        fail("t_end", f"t_end must be at least dt, got t_end={values['t_end']}, dt={values['dt']}")
-    if values["picard_tol"] <= 0:
-        fail("picard_tol", f"picard_tol must be positive, got {values['picard_tol']}")
-    if values["lin_tol"] <= 0:
-        fail("lin_tol", f"lin_tol must be positive, got {values['lin_tol']}")
-    if values["picard_max"] < 1:
-        fail("picard_max", f"picard_max must be at least 1, got {values['picard_max']}")
-    if values["lin_max"] < 1:
-        fail("lin_max", f"lin_max must be at least 1, got {values['lin_max']}")
-    if values["output_every"] < 0:
-        fail("output_every", f"output_every must be nonnegative, got {values['output_every']}")
-
-    return RunConfig(
-        grid=GridSpec(nx, ny, lx=values["lx"], ly=values["ly"]),
-        phys=PhysParams(a, b, m),
-        reg=RegParams(values["eps"], values["moll_radius"]),
-        dt=values["dt"],
-        t_end=values["t_end"],
-        picard_tol=values["picard_tol"],
-        picard_max=values["picard_max"],
-        lin_tol=values["lin_tol"],
-        lin_max=values["lin_max"],
-        ic=values["ic"],
-        ic_params=values["ic_params"],
-        output_every=values["output_every"],
-        outdir=values["outdir"],
-    )
+    try:
+        return _build(values)
+    except ValueError as exc:
+        named = next((w for w in re.findall(r"\w+", str(exc)) if w in KEYS), None)
+        raise ConfigError(str(exc), lines.get(named)) from None
 
 
 def read_config(path) -> RunConfig:
@@ -153,19 +110,8 @@ def read_config(path) -> RunConfig:
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical text form; parse(serialize(parse(text))) == parse(text)."""
-    g = cfg.grid
-
-    def f(x: float) -> str:
-        return format(x, ".17g")
-
-    pairs = [
-        ("nx", str(g.nx)), ("ny", str(g.ny)), ("lx", f(g.lx)), ("ly", f(g.ly)),
-        ("a", f(cfg.phys.a)), ("b", f(cfg.phys.b)), ("m", f(cfg.phys.m)),
-        ("eps", f(cfg.reg.eps)), ("moll_radius", f(cfg.reg.moll_radius)),
-        ("dt", f(cfg.dt)), ("t_end", f(cfg.t_end)),
-        ("picard_tol", f(cfg.picard_tol)), ("picard_max", str(cfg.picard_max)),
-        ("lin_tol", f(cfg.lin_tol)), ("lin_max", str(cfg.lin_max)),
-        ("ic", cfg.ic), ("ic_params", cfg.ic_params),
-        ("output_every", str(cfg.output_every)), ("outdir", cfg.outdir),
-    ]
-    return "\n".join(f"{k} = {v}" for k, v in pairs) + "\n"
+    out = []
+    for key, (section, kind) in KEYS.items():
+        val = getattr(getattr(cfg, section) if section else cfg, key)
+        out.append(f"{key} = {format(val, '.17g') if kind is float else val}\n")
+    return "".join(out)

@@ -31,10 +31,12 @@ class GridSpec:
     ly: float = 1.0
 
     def __post_init__(self):
-        if self.nx < 3 or self.ny < 3:
-            raise ValueError(f"grid too small: need nx, ny >= 3, got {self.nx}x{self.ny}")
-        if not (self.lx > 0 and self.ly > 0):
-            raise ValueError(f"domain lengths must be positive, got lx={self.lx}, ly={self.ly}")
+        for name in ("nx", "ny"):
+            if getattr(self, name) < 3:
+                raise ValueError(f"grid too small: {name} must be at least 3, got {self.nx}x{self.ny}")
+        for name in ("lx", "ly"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
     @property
     def hx(self) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .elliptic import PoissonSolver
+from .elliptic import PoissonSolver, SolverError
 from .grid import GridSpec, ScalarField
 from .transport import RunConfig, run
 
@@ -28,28 +28,37 @@ class ConvergenceLevel:
     order: float  # vs the previous level; nan on the first
 
 
+def _add_level(rows: list[ConvergenceLevel], label: str, h: float, error: float) -> None:
+    """Append a level with its order against the previous one (nan on the first)."""
+    order = float(np.log2(rows[-1].error / error)) if rows else float("nan")
+    rows.append(ConvergenceLevel(label, h, error, order))
+
+
+def _fitted_order(rows: list[ConvergenceLevel]) -> float:
+    """Least-squares slope of log(error) against log(h); nan below two levels."""
+    if len(rows) < 2:
+        return float("nan")
+    return float(np.polyfit(np.log([r.h for r in rows]), np.log([r.error for r in rows]), 1)[0])
+
+
 def poisson_convergence(levels: int = 4, n0: int = 17) -> tuple[list[ConvergenceLevel], float]:
     if levels < 2:
         raise ValueError("need at least 2 levels")
     rows: list[ConvergenceLevel] = []
-    hs, errs = [], []
     n = n0
-    for k in range(levels):
+    for _ in range(levels):
         g = GridSpec(n, n)
         x1, x2 = g.nodes()
         exact = np.sin(np.pi * x1) * np.sin(np.pi * x2)
         rhs = ScalarField(g, -2.0 * np.pi**2 * exact)
-        v, rep = PoissonSolver(g).solve(rhs, tol=1e-12)
+        # the reachable relative residual grows with the condition number, ~n^2
+        tol = 1e-12 * max(1.0, ((n - 1) / 256) ** 2)
+        v, rep = PoissonSolver(g).solve(rhs, tol=tol)
         if not rep.converged:
-            raise RuntimeError(f"poisson solve failed to converge at {n}x{n}")
-        err = float(np.max(np.abs(v.values - exact)))
-        order = float("nan") if not rows else float(np.log2(rows[-1].error / err))
-        rows.append(ConvergenceLevel(f"{n}x{n}", g.hx, err, order))
-        hs.append(g.hx)
-        errs.append(err)
+            raise SolverError(f"poisson solve at {n}x{n} missed relative tolerance {tol:.1e}")
+        _add_level(rows, f"{n}x{n}", g.hx, float(np.max(np.abs(v.values - exact))))
         n = 2 * n - 1
-    slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
-    return rows, slope
+    return rows, _fitted_order(rows)
 
 
 def coupled_time_convergence(
@@ -63,25 +72,12 @@ def coupled_time_convergence(
 
         base = reference_config(n=n, t_end=0.125)
         base = replace(base, dt=1.0 / (n - 1) / 2.0)
-    finals = []
-    dts = []
-    for k in range(levels):
-        dt = base.dt / 2**k
-        tr = run(replace(base, dt=dt))
-        finals.append(tr.final.u.values)
-        dts.append(dt)
+    finals = [run(replace(base, dt=base.dt / 2**k)).final.u.values for k in range(levels)]
     rows: list[ConvergenceLevel] = []
-    diffs = []
     for k in range(levels - 1):
-        d = float(np.max(np.abs(finals[k] - finals[k + 1])))
-        diffs.append(d)
-        order = float("nan") if k == 0 else float(np.log2(diffs[k - 1] / d))
-        rows.append(ConvergenceLevel(f"dt={dts[k]:.6g} vs dt/2", dts[k], d, order))
-    if len(diffs) >= 2:
-        slope = float(np.polyfit(np.log(dts[: len(diffs)]), np.log(diffs), 1)[0])
-    else:
-        slope = float("nan")
-    return rows, slope
+        dt = base.dt / 2**k
+        _add_level(rows, f"dt={dt:.6g} vs dt/2", dt, float(np.max(np.abs(finals[k] - finals[k + 1]))))
+    return rows, _fitted_order(rows)
 
 
 def format_convergence_table(rows: list[ConvergenceLevel], slope: float) -> str:

@@ -5,8 +5,7 @@ from __future__ import annotations
 from dataclasses import replace
 from pathlib import Path
 
-from .coefficients import PhysParams, RegParams
-from .config import ConfigError
+from .config import KEYS, ConfigError
 from .transport import DIAGNOSTIC_COLUMNS, RunConfig, Trajectory, _format_row, run
 
 SWEEPABLE = ("a", "b", "m", "eps", "moll_radius", "dt")
@@ -35,26 +34,21 @@ def parse_param_spec(spec: str) -> tuple[str, list[float]]:
 
 
 def apply_value(cfg: RunConfig, name: str, value: float) -> RunConfig:
+    """A copy of ``cfg`` with one parameter changed, validated like a parsed config."""
+    section = KEYS[name][0]
     try:
-        if name in ("a", "b", "m"):
-            p = cfg.phys
-            phys = PhysParams(**{**{"a": p.a, "b": p.b, "m": p.m}, name: value})
-            return replace(cfg, phys=phys)
-        if name in ("eps", "moll_radius"):
-            r = cfg.reg
-            reg = RegParams(**{**{"eps": r.eps, "moll_radius": r.moll_radius}, name: value})
-            return replace(cfg, reg=reg)
-        return replace(cfg, dt=value)
+        if section is None:
+            return replace(cfg, **{name: value})
+        return replace(cfg, **{section: replace(getattr(cfg, section), **{name: value})})
     except ValueError as exc:
         raise ConfigError(f"sweep value {name}={value} is invalid: {exc}") from exc
 
 
 def run_sweep(cfg: RunConfig, name: str, values: list[float], outdir) -> list[Trajectory]:
     """Run every parameter value; summary rows are ordered by value."""
+    variants = [(v, apply_value(cfg, name, v)) for v in sorted(values)]  # validate all before writing
     base = Path(outdir)
     base.mkdir(parents=True, exist_ok=True)
-    ordered = sorted(values)
-    variants = [(v, apply_value(cfg, name, v)) for v in ordered]  # validate all before running
     results: list[Trajectory] = []
     with open(base / "summary.csv", "w") as fh:
         fh.write("param,value," + ",".join(DIAGNOSTIC_COLUMNS) + "\n")

@@ -12,11 +12,11 @@ boundary face.  The spatial scheme is a node-centered finite-volume
 discretization: cells are the trapezoidal-weight boxes around each node,
 diffusive fluxes use face-averaged tensor entries including the d12
 cross term, and advective fluxes are upwinded by the sign of the face
-flux.
+flux.  Both face directions are assembled by one routine, the second
+call seeing the transposed arrays.
 
-When the stream function is available (the coupled path always passes
-it), advective face fluxes are exact line integrals of q through the
-face, computed as differences of vertex-averaged stream values.  Those
+Advective face fluxes are exact line integrals of q through the face,
+computed as differences of vertex-averaged stream values.  Those
 fluxes telescope to zero around every cell, so constants are exact
 steady states and the advective matrix is an M-matrix contribution; with
 a diagonal tensor this makes the step satisfy a discrete maximum
@@ -36,7 +36,7 @@ conservation diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -61,11 +61,6 @@ from .grid import (
     integrate,
     read_snapshot,
     write_snapshot,
-)
-
-DIAGNOSTIC_COLUMNS = (
-    "step", "t", "umax", "umin", "mass", "l2sq", "energy_dissip",
-    "grad_sup", "phi_max", "ut_sup", "picard_iters", "picard_gap", "mass_drift",
 )
 
 
@@ -110,12 +105,17 @@ class RunConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.t_end < self.dt:
             raise ValueError(f"t_end must be at least dt, got t_end={self.t_end}, dt={self.dt}")
-        if not (self.picard_tol > 0 and self.lin_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if self.picard_max < 1 or self.lin_max < 1:
-            raise ValueError("iteration limits must be at least 1")
+        for name in ("picard_tol", "lin_tol"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("picard_max", "lin_max"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.output_every < 0:
-            raise ValueError("output_every must be nonnegative")
+            raise ValueError(f"output_every must be nonnegative, got {self.output_every}")
+        # the mollifier radius is bounded by the domain, which RegParams does not know
+        if self.reg.moll_radius > 0.5 * min(self.grid.lx, self.grid.ly):
+            raise ValueError(f"moll_radius {self.reg.moll_radius} exceeds half the domain size")
 
 
 @dataclass
@@ -133,6 +133,9 @@ class DiagnosticsRow:
     picard_iters: int
     picard_gap: float
     mass_drift: float
+
+
+DIAGNOSTIC_COLUMNS = tuple(f.name for f in fields(DiagnosticsRow))
 
 
 @dataclass
@@ -228,18 +231,6 @@ def _face_fluxes_from_stream(v: np.ndarray, grid: GridSpec) -> tuple[np.ndarray,
     return fe, fn
 
 
-def _face_fluxes_from_q(q: VectorField, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Fallback advective fluxes from face-averaged node velocities."""
-    ny, nx = grid.shape
-    cy = np.ones(ny)
-    cy[0] = cy[-1] = 0.5
-    cx = np.ones(nx)
-    cx[0] = cx[-1] = 0.5
-    fe = 0.5 * (q.comp1[:, :-1] + q.comp1[:, 1:]) * (grid.hy * cy)[:, None]
-    fn = 0.5 * (q.comp2[:-1, :] + q.comp2[1:, :]) * (grid.hx * cx)[None, :]
-    return fe, fn
-
-
 class _Coo:
     def __init__(self):
         self.rows: list[np.ndarray] = []
@@ -264,6 +255,43 @@ class _Coo:
         return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
+def _add_face_family(
+    coo: _Coo, idx: np.ndarray, dnn: np.ndarray, dnt: np.ndarray, flux: np.ndarray,
+    h_n: float, h_t: float, face_len: np.ndarray,
+) -> None:
+    """Couplings across the faces between nodes idx[:, i] and idx[:, i+1].
+
+    Arrays are oriented so these faces are normal to axis 1: ``dnn`` and
+    ``dnt`` are the normal-normal and cross tensor entries at the nodes,
+    ``flux`` the advective face fluxes, ``h_n`` and ``h_t`` the spacings
+    across and along the faces, and ``face_len`` the face lengths per row.
+    The other face direction is the same call on transposed arrays.
+    """
+    m, n = idx.shape
+    P = idx[:, :-1]
+    E = idx[:, 1:]
+    area = face_len[:, None]
+    cn = area * (0.5 * (dnn[:, :-1] + dnn[:, 1:])) / h_n
+    # normal flux -cn (uE - uP): row P gains +cn uP - cn uE, row E the negation
+    coo.add_pair(P, E, P, cn)
+    coo.add_pair(E, P, E, cn)
+    # cross term: flux -= area * (face-averaged dnt) * (face-averaged transverse derivative)
+    cfd = area * (0.5 * (dnt[:, :-1] + dnt[:, 1:])) / (4.0 * h_t)
+    for di, sign in ((1, 1.0), (-1, -1.0)):
+        for shift in (0, 1):
+            cols = idx[1 + di:m - 1 + di, shift:n - 1 + shift]
+            coo.add_pair(P[1:-1, :], E[1:-1, :], cols, -cfd[1:-1, :] * sign)
+    # one-sided transverse derivative on the first and last face rows
+    for row, coeffs in ((0, ((0, -3.0), (1, 4.0), (2, -1.0))), (m - 1, ((m - 1, 3.0), (m - 2, -4.0), (m - 3, 1.0)))):
+        for jj, wgt in coeffs:
+            for shift in (0, 1):
+                cols = idx[jj, shift:n - 1 + shift]
+                coo.add_pair(P[row, :], E[row, :], cols, -cfd[row, :] * wgt)
+    # advective upwind
+    up = np.where(flux >= 0.0, P, E)
+    coo.add_pair(P, E, up, flux)
+
+
 def _assemble_parabolic(
     grid: GridSpec, D: SymTensorField, fe: np.ndarray, fn: np.ndarray, dt: float
 ) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -276,61 +304,9 @@ def _assemble_parabolic(
     cx = np.ones(nx)
     cx[0] = cx[-1] = 0.5
     coo = _Coo()
-
-    # --- vertical faces between (i, j) and (i+1, j)
-    P = idx[:, :-1]
-    E = idx[:, 1:]
-    area = (hy * cy)[:, None] * np.ones((1, nx - 1))
-    d11f = 0.5 * (D.d11[:, :-1] + D.d11[:, 1:])
-    d12f = 0.5 * (D.d12[:, :-1] + D.d12[:, 1:])
-    cn = area * d11f / hx
-    # normal flux -cn (uE - uP): row P gains +cn uP - cn uE, row E the negation
-    coo.add_pair(P, E, P, cn)
-    coo.add_pair(E, P, E, cn)
-    # cross term: flux -= area * d12f * (face-averaged transverse derivative)
-    cfd = area * d12f / (4.0 * hy)
-    Pj = P[1:-1, :]
-    Ej = E[1:-1, :]
-    cj = cfd[1:-1, :]
-    for di, sign in ((1, 1.0), (-1, -1.0)):
-        for shift in (0, 1):
-            cols = idx[1 + di:ny - 1 + di, shift:nx - 1 + shift]
-            coo.add_pair(Pj, Ej, cols, -cj * sign)
-    # one-sided transverse derivative at j = 0 and j = ny-1 face rows
-    for jrow, coeffs in ((0, ((0, -3.0), (1, 4.0), (2, -1.0))), (ny - 1, ((ny - 1, 3.0), (ny - 2, -4.0), (ny - 3, 1.0)))):
-        for jj, wgt in coeffs:
-            for shift in (0, 1):
-                cols = idx[jj, shift:nx - 1 + shift]
-                coo.add_pair(P[jrow, :], E[jrow, :], cols, -cfd[jrow, :] * wgt)
-    # advective upwind
-    up = np.where(fe >= 0.0, P, E)
-    coo.add_pair(P, E, up, fe)
-
-    # --- horizontal faces between (i, j) and (i, j+1)
-    P = idx[:-1, :]
-    N = idx[1:, :]
-    area = np.ones((ny - 1, 1)) * (hx * cx)[None, :]
-    d22f = 0.5 * (D.d22[:-1, :] + D.d22[1:, :])
-    d12f = 0.5 * (D.d12[:-1, :] + D.d12[1:, :])
-    cn = area * d22f / hy
-    coo.add_pair(P, N, P, cn)
-    coo.add_pair(N, P, N, cn)
-    cfd = area * d12f / (4.0 * hx)
-    Pi = P[:, 1:-1]
-    Ni = N[:, 1:-1]
-    ci = cfd[:, 1:-1]
-    for di, sign in ((1, 1.0), (-1, -1.0)):
-        for shift in (0, 1):
-            cols = idx[shift:ny - 1 + shift, 1 + di:nx - 1 + di]
-            coo.add_pair(Pi, Ni, cols, -ci * sign)
-    for icol, coeffs in ((0, ((0, -3.0), (1, 4.0), (2, -1.0))), (nx - 1, ((nx - 1, 3.0), (nx - 2, -4.0), (nx - 3, 1.0)))):
-        for ii, wgt in coeffs:
-            for shift in (0, 1):
-                cols = idx[shift:ny - 1 + shift, ii]
-                coo.add_pair(P[:, icol], N[:, icol], cols, -cfd[:, icol] * wgt)
-    up = np.where(fn >= 0.0, P, N)
-    coo.add_pair(P, N, up, fn)
-
+    # faces between (i, j) and (i+1, j), then, transposed, between (i, j) and (i, j+1)
+    _add_face_family(coo, idx, D.d11, D.d12, fe, hx, hy, hy * cy)
+    _add_face_family(coo, idx.T, D.d22.T, D.d12.T, fn.T, hy, hx, hx * cx)
     w = grid.cell_weights()
     A = coo.matrix(ny * nx) + sp.diags(w.ravel() / dt, format="csr")
     return A, w
@@ -339,27 +315,21 @@ def _assemble_parabolic(
 def parabolic_step(
     u_old: ScalarField,
     D: SymTensorField,
-    q: VectorField,
+    stream: ScalarField,
     dt: float,
-    stream: ScalarField | None = None,
     lin_tol: float = 1e-10,
     lin_max: int = 5000,
 ) -> tuple[ScalarField, float]:
     """One backward-Euler step in conservative flux form.
 
-    ``stream`` supplies the stream function whose rotated gradient is q;
-    when given, advective face fluxes are exact stream differences (the
-    coupled solver always passes it).  Without it the fluxes fall back to
-    face-averaged node velocities, which conserves mass structurally but
-    preserves constants only up to discretization error at boundary cells.
+    ``stream`` is the stream function whose rotated gradient is the
+    velocity; advective face fluxes are its differences between face
+    endpoints, so constants are exact steady states.
 
     Returns the new field and the relative residual of the linear solve.
     """
     grid = u_old.grid
-    if stream is not None:
-        fe, fn = _face_fluxes_from_stream(stream.values, grid)
-    else:
-        fe, fn = _face_fluxes_from_q(q, grid)
+    fe, fn = _face_fluxes_from_stream(stream.values, grid)
     A, w = _assemble_parabolic(grid, D, fe, fn, dt)
     b = (w / dt).ravel() * u_old.values.ravel()
     bnorm = float(np.linalg.norm(b))
@@ -420,10 +390,8 @@ def picard_coupled_step(
     lin_res = 0.0
     converged = False
     for _ in range(cfg.picard_max):
-        v_k, q_k, q_eps_k, D_eps_k = _coupled_fields(u_k, cfg, poisson)
-        u_next, lin_res = parabolic_step(
-            u_n, D_eps_k, q_k, dt, stream=v_k, lin_tol=cfg.lin_tol, lin_max=cfg.lin_max
-        )
+        v_k, _, _, D_eps_k = _coupled_fields(u_k, cfg, poisson)
+        u_next, lin_res = parabolic_step(u_n, D_eps_k, v_k, dt, lin_tol=cfg.lin_tol, lin_max=cfg.lin_max)
         gap = float(np.max(np.abs(u_next.values - u_k.values)))
         gaps.append(gap)
         u_k = u_next
@@ -457,26 +425,22 @@ def state_consistency_residual(state: SimState, poisson: PoissonSolver | None = 
 # trajectories and diagnostics
 
 
-def _grad_and_phi(state: SimState) -> tuple[float, float]:
+def _grad_and_phi(state: SimState) -> tuple[np.ndarray, np.ndarray]:
+    """|grad u| and the dissipation density phi = D_eps grad u . grad u at the nodes."""
     u = state.u
     g1 = deriv1(u.values, u.grid.hx, axis=1)
     g2 = deriv1(u.values, u.grid.hy, axis=0)
-    grad_sup = float(np.max(np.hypot(g1, g2)))
-    phi = state.D_eps.quad_form(g1, g2)
-    return grad_sup, float(np.max(phi))
+    return np.hypot(g1, g2), state.D_eps.quad_form(g1, g2)
 
 
 def _dissipation(state: SimState) -> float:
-    u = state.u
-    g1 = deriv1(u.values, u.grid.hx, axis=1)
-    g2 = deriv1(u.values, u.grid.hy, axis=0)
-    return integrate(ScalarField(u.grid, state.D_eps.quad_form(g1, g2)))
+    return integrate(ScalarField(state.u.grid, _grad_and_phi(state)[1]))
 
 
 def _diag_row(state: SimState, report: StepReport | None, prev_u: ScalarField | None,
               dt: float, cum_dissip: float, mass0: float) -> DiagnosticsRow:
     u = state.u
-    grad_sup, phi_max = _grad_and_phi(state)
+    grad, phi = _grad_and_phi(state)
     mass = integrate(u)
     ut_sup = 0.0
     if prev_u is not None:
@@ -489,8 +453,8 @@ def _diag_row(state: SimState, report: StepReport | None, prev_u: ScalarField | 
         mass=mass,
         l2sq=integrate(ScalarField(u.grid, u.values**2)),
         energy_dissip=cum_dissip,
-        grad_sup=grad_sup,
-        phi_max=phi_max,
+        grad_sup=float(np.max(grad)),
+        phi_max=float(np.max(phi)),
         ut_sup=ut_sup,
         picard_iters=report.picard_iterations if report else 0,
         picard_gap=report.picard_gap if report else 0.0,
@@ -499,13 +463,9 @@ def _diag_row(state: SimState, report: StepReport | None, prev_u: ScalarField | 
 
 
 def _format_row(row: DiagnosticsRow) -> str:
-    vals = [
-        str(row.step), format(row.t, ".17g"), format(row.umax, ".17g"), format(row.umin, ".17g"),
-        format(row.mass, ".17g"), format(row.l2sq, ".17g"), format(row.energy_dissip, ".17g"),
-        format(row.grad_sup, ".17g"), format(row.phi_max, ".17g"), format(row.ut_sup, ".17g"),
-        str(row.picard_iters), format(row.picard_gap, ".17g"), format(row.mass_drift, ".17g"),
-    ]
-    return ",".join(vals)
+    """One diagnostics.csv line: integer columns as is, the rest with 17 significant digits."""
+    vals = (getattr(row, name) for name in DIAGNOSTIC_COLUMNS)
+    return ",".join(str(v) if isinstance(v, int) else format(v, ".17g") for v in vals)
 
 
 def run(cfg: RunConfig, outdir: str | Path | None = None) -> Trajectory:

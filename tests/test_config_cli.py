@@ -53,6 +53,30 @@ def test_nonpositive_dt_rejected():
         parse_config(MINIMAL.replace("dt = 0.0625", "dt = -0.1"))
 
 
+@pytest.mark.parametrize(
+    "key, bad",
+    [
+        ("nx", "2"), ("ny", "2"), ("lx", "0"), ("ly", "-1"),
+        ("a", "0"), ("b", "0.5"), ("m", "0"), ("eps", "0"),
+        ("moll_radius", "-0.1"), ("moll_radius", "0.6"),
+        ("dt", "0"), ("t_end", "0.01"), ("picard_tol", "0"), ("picard_max", "0"),
+        ("lin_tol", "-1e-10"), ("lin_max", "0"), ("output_every", "-1"),
+    ],
+)
+def test_invalid_value_reported_at_its_line(key, bad):
+    lines = MINIMAL.splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        if line.startswith(f"{key} ="):
+            lines[lineno - 1] = f"{key} = {bad}"
+            break
+    else:
+        lines.append(f"{key} = {bad}")
+        lineno = len(lines)
+    with pytest.raises(ConfigError, match=rf"^line {lineno}: ") as info:
+        parse_config("\n".join(lines) + "\n")
+    assert info.value.line == lineno
+
+
 def test_malformed_line():
     with pytest.raises(ConfigError, match="line 2"):
         parse_config("nx = 9\nny 9\n")
@@ -151,6 +175,14 @@ def test_cli_sweep_invalid_param(tmp_path):
     assert main(["sweep", "--config", str(cfg_path), "--param", "nx=3,5"]) == 2
     # sweeping a above b violates the ordering
     assert main(["sweep", "--config", str(cfg_path), "--param", "a=3.0"]) == 2
+
+
+def test_cli_sweep_validates_every_value_before_running(tmp_path):
+    # 0.9 exceeds half the unit domain; the valid 0.1 variant must not run first
+    cfg_path = _write_cfg(tmp_path)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg_path), "--param", "moll_radius=0.1,0.9", "--outdir", str(out)]) == 2
+    assert not list(tmp_path.glob("sweep/moll_radius_*"))
 
 
 def test_cli_verify_identities(tmp_path, monkeypatch, capsys):

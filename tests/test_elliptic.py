@@ -100,3 +100,12 @@ def test_non_square_anisotropic_spacing_matches_sparse_direct(nx, ny, lx, ly):
     x = v.values[1:-1, 1:-1].ravel()
     assert rep.converged
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_mms_poisson_converges_through_513():
+    # the reachable residual grows ~4x per refinement; the study's tolerance must follow it
+    from dispersim.mms import poisson_convergence
+
+    rows, slope = poisson_convergence(levels=6)
+    assert rows[-1].label == "513x513"
+    assert abs(slope - 2.0) <= 0.05

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dispersim.coefficients import (
     PhysParams,
@@ -8,7 +11,15 @@ from dispersim.coefficients import (
     stream_velocity,
 )
 from dispersim.elliptic import PoissonSolver, SolverError
-from dispersim.grid import GridSpec, ScalarField, VectorField, integrate, read_snapshot, write_snapshot
+from dispersim.grid import (
+    GridSpec,
+    ScalarField,
+    SymTensorField,
+    VectorField,
+    integrate,
+    read_snapshot,
+    write_snapshot,
+)
 from dispersim.transport import (
     RunConfig,
     initial_condition,
@@ -84,19 +95,9 @@ def test_constant_preserved_with_stream_fluxes():
     g = _grid(33)
     v, q, D = _stream_setup(g)
     u0 = ScalarField.full(g, 3.0)
-    u1, rel = parabolic_step(u0, D, q, dt=0.02, stream=v)
+    u1, rel = parabolic_step(u0, D, v, dt=0.02)
     assert np.max(np.abs(u1.values - 3.0)) < 1e-12
     assert rel < 1e-10
-
-
-def test_constant_approximate_without_stream():
-    # face-averaged fallback: constants survive only to discretization error
-    g = _grid(33)
-    v, q, D = _stream_setup(g)
-    u0 = ScalarField.full(g, 3.0)
-    u1, _ = parabolic_step(u0, D, q, dt=0.02)
-    assert np.max(np.abs(u1.values - 3.0)) < 5e-3
-    assert np.max(np.abs(u1.values - 3.0)) > 0.0
 
 
 def test_mass_conserved_any_inputs():
@@ -105,7 +106,7 @@ def test_mass_conserved_any_inputs():
     v, q, D = _stream_setup(g, amp=0.5, phys=PhysParams(0.5, 3.0, 1.0))
     for _ in range(3):
         u0 = ScalarField(g, rng.uniform(-1.0, 2.0, g.shape))
-        u1, _ = parabolic_step(u0, D, q, dt=0.03, stream=v)
+        u1, _ = parabolic_step(u0, D, v, dt=0.03)
         m0, m1 = integrate(u0), integrate(u1)
         assert abs(m1 - m0) <= 1e-11 * max(1.0, abs(m0))
 
@@ -116,7 +117,7 @@ def test_isotropic_heat_step_max_principle():
     qz = VectorField(g, np.zeros(g.shape), np.zeros(g.shape))
     D = dispersion_tensor_regularized(qz, PhysParams(1.0, 1.0, 0.5), RegParams(1e-6))
     u0 = ScalarField(g, rng.uniform(-1.0, 1.0, g.shape))
-    u1, _ = parabolic_step(u0, D, qz, dt=0.05)
+    u1, _ = parabolic_step(u0, D, ScalarField.full(g, 0.0), dt=0.05)
     assert np.max(u1.values) <= np.max(u0.values) + 1e-10
     assert np.min(u1.values) >= np.min(u0.values) - 1e-10
 
@@ -188,6 +189,78 @@ def test_fv_advection_consistency_first_order():
 
     errs = [error(n) for n in (65, 129)]
     assert 1.5 <= errs[0] / errs[1] <= 2.6  # upwinding is first order
+
+
+# --- finite-volume properties on random non-square grids
+
+
+@st.composite
+def _fv_case(draw, cross=True):
+    """Random grid with hx != hy and lx != ly, SPD tensor field, stream function and dt."""
+    nx, ny = draw(st.integers(4, 14)), draw(st.integers(4, 14))
+    hx = draw(st.floats(0.05, 0.5))
+    aspect = draw(st.floats(1.25, 4.0))
+    hy = hx * aspect if draw(st.booleans()) else hx / aspect
+    g = GridSpec(nx, ny, lx=hx * (nx - 1), ly=hy * (ny - 1))
+    assume(g.lx != g.ly)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d11 = rng.uniform(0.1, 2.0, g.shape)
+    d22 = rng.uniform(0.1, 2.0, g.shape)
+    d12 = rng.uniform(-0.95, 0.95, g.shape) * np.sqrt(d11 * d22) if cross else np.zeros(g.shape)
+    stream = draw(st.floats(0.0, 5.0)) * rng.standard_normal(g.shape)
+    dt = draw(st.floats(0.01, 10.0))
+    return g, SymTensorField(g, d11, d12, d22), stream, dt
+
+
+def _assemble(g, D, stream, dt):
+    from dispersim.transport import _assemble_parabolic, _face_fluxes_from_stream
+
+    fe, fn = _face_fluxes_from_stream(stream, g)
+    A, w = _assemble_parabolic(g, D, fe, fn, dt)
+    return A.tocsr(), w.ravel()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_fv_case())
+def test_fv_mass_telescopes(case):
+    # every face adds equal and opposite entries to its two cells' rows
+    A, w = _assemble(*case)
+    B = A - sp.diags(w / case[3])
+    col_sums = np.asarray(B.sum(axis=0)).ravel()
+    assert np.max(np.abs(col_sums)) <= 1e-12 * abs(A).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_fv_case())
+def test_fv_constants_exact(case):
+    A, w = _assemble(*case)
+    row_sums = A @ np.ones(A.shape[0])
+    assert np.max(np.abs(row_sums - w / case[3])) <= 1e-12 * abs(A).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_fv_case(cross=False))
+def test_fv_m_matrix_rows_without_cross_term(case):
+    A = _assemble(*case)[0].tocoo()
+    off = A.row != A.col
+    assert np.all(A.data[off] <= 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_fv_case(), st.tuples(*[st.floats(-2.0, 2.0)] * 3))
+def test_fv_diffusion_exact_on_quadratics(case, c):
+    # a constant tensor and u = c0 x1^2 + c1 x1 x2 + c2 x2^2 give
+    # -div(D grad u) = -2 (d11 c0 + d12 c1 + d22 c2) at every interior node;
+    # on a grid with hx != hy this fails if the two spacings are swapped anywhere
+    g, D, _, dt = case
+    Dc = SymTensorField(g, *(np.full(g.shape, f[0, 0]) for f in (D.d11, D.d12, D.d22)))
+    A, w = _assemble(g, Dc, np.zeros(g.shape), dt)
+    x1, x2 = g.nodes()
+    u = (c[0] * x1**2 + c[1] * x1 * x2 + c[2] * x2**2).ravel()
+    r = ((A @ u - w / dt * u) / w).reshape(g.shape)
+    expected = -2.0 * (Dc.d11[0, 0] * c[0] + Dc.d12[0, 0] * c[1] + Dc.d22[0, 0] * c[2])
+    scale = 1.0 + np.max(np.abs(u)) / min(g.hx, g.hy) ** 2
+    assert np.max(np.abs(r[1:-1, 1:-1] - expected)) <= 1e-11 * scale
 
 
 # --- coupled stepping
