@@ -25,18 +25,27 @@ contributes equal and opposite amounts to its two cells and boundary
 faces contribute nothing, so the cell-weighted sum of u (the trapezoidal
 integral) is conserved to the linear-solver floor.
 
+The step matrix has a fixed 9-point pattern per grid shape: the upwind
+term puts the outflow part of each face flux in the column of the node
+behind the face and the inflow part in the column ahead, so no entry's
+position depends on a flux sign.  The pattern is built once per shape and
+each pass only refills its values.
+
 Each Picard pass makes one exact sine-transform solve for the stream
-function (see ``elliptic``) and one incomplete-LU preconditioned BiCGSTAB
-call for the transport step, asked for a relative residual of 1e-14.
-The true residual it reaches, a few times 1e-14, is recomputed and
-checked against ``lin_tol``, so solver error stays far below the
-conservation diagnostics.
+function (see ``elliptic``) and, for the transport step, one sparse LU
+factorization (SuperLU, minimum-degree ordering on A^T A + A) used as the
+preconditioner of one BiCGSTAB call asked for a relative residual of
+1e-14.  With an exact factor BiCGSTAB is a one-iteration polish;
+``lin_max`` bounds its iterations.  The true residual, a few times 1e-14,
+is recomputed and checked against ``lin_tol``, so solver error stays far
+below the conservation diagnostics.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -231,32 +240,8 @@ def _face_fluxes_from_stream(v: np.ndarray, grid: GridSpec) -> tuple[np.ndarray,
     return fe, fn
 
 
-class _Coo:
-    def __init__(self):
-        self.rows: list[np.ndarray] = []
-        self.cols: list[np.ndarray] = []
-        self.vals: list[np.ndarray] = []
-
-    def add(self, rows, cols, vals):
-        r, c, v = np.broadcast_arrays(rows, cols, vals)
-        self.rows.append(r.ravel())
-        self.cols.append(c.ravel())
-        self.vals.append(np.asarray(v, dtype=float).ravel())
-
-    def add_pair(self, rows_plus, rows_minus, cols, vals):
-        """Scatter +vals into rows_plus and the exact negation into rows_minus."""
-        self.add(rows_plus, cols, vals)
-        self.add(rows_minus, cols, -np.asarray(vals, dtype=float))
-
-    def matrix(self, n: int) -> sp.csr_matrix:
-        rows = np.concatenate(self.rows)
-        cols = np.concatenate(self.cols)
-        vals = np.concatenate(self.vals)
-        return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-
-
 def _add_face_family(
-    coo: _Coo, idx: np.ndarray, dnn: np.ndarray, dnt: np.ndarray, flux: np.ndarray,
+    terms: list, idx: np.ndarray, dnn: np.ndarray, dnt: np.ndarray, flux: np.ndarray,
     h_n: float, h_t: float, face_len: np.ndarray,
 ) -> None:
     """Couplings across the faces between nodes idx[:, i] and idx[:, i+1].
@@ -266,6 +251,12 @@ def _add_face_family(
     ``flux`` the advective face fluxes, ``h_n`` and ``h_t`` the spacings
     across and along the faces, and ``face_len`` the face lengths per row.
     The other face direction is the same call on transposed arrays.
+
+    Each appended term ``(rows_plus, rows_minus, cols, vals)``, four arrays
+    of one shape, adds +vals at (rows_plus, cols) and the exact negation at
+    (rows_minus, cols).  The index arrays depend only on ``idx``, so the
+    sparsity pattern does not depend on the data, not even on the signs of
+    the fluxes.
     """
     m, n = idx.shape
     P = idx[:, :-1]
@@ -273,29 +264,27 @@ def _add_face_family(
     area = face_len[:, None]
     cn = area * (0.5 * (dnn[:, :-1] + dnn[:, 1:])) / h_n
     # normal flux -cn (uE - uP): row P gains +cn uP - cn uE, row E the negation
-    coo.add_pair(P, E, P, cn)
-    coo.add_pair(E, P, E, cn)
+    terms.append((P, E, P, cn))
+    terms.append((E, P, E, cn))
     # cross term: flux -= area * (face-averaged dnt) * (face-averaged transverse derivative)
     cfd = area * (0.5 * (dnt[:, :-1] + dnt[:, 1:])) / (4.0 * h_t)
     for di, sign in ((1, 1.0), (-1, -1.0)):
         for shift in (0, 1):
             cols = idx[1 + di:m - 1 + di, shift:n - 1 + shift]
-            coo.add_pair(P[1:-1, :], E[1:-1, :], cols, -cfd[1:-1, :] * sign)
+            terms.append((P[1:-1, :], E[1:-1, :], cols, -cfd[1:-1, :] * sign))
     # one-sided transverse derivative on the first and last face rows
     for row, coeffs in ((0, ((0, -3.0), (1, 4.0), (2, -1.0))), (m - 1, ((m - 1, 3.0), (m - 2, -4.0), (m - 3, 1.0)))):
         for jj, wgt in coeffs:
             for shift in (0, 1):
                 cols = idx[jj, shift:n - 1 + shift]
-                coo.add_pair(P[row, :], E[row, :], cols, -cfd[row, :] * wgt)
-    # advective upwind
-    up = np.where(flux >= 0.0, P, E)
-    coo.add_pair(P, E, up, flux)
+                terms.append((P[row, :], E[row, :], cols, -cfd[row, :] * wgt))
+    # advective upwind: the outflow part of the flux takes u from P, the inflow part from E
+    terms.append((P, E, P, np.maximum(flux, 0.0)))
+    terms.append((P, E, E, np.minimum(flux, 0.0)))
 
 
-def _assemble_parabolic(
-    grid: GridSpec, D: SymTensorField, fe: np.ndarray, fn: np.ndarray, dt: float
-) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Backward-Euler finite-volume matrix; rhs is cell_weights/dt * u_old."""
+def _face_terms(grid: GridSpec, D: SymTensorField, fe: np.ndarray, fn: np.ndarray) -> list:
+    """The face terms of ``_add_face_family`` for both face directions, in a fixed order."""
     ny, nx = grid.shape
     hx, hy = grid.hx, grid.hy
     idx = np.arange(ny * nx).reshape(ny, nx)
@@ -303,13 +292,70 @@ def _assemble_parabolic(
     cy[0] = cy[-1] = 0.5
     cx = np.ones(nx)
     cx[0] = cx[-1] = 0.5
-    coo = _Coo()
+    terms: list = []
     # faces between (i, j) and (i+1, j), then, transposed, between (i, j) and (i, j+1)
-    _add_face_family(coo, idx, D.d11, D.d12, fe, hx, hy, hy * cy)
-    _add_face_family(coo, idx.T, D.d22.T, D.d12.T, fn.T, hy, hx, hx * cx)
+    _add_face_family(terms, idx, D.d11, D.d12, fe, hx, hy, hy * cy)
+    _add_face_family(terms, idx.T, D.d22.T, D.d12.T, fn.T, hy, hx, hx * cx)
+    return terms
+
+
+@dataclass(frozen=True)
+class _Pattern:
+    """CSC structure of the step matrix and where each face-term entry lands in ``data``.
+
+    ``plus[k]`` and ``minus[k]`` are the slots of the k-th face value (in
+    the raveled order of the terms) at (rows_plus, cols) and (rows_minus,
+    cols); ``diag`` holds the slots of the diagonal.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    plus: np.ndarray
+    minus: np.ndarray
+    diag: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def _pattern(ny: int, nx: int) -> _Pattern:
+    """The step matrix's pattern, computed once per grid shape.
+
+    Only the index arrays of the face terms are used, so the data passed
+    to the face routine here is zeros.
+    """
+    grid = GridSpec(nx, ny)
+    zeros = np.zeros(grid.shape)
+    terms = _face_terms(grid, SymTensorField(grid, zeros, zeros, zeros), zeros[:, 1:], zeros[1:, :])
+    size = ny * nx
+    diag = np.arange(size)
+    rows = np.concatenate([r.ravel() for r, _, _, _ in terms] + [r.ravel() for _, r, _, _ in terms] + [diag])
+    cols = np.concatenate([c.ravel() for _, _, c, _ in terms] * 2 + [diag])
+    keys, slot = np.unique(cols * size + rows, return_inverse=True)
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // size, minlength=size), out=indptr[1:])
+    k = (slot.size - size) // 2
+    pattern = _Pattern(indptr, (keys % size).astype(np.int32), slot[:k], slot[k:2 * k], slot[2 * k:])
+    for arr in (pattern.indptr, pattern.indices, pattern.plus, pattern.minus, pattern.diag):
+        arr.flags.writeable = False
+    return pattern
+
+
+def _assemble_parabolic(
+    grid: GridSpec, D: SymTensorField, fe: np.ndarray, fn: np.ndarray, dt: float
+) -> tuple[sp.csc_matrix, np.ndarray]:
+    """Backward-Euler finite-volume matrix in CSC form; rhs is cell_weights/dt * u_old.
+
+    The matrix refills the grid shape's fixed pattern: face values are
+    summed into their slots, plus and minus halves separately, and the
+    cell weights over dt are added on the diagonal.
+    """
+    ny, nx = grid.shape
+    pattern = _pattern(ny, nx)
     w = grid.cell_weights()
-    A = coo.matrix(ny * nx) + sp.diags(w.ravel() / dt, format="csr")
-    return A, w
+    vals = np.concatenate([v.ravel() for _, _, _, v in _face_terms(grid, D, fe, fn)])
+    data = np.bincount(pattern.plus, weights=vals, minlength=pattern.indices.size)
+    data -= np.bincount(pattern.minus, weights=vals, minlength=pattern.indices.size)
+    data[pattern.diag] += w.ravel() / dt
+    return sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=(ny * nx, ny * nx)), w
 
 
 def parabolic_step(
@@ -326,6 +372,12 @@ def parabolic_step(
     velocity; advective face fluxes are its differences between face
     endpoints, so constants are exact steady states.
 
+    The system is factored exactly by ``splu`` and solved by one BiCGSTAB
+    call preconditioned with that factor, at most ``lin_max`` iterations
+    (one normally suffices).  The factor is dropped when the call returns.  A
+    failed factorization, a non-finite result or a recomputed relative
+    residual above ``lin_tol`` raises ``SolverError``.
+
     Returns the new field and the relative residual of the linear solve.
     """
     grid = u_old.grid
@@ -337,10 +389,10 @@ def parabolic_step(
         return ScalarField(grid, np.zeros(grid.shape)), 0.0
 
     try:
-        ilu = spla.spilu(A.tocsc(), drop_tol=1e-5, fill_factor=20.0)
+        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
-        raise SolverError(f"incomplete factorization failed: {exc}") from exc
-    M = spla.LinearOperator(A.shape, ilu.solve)
+        raise SolverError(f"LU factorization failed: {exc}") from exc
+    M = spla.LinearOperator(A.shape, lu.solve, dtype=float)
     x, _ = spla.bicgstab(A, b, x0=u_old.values.ravel().copy(), rtol=1e-14, atol=0.0, maxiter=lin_max, M=M)
     if not np.all(np.isfinite(x)):
         raise SolverError("transport solve produced non-finite values")

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from dispersim import transport
 from dispersim.cli import main
 from dispersim.config import ConfigError, parse_config, serialize_config
-from dispersim.grid import read_snapshot
+from dispersim.elliptic import SolverError
+from dispersim.grid import GridSpec, ScalarField, SymTensorField, read_snapshot
 
 MINIMAL = """
 # minimal valid configuration
@@ -117,6 +119,20 @@ def test_cli_run_bad_config_exit_2(tmp_path):
 
 def test_cli_run_solver_failure_exit_3(tmp_path):
     cfg_path = _write_cfg(tmp_path, "picard_max = 1\npicard_tol = 1e-16\n")
+    assert main(["run", "--config", str(cfg_path), "--outdir", str(tmp_path / "o")]) == 3
+
+
+def test_factorization_failure_is_solver_failure(tmp_path, monkeypatch):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(transport.spla, "splu", singular)
+    g = GridSpec(9, 9)
+    ones = np.ones(g.shape)
+    D = SymTensorField(g, ones, 0.0 * ones, ones)
+    with pytest.raises(SolverError, match="exactly singular"):
+        transport.parabolic_step(ScalarField(g, ones), D, ScalarField.full(g, 0.0), dt=0.1)
+    cfg_path = _write_cfg(tmp_path)
     assert main(["run", "--config", str(cfg_path), "--outdir", str(tmp_path / "o")]) == 3
 
 

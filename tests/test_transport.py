@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dispersim.acceptance import reference_config
 from dispersim.coefficients import (
     PhysParams,
     RegParams,
@@ -263,6 +266,41 @@ def test_fv_diffusion_exact_on_quadratics(case, c):
     assert np.max(np.abs(r[1:-1, 1:-1] - expected)) <= 1e-11 * scale
 
 
+def _upwind_reference(g, fe, fn):
+    """Dense advective operator built face by face: each face flux takes u from its upwind node."""
+    ny, nx = g.shape
+    B = np.zeros((ny * nx, ny * nx))
+
+    def face(p, e, flux):
+        up = p if flux >= 0.0 else e
+        B[p, up] += flux
+        B[e, up] -= flux
+
+    for i in range(ny):
+        for j in range(nx - 1):
+            face(i * nx + j, i * nx + j + 1, fe[i, j])
+    for i in range(ny - 1):
+        for j in range(nx):
+            face(i * nx + j, (i + 1) * nx + j, fn[i, j])
+    return B
+
+
+@settings(max_examples=40, deadline=None)
+@given(_fv_case())
+def test_fv_pure_advection_matches_face_loop_upwind(case):
+    # D = 0 leaves only the upwind fluxes, whose matrix slots must not depend on the flux signs
+    from dispersim.transport import _face_fluxes_from_stream
+
+    g, _, stream, dt = case
+    fe, fn = _face_fluxes_from_stream(stream, g)
+    assume(np.any(fe[1:-1] > 0) and np.any(fe[1:-1] < 0))
+    zeros = np.zeros(g.shape)
+    A, w = _assemble(g, SymTensorField(g, zeros, zeros, zeros), stream, dt)
+    B = (A - sp.diags(w / dt)).toarray()
+    ref = _upwind_reference(g, fe, fn)
+    assert np.max(np.abs(B - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+
+
 # --- coupled stepping
 
 
@@ -316,6 +354,14 @@ def test_state_consistency_after_step():
 
     b_norm = np.linalg.norm(diff_x1(st2.u).values[1:-1, 1:-1])
     assert state_consistency_residual(st2, ps) <= cfg.lin_tol * b_norm
+
+
+def test_one_bicgstab_iteration_suffices():
+    # the exact LU preconditioner leaves BiCGSTAB a polish: lin_max=1 still meets lin_tol
+    cfg = dataclasses.replace(reference_config(33), lin_max=1)
+    tr = run(cfg)
+    assert tr.reports
+    assert all(r.linear_residual <= cfg.lin_tol for r in tr.reports)
 
 
 # --- full runs
