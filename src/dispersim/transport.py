@@ -32,13 +32,19 @@ position depends on a flux sign.  The pattern is built once per shape and
 each pass only refills its values.
 
 Each Picard pass makes one exact sine-transform solve for the stream
-function (see ``elliptic``) and, for the transport step, one sparse LU
-factorization (SuperLU, minimum-degree ordering on A^T A + A) used as the
-preconditioner of one BiCGSTAB call asked for a relative residual of
-1e-14.  With an exact factor BiCGSTAB is a one-iteration polish;
-``lin_max`` bounds its iterations.  The true residual, a few times 1e-14,
-is recomputed and checked against ``lin_tol``, so solver error stays far
-below the conservation diagnostics.
+function (see ``elliptic``) and one BiCGSTAB call for the transport step,
+asked for a relative residual of 1e-14 and preconditioned by a sparse LU
+factorization (SuperLU, minimum-degree ordering on A^T A + A).  The first
+pass of a time step factors its matrix; later passes of the same step,
+whose matrices differ only by the pass-to-pass change of the tensor, reuse
+that factor (the chord method), and BiCGSTAB polishes the lagged solve in a
+few iterations.  If that solve misses ``lin_tol``, the pass's own matrix is
+factored, the new factor replaces the old one (never both alive at once)
+and the solve is repeated; with an exact factor BiCGSTAB is a one-iteration
+polish.  ``lin_max`` bounds the iterations of every BiCGSTAB call.  The
+true residual, a few times 1e-14, is recomputed and checked against
+``lin_tol``, so solver error stays far below the conservation diagnostics.
+No factor outlives its time step.
 """
 
 from __future__ import annotations
@@ -358,6 +364,24 @@ def _assemble_parabolic(
     return sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=(ny * nx, ny * nx)), w
 
 
+class _StepFactor:
+    """The sparse LU that the Picard passes of one time step share, or None."""
+
+    def __init__(self):
+        self.lu = None
+
+
+def _polish(A: sp.csc_matrix, b: np.ndarray, x0: np.ndarray, lu, lin_max: int) -> np.ndarray:
+    """One BiCGSTAB call preconditioned by ``lu``.
+
+    The operator bound to ``lu.solve`` is local, so once the caller drops
+    ``lu`` nothing keeps the factor alive.
+    """
+    M = spla.LinearOperator(A.shape, lu.solve, dtype=float)
+    x, _ = spla.bicgstab(A, b, x0=x0.copy(), rtol=1e-14, atol=0.0, maxiter=lin_max, M=M)
+    return x
+
+
 def parabolic_step(
     u_old: ScalarField,
     D: SymTensorField,
@@ -365,6 +389,9 @@ def parabolic_step(
     dt: float,
     lin_tol: float = 1e-10,
     lin_max: int = 5000,
+    *,
+    x0: ScalarField | None = None,
+    factor: _StepFactor | None = None,
 ) -> tuple[ScalarField, float]:
     """One backward-Euler step in conservative flux form.
 
@@ -374,9 +401,16 @@ def parabolic_step(
 
     The system is factored exactly by ``splu`` and solved by one BiCGSTAB
     call preconditioned with that factor, at most ``lin_max`` iterations
-    (one normally suffices).  The factor is dropped when the call returns.  A
+    (one normally suffices), started from ``x0`` (default ``u_old``).  A
     failed factorization, a non-finite result or a recomputed relative
     residual above ``lin_tol`` raises ``SolverError``.
+
+    Without ``factor`` the LU is dropped when the call returns.  With it,
+    a factor held there (from an earlier Picard pass of the same step)
+    preconditions the solve first; that result is accepted if its
+    recomputed relative residual is finite and at most ``lin_tol``.
+    Otherwise the held factor is released, this matrix is factored and
+    solved as above, and the new factor is held in its place.
 
     Returns the new field and the relative residual of the linear solve.
     """
@@ -387,13 +421,21 @@ def parabolic_step(
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return ScalarField(grid, np.zeros(grid.shape)), 0.0
+    start = (u_old if x0 is None else x0).values.ravel()
 
+    if factor is not None and factor.lu is not None:
+        x = _polish(A, b, start, factor.lu, lin_max)
+        rel = float(np.linalg.norm(b - A @ x)) / bnorm
+        if rel <= lin_tol:  # false for nan
+            return ScalarField(grid, x.reshape(grid.shape)), rel
+        factor.lu = None  # release the lagged factor before splu builds the next
     try:
         lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise SolverError(f"LU factorization failed: {exc}") from exc
-    M = spla.LinearOperator(A.shape, lu.solve, dtype=float)
-    x, _ = spla.bicgstab(A, b, x0=u_old.values.ravel().copy(), rtol=1e-14, atol=0.0, maxiter=lin_max, M=M)
+    if factor is not None:
+        factor.lu = lu
+    x = _polish(A, b, start, lu, lin_max)
     if not np.all(np.isfinite(x)):
         raise SolverError("transport solve produced non-finite values")
     rel = float(np.linalg.norm(b - A @ x)) / bnorm
@@ -430,31 +472,36 @@ def picard_coupled_step(
 
     Each inner pass re-solves the parabolic step from the same u_old with the
     latest coefficients, until the max-norm change between successive inner
-    iterates drops below picard_tol.  The returned state's v, q and tensor are
-    refreshed from the accepted u, so its elliptic residual is below lin_tol.
+    iterates drops below picard_tol.  The state's v, q and tensor are taken
+    as the coefficients of its u, so the first pass uses them as they are.
+    The LU factored on the first pass preconditions the later passes, each
+    started from the previous iterate, and is replaced only when a lagged
+    solve misses lin_tol; it is released when the step ends.  The returned
+    state's v, q and tensor are refreshed from the accepted u, so its
+    elliptic residual is below lin_tol.
     """
     poisson = poisson or PoissonSolver(cfg.grid)
     dt = cfg.dt if dt is None else dt
     u_n = state.u
     mass_old = integrate(u_n)
     u_k = u_n
+    v_k, q_k, q_eps_k, D_eps_k = state.v, state.q, state.q_eps, state.D_eps
+    factor = _StepFactor()
     gaps: list[float] = []
-    lin_res = 0.0
-    converged = False
     for _ in range(cfg.picard_max):
-        v_k, _, _, D_eps_k = _coupled_fields(u_k, cfg, poisson)
-        u_next, lin_res = parabolic_step(u_n, D_eps_k, v_k, dt, lin_tol=cfg.lin_tol, lin_max=cfg.lin_max)
+        u_next, lin_res = parabolic_step(
+            u_n, D_eps_k, v_k, dt, lin_tol=cfg.lin_tol, lin_max=cfg.lin_max, x0=u_k, factor=factor
+        )
         gap = float(np.max(np.abs(u_next.values - u_k.values)))
         gaps.append(gap)
         u_k = u_next
+        v_k, q_k, q_eps_k, D_eps_k = _coupled_fields(u_k, cfg, poisson)
         if gap <= cfg.picard_tol:
-            converged = True
             break
-    if not converged:
+    else:
         raise SolverError(
             f"fixed-point iteration stalled after {cfg.picard_max} passes, last gap {gaps[-1]:.3e}"
         )
-    v_f, q_f, q_eps_f, D_eps_f = _coupled_fields(u_k, cfg, poisson)
     mass_new = integrate(u_k)
     report = StepReport(
         picard_iterations=len(gaps),
@@ -463,7 +510,7 @@ def picard_coupled_step(
         mass_drift=(mass_new - mass_old) / max(abs(mass_old), 1e-300),
         picard_gap_history=gaps,
     )
-    new_state = SimState(u_k, v_f, q_f, q_eps_f, D_eps_f, t=state.t + dt, step=state.step + 1)
+    new_state = SimState(u_k, v_k, q_k, q_eps_k, D_eps_k, t=state.t + dt, step=state.step + 1)
     return new_state, report
 
 

@@ -7,10 +7,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dispersim.acceptance import reference_config
+from dispersim import transport
 from dispersim.coefficients import (
     PhysParams,
     RegParams,
     dispersion_tensor_regularized,
+    mollify,
     stream_velocity,
 )
 from dispersim.elliptic import PoissonSolver, SolverError
@@ -19,6 +21,7 @@ from dispersim.grid import (
     ScalarField,
     SymTensorField,
     VectorField,
+    diff_x1,
     integrate,
     read_snapshot,
     write_snapshot,
@@ -350,18 +353,76 @@ def test_state_consistency_after_step():
     ps = PoissonSolver(cfg.grid)
     st = initial_state(cfg, ps)
     st2, _ = picard_coupled_step(st, cfg, ps)
-    from dispersim.grid import diff_x1
-
     b_norm = np.linalg.norm(diff_x1(st2.u).values[1:-1, 1:-1])
     assert state_consistency_residual(st2, ps) <= cfg.lin_tol * b_norm
 
 
 def test_one_bicgstab_iteration_suffices():
-    # the exact LU preconditioner leaves BiCGSTAB a polish: lin_max=1 still meets lin_tol
+    # a lagged solve that misses lin_tol in one iteration refactors, and the
+    # exact LU leaves BiCGSTAB a one-iteration polish: lin_max=1 still meets lin_tol
     cfg = dataclasses.replace(reference_config(33), lin_max=1)
     tr = run(cfg)
     assert tr.reports
     assert all(r.linear_residual <= cfg.lin_tol for r in tr.reports)
+
+
+def _counting(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_one_factorization_per_step(monkeypatch):
+    # splu is looked up through transport.spla, where the benchmark's
+    # transport.factor span wraps it
+    calls = _counting(monkeypatch, transport.spla, "splu")
+    tr = run(reference_config(33))
+    assert len(calls) == len(tr.reports)
+    assert len(calls) < sum(r.picard_iterations for r in tr.reports)
+
+
+def test_missed_lagged_solve_refactors(monkeypatch):
+    calls = _counting(monkeypatch, transport.spla, "splu")
+    cfg = dataclasses.replace(reference_config(33), lin_max=1)
+    tr = run(cfg)
+    assert len(calls) > len(tr.reports)
+    assert all(r.linear_residual <= cfg.lin_tol for r in tr.reports)
+
+
+def test_step_matches_fresh_factor_per_pass():
+    cfg = _cfg()
+    ps = PoissonSolver(cfg.grid)
+    st = initial_state(cfg, ps)
+    st2, rep = picard_coupled_step(st, cfg, ps)
+
+    u_k = st.u
+    for passes in range(1, cfg.picard_max + 1):
+        v, _ = ps.solve(diff_x1(u_k), tol=cfg.lin_tol)
+        D = dispersion_tensor_regularized(mollify(stream_velocity(v), cfg.reg.moll_radius), cfg.phys, cfg.reg)
+        u_next, _ = parabolic_step(st.u, D, v, cfg.dt, cfg.lin_tol, cfg.lin_max)
+        gap = np.max(np.abs(u_next.values - u_k.values))
+        u_k = u_next
+        if gap <= cfg.picard_tol:
+            break
+    assert passes == rep.picard_iterations
+    assert np.max(np.abs(st2.u.values - u_k.values)) <= 1e-13
+
+
+def test_first_pass_uses_state_coefficients(monkeypatch):
+    cfg = _cfg()
+    ps = PoissonSolver(cfg.grid)
+    st = initial_state(cfg, ps)
+    calls = _counting(monkeypatch, PoissonSolver, "solve")
+    _, rep = picard_coupled_step(st, cfg, ps)
+    # one solve per pass after the first, plus the refresh of the accepted u
+    assert rep.picard_iterations >= 2
+    assert len(calls) == rep.picard_iterations
 
 
 # --- full runs
