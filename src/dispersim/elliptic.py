@@ -15,6 +15,7 @@ recomputed from the assembled matrix after the solve, so
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,8 +44,22 @@ def _laplacian_matrix(grid: GridSpec) -> sp.csr_matrix:
     return (sp.kron(sp.identity(my, format="csr"), tx) + sp.kron(ty, sp.identity(mx, format="csr"))).tocsr()
 
 
-def _eigenvalues_1d(m: int, h: float) -> np.ndarray:
-    return (2.0 - 2.0 * np.cos(np.pi * np.arange(1, m + 1) / (m + 1))) / h**2
+@lru_cache(maxsize=8)
+def laplacian_eigenvalues(grid: GridSpec, reflecting: bool) -> np.ndarray:
+    """lam_y[j] + lam_x[i], lam_k = (2 - 2 cos(pi k / (n - 1))) / h^2: the eigenvalues of the 5-point -lap_h.
+
+    With zero Dirichlet ends the sine modes k = 1..n-2 of the interior nodes
+    diagonalize it (DST-I); with reflecting ends the cosine modes k = 0..n-1
+    of all nodes do (DCT-I).  Computed once per grid; the array is read-only.
+    """
+    modes = slice(None) if reflecting else slice(1, -1)
+
+    def axis(n: int, h: float) -> np.ndarray:
+        return ((2.0 - 2.0 * np.cos(np.pi * np.arange(n) / (n - 1))) / h**2)[modes]
+
+    lam = axis(grid.ny, grid.hy)[:, None] + axis(grid.nx, grid.hx)[None, :]
+    lam.flags.writeable = False
+    return lam
 
 
 class PoissonSolver:
@@ -53,9 +68,7 @@ class PoissonSolver:
     def __init__(self, grid: GridSpec):
         self.grid = grid
         self.matrix = _laplacian_matrix(grid)
-        lam_x = _eigenvalues_1d(grid.nx - 2, grid.hx)
-        lam_y = _eigenvalues_1d(grid.ny - 2, grid.hy)
-        self._eigenvalues = lam_y[:, None] + lam_x[None, :]
+        self._eigenvalues = laplacian_eigenvalues(grid, reflecting=False)
 
     def _apply_inverse(self, b: np.ndarray) -> np.ndarray:
         return idstn(dstn(b, type=1, norm="ortho") / self._eigenvalues, type=1, norm="ortho")

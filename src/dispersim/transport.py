@@ -33,18 +33,16 @@ each pass only refills its values.
 
 Each Picard pass makes one exact sine-transform solve for the stream
 function (see ``elliptic``) and one BiCGSTAB call for the transport step,
-asked for a relative residual of 1e-14 and preconditioned by a sparse LU
-factorization (SuperLU, minimum-degree ordering on A^T A + A).  The first
-pass of a time step factors its matrix; later passes of the same step,
-whose matrices differ only by the pass-to-pass change of the tensor, reuse
-that factor (the chord method), and BiCGSTAB polishes the lagged solve in a
-few iterations.  If that solve misses ``lin_tol``, the pass's own matrix is
-factored, the new factor replaces the old one (never both alive at once)
-and the solve is repeated; with an exact factor BiCGSTAB is a one-iteration
-polish.  ``lin_max`` bounds the iterations of every BiCGSTAB call.  The
-true residual, a few times 1e-14, is recomputed and checked against
-``lin_tol``, so solver error stays far below the conservation diagnostics.
-No factor outlives its time step.
+asked for a relative residual of 1e-14 and preconditioned by the exact
+inverse of the step matrix for the constant tensor c I (c the mean of
+(d11 + d22)/2) without advection: two type-I cosine transforms and a
+division (Concus & Golub, SIAM J. Numer. Anal. 10(6), 1973).  A pass whose
+call misses ``lin_tol`` within ``_FAST_ITERATIONS`` iterations (strong
+tensor contrast) factors its own matrix exactly (SuperLU, minimum-degree
+ordering on A^T A + A) and solves again with BiCGSTAB preconditioned by
+that factor.  ``lin_max`` bounds the iterations of every BiCGSTAB call.
+The true residual is recomputed and checked against ``lin_tol``, so solver
+error stays far below the conservation diagnostics.
 """
 
 from __future__ import annotations
@@ -57,6 +55,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.fft import dctn, idctn
 
 from .coefficients import (
     PhysParams,
@@ -65,7 +64,7 @@ from .coefficients import (
     mollify,
     stream_velocity,
 )
-from .elliptic import PoissonSolver, SolverError
+from .elliptic import PoissonSolver, SolverError, laplacian_eigenvalues
 from .grid import (
     GridSpec,
     ScalarField,
@@ -94,7 +93,7 @@ class SimState:
 class StepReport:
     picard_iterations: int
     picard_gap: float
-    linear_residual: float
+    linear_residual: float  # the worst relative residual over the step's passes
     mass_drift: float
     picard_gap_history: list[float] = field(default_factory=list)
 
@@ -364,21 +363,32 @@ def _assemble_parabolic(
     return sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=(ny * nx, ny * nx)), w
 
 
-class _StepFactor:
-    """The sparse LU that the Picard passes of one time step share, or None."""
+# BiCGSTAB iterations the cosine-preconditioned solve may take before an
+# exact LU is cheaper.  On a 2-core x86-64 host one splu of a reference step
+# matrix costs about 20, 38 and 55 of them at n = 65, 129 and 257, and the
+# lagged-tensor runs reference_config(n, a=4, b=12, m=0.2), dt = 4/(n-1),
+# need at most 43-44.  A fixed count, not a timing rule, keeps reruns
+# byte-identical.
+_FAST_ITERATIONS = 60
 
-    def __init__(self):
-        self.lu = None
 
+def _cosine_preconditioner(grid: GridSpec, w: np.ndarray, dt: float, c: float) -> spla.LinearOperator:
+    """The exact inverse of the step matrix for the tensor c I and zero fluxes.
 
-def _polish(A: sp.csc_matrix, b: np.ndarray, x0: np.ndarray, lu, lin_max: int) -> np.ndarray:
-    """One BiCGSTAB call preconditioned by ``lu``.
-
-    The operator bound to ``lu.solve`` is local, so once the caller drops
-    ``lu`` nothing keeps the factor alive.
+    That matrix is diag(w)/dt + c L, and diag(w)^-1 L is the 5-point
+    Laplacian with reflecting ends on each axis, which DCT-I diagonalizes.
     """
-    M = spla.LinearOperator(A.shape, lu.solve, dtype=float)
-    x, _ = spla.bicgstab(A, b, x0=x0.copy(), rtol=1e-14, atol=0.0, maxiter=lin_max, M=M)
+    shape = grid.shape
+    denom = 1.0 / dt + c * laplacian_eigenvalues(grid, reflecting=True)
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        return idctn(dctn(r.reshape(shape) / w, type=1) / denom, type=1).ravel()
+
+    return spla.LinearOperator((w.size, w.size), solve, dtype=float)
+
+
+def _bicgstab(A: sp.csc_matrix, b: np.ndarray, x0: np.ndarray, M: spla.LinearOperator, maxiter: int) -> np.ndarray:
+    x, _ = spla.bicgstab(A, b, x0=x0.copy(), rtol=1e-14, atol=0.0, maxiter=maxiter, M=M)
     return x
 
 
@@ -391,7 +401,6 @@ def parabolic_step(
     lin_max: int = 5000,
     *,
     x0: ScalarField | None = None,
-    factor: _StepFactor | None = None,
 ) -> tuple[ScalarField, float]:
     """One backward-Euler step in conservative flux form.
 
@@ -399,18 +408,14 @@ def parabolic_step(
     velocity; advective face fluxes are its differences between face
     endpoints, so constants are exact steady states.
 
-    The system is factored exactly by ``splu`` and solved by one BiCGSTAB
-    call preconditioned with that factor, at most ``lin_max`` iterations
-    (one normally suffices), started from ``x0`` (default ``u_old``).  A
-    failed factorization, a non-finite result or a recomputed relative
-    residual above ``lin_tol`` raises ``SolverError``.
-
-    Without ``factor`` the LU is dropped when the call returns.  With it,
-    a factor held there (from an earlier Picard pass of the same step)
-    preconditions the solve first; that result is accepted if its
-    recomputed relative residual is finite and at most ``lin_tol``.
-    Otherwise the held factor is released, this matrix is factored and
-    solved as above, and the new factor is held in its place.
+    One BiCGSTAB call, started from ``x0`` (default ``u_old``), is
+    preconditioned by ``_cosine_preconditioner`` and takes at most
+    ``min(lin_max, _FAST_ITERATIONS)`` iterations.  If its recomputed
+    relative residual is above ``lin_tol`` or not finite, the matrix is
+    factored by ``splu`` and solved again from ``x0`` by one BiCGSTAB call
+    preconditioned with the factor, at most ``lin_max`` iterations (one
+    normally suffices).  Then a failed factorization, a non-finite result
+    or a relative residual above ``lin_tol`` raises ``SolverError``.
 
     Returns the new field and the relative residual of the linear solve.
     """
@@ -423,24 +428,20 @@ def parabolic_step(
         return ScalarField(grid, np.zeros(grid.shape)), 0.0
     start = (u_old if x0 is None else x0).values.ravel()
 
-    if factor is not None and factor.lu is not None:
-        x = _polish(A, b, start, factor.lu, lin_max)
-        rel = float(np.linalg.norm(b - A @ x)) / bnorm
-        if rel <= lin_tol:  # false for nan
-            return ScalarField(grid, x.reshape(grid.shape)), rel
-        factor.lu = None  # release the lagged factor before splu builds the next
-    try:
-        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:
-        raise SolverError(f"LU factorization failed: {exc}") from exc
-    if factor is not None:
-        factor.lu = lu
-    x = _polish(A, b, start, lu, lin_max)
-    if not np.all(np.isfinite(x)):
-        raise SolverError("transport solve produced non-finite values")
+    M = _cosine_preconditioner(grid, w, dt, float(np.mean(0.5 * (D.d11 + D.d22))))
+    x = _bicgstab(A, b, start, M, min(lin_max, _FAST_ITERATIONS))
     rel = float(np.linalg.norm(b - A @ x)) / bnorm
-    if rel > lin_tol:
-        raise SolverError(f"transport linear solve stalled at relative residual {rel:.3e} > {lin_tol:.1e}")
+    if not rel <= lin_tol:  # a miss, or nan
+        try:
+            lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:
+            raise SolverError(f"LU factorization failed: {exc}") from exc
+        x = _bicgstab(A, b, start, spla.LinearOperator(A.shape, lu.solve, dtype=float), lin_max)
+        if not np.all(np.isfinite(x)):
+            raise SolverError("transport solve produced non-finite values")
+        rel = float(np.linalg.norm(b - A @ x)) / bnorm
+        if rel > lin_tol:
+            raise SolverError(f"transport linear solve stalled at relative residual {rel:.3e} > {lin_tol:.1e}")
     return ScalarField(grid, x.reshape(grid.shape)), rel
 
 
@@ -474,11 +475,10 @@ def picard_coupled_step(
     latest coefficients, until the max-norm change between successive inner
     iterates drops below picard_tol.  The state's v, q and tensor are taken
     as the coefficients of its u, so the first pass uses them as they are.
-    The LU factored on the first pass preconditions the later passes, each
-    started from the previous iterate, and is replaced only when a lagged
-    solve misses lin_tol; it is released when the step ends.  The returned
-    state's v, q and tensor are refreshed from the accepted u, so its
-    elliptic residual is below lin_tol.
+    Each pass's transport solve (see ``parabolic_step``) starts from the
+    previous iterate; the report's ``linear_residual`` is the worst of them.
+    The returned state's v, q and tensor are refreshed from the accepted u,
+    so its elliptic residual is below lin_tol.
     """
     poisson = poisson or PoissonSolver(cfg.grid)
     dt = cfg.dt if dt is None else dt
@@ -486,12 +486,11 @@ def picard_coupled_step(
     mass_old = integrate(u_n)
     u_k = u_n
     v_k, q_k, q_eps_k, D_eps_k = state.v, state.q, state.q_eps, state.D_eps
-    factor = _StepFactor()
     gaps: list[float] = []
+    lin_res = 0.0
     for _ in range(cfg.picard_max):
-        u_next, lin_res = parabolic_step(
-            u_n, D_eps_k, v_k, dt, lin_tol=cfg.lin_tol, lin_max=cfg.lin_max, x0=u_k, factor=factor
-        )
+        u_next, rel = parabolic_step(u_n, D_eps_k, v_k, dt, lin_tol=cfg.lin_tol, lin_max=cfg.lin_max, x0=u_k)
+        lin_res = max(lin_res, rel)
         gap = float(np.max(np.abs(u_next.values - u_k.values)))
         gaps.append(gap)
         u_k = u_next

@@ -127,12 +127,15 @@ def test_factorization_failure_is_solver_failure(tmp_path, monkeypatch):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(transport.spla, "splu", singular)
+    # the LU is the fallback for a cosine-preconditioned solve that misses
+    # lin_tol; with a varying tensor one iteration does not reach it
     g = GridSpec(9, 9)
-    ones = np.ones(g.shape)
-    D = SymTensorField(g, ones, 0.0 * ones, ones)
+    x1, x2 = g.nodes()
+    D = SymTensorField(g, 1.0 + x1, 0.1 * x2, 2.0 - x2)
+    u_old = ScalarField(g, np.exp(-((x1 - 0.5) ** 2 + (x2 - 0.5) ** 2) / 0.02))
     with pytest.raises(SolverError, match="exactly singular"):
-        transport.parabolic_step(ScalarField(g, ones), D, ScalarField.full(g, 0.0), dt=0.1)
-    cfg_path = _write_cfg(tmp_path)
+        transport.parabolic_step(u_old, D, ScalarField.full(g, 0.0), dt=0.1, lin_max=1)
+    cfg_path = _write_cfg(tmp_path, "lin_max = 1\n")
     assert main(["run", "--config", str(cfg_path), "--outdir", str(tmp_path / "o")]) == 3
 
 
