@@ -28,8 +28,11 @@ integral) is conserved to the linear-solver floor.
 The step matrix has a fixed 9-point pattern per grid shape: the upwind
 term puts the outflow part of each face flux in the column of the node
 behind the face and the inflow part in the column ahead, so no entry's
-position depends on a flux sign.  The pattern is built once per shape and
-each pass only refills its values.
+position depends on a flux sign.  Every value is linear in the nodal
+d11, d12, d22 and in the split face fluxes max(f, 0) and min(f, 0), so
+the face routine is run once per grid to build the sparse map from these
+inputs to the values, and each pass assembles its CSR matrix with one
+sparse mat-vec plus the cell weights over dt on the diagonal.
 
 Each Picard pass makes one exact sine-transform solve for the stream
 function (see ``elliptic``) and one BiCGSTAB call for the transport step,
@@ -37,12 +40,12 @@ asked for a relative residual of 1e-14 and preconditioned by the exact
 inverse of the step matrix for the constant tensor c I (c the mean of
 (d11 + d22)/2) without advection: two type-I cosine transforms and a
 division (Concus & Golub, SIAM J. Numer. Anal. 10(6), 1973).  A pass whose
-call misses ``lin_tol`` within ``_FAST_ITERATIONS`` iterations (strong
-tensor contrast) factors its own matrix exactly (SuperLU, minimum-degree
-ordering on A^T A + A) and solves again with BiCGSTAB preconditioned by
-that factor.  ``lin_max`` bounds the iterations of every BiCGSTAB call.
-The true residual is recomputed and checked against ``lin_tol``, so solver
-error stays far below the conservation diagnostics.
+call stops short of 1e-14 within ``_FAST_ITERATIONS`` iterations (strong
+tensor contrast) factors a CSC copy of its own matrix exactly (SuperLU,
+minimum-degree ordering on A^T A + A) and solves again with BiCGSTAB
+preconditioned by that factor.  ``lin_max`` bounds the iterations of every
+BiCGSTAB call.  The true residual is recomputed and checked against
+``lin_tol``, so solver error stays far below the conservation diagnostics.
 """
 
 from __future__ import annotations
@@ -246,121 +249,116 @@ def _face_fluxes_from_stream(v: np.ndarray, grid: GridSpec) -> tuple[np.ndarray,
 
 
 def _add_face_family(
-    terms: list, idx: np.ndarray, dnn: np.ndarray, dnt: np.ndarray, flux: np.ndarray,
+    terms: list, idx: np.ndarray, dnn: np.ndarray, dnt: np.ndarray, outflow: np.ndarray, inflow: np.ndarray,
     h_n: float, h_t: float, face_len: np.ndarray,
 ) -> None:
     """Couplings across the faces between nodes idx[:, i] and idx[:, i+1].
 
-    Arrays are oriented so these faces are normal to axis 1: ``dnn`` and
-    ``dnt`` are the normal-normal and cross tensor entries at the nodes,
-    ``flux`` the advective face fluxes, ``h_n`` and ``h_t`` the spacings
-    across and along the faces, and ``face_len`` the face lengths per row.
-    The other face direction is the same call on transposed arrays.
+    Arrays are oriented so these faces are normal to axis 1.  ``dnn`` and
+    ``dnt`` hold the positions, in the input vector z of ``_step_map``, of
+    the normal-normal and cross tensor entries at the nodes; ``outflow``
+    and ``inflow`` those of max(flux, 0) and min(flux, 0) at the faces.
+    ``h_n`` and ``h_t`` are the spacings across and along the faces and
+    ``face_len`` the face lengths per row.  The other face direction is
+    the same call on transposed arrays.
 
-    Each appended term ``(rows_plus, rows_minus, cols, vals)``, four arrays
-    of one shape, adds +vals at (rows_plus, cols) and the exact negation at
-    (rows_minus, cols).  The index arrays depend only on ``idx``, so the
-    sparsity pattern does not depend on the data, not even on the signs of
-    the fluxes.
+    Each appended term ``(rows_plus, rows_minus, cols, coef, inputs)`` adds
+    coef * (sum of z over ``inputs``) at (rows_plus, cols) and the exact
+    negation at (rows_minus, cols); ``coef`` broadcasts to the shape of the
+    index arrays.  No entry's position depends on the data, not even on
+    the signs of the fluxes.
     """
     m, n = idx.shape
     P = idx[:, :-1]
     E = idx[:, 1:]
     area = face_len[:, None]
-    cn = area * (0.5 * (dnn[:, :-1] + dnn[:, 1:])) / h_n
-    # normal flux -cn (uE - uP): row P gains +cn uP - cn uE, row E the negation
-    terms.append((P, E, P, cn))
-    terms.append((E, P, E, cn))
+    # normal flux -area * (face-averaged dnn) * (uE - uP) / h_n: row P gains it, row E the negation
+    cn = area * 0.5 / h_n
+    terms.append((P, E, P, cn, (dnn[:, :-1], dnn[:, 1:])))
+    terms.append((E, P, E, cn, (dnn[:, :-1], dnn[:, 1:])))
     # cross term: flux -= area * (face-averaged dnt) * (face-averaged transverse derivative)
-    cfd = area * (0.5 * (dnt[:, :-1] + dnt[:, 1:])) / (4.0 * h_t)
-    for di, sign in ((1, 1.0), (-1, -1.0)):
-        for shift in (0, 1):
-            cols = idx[1 + di:m - 1 + di, shift:n - 1 + shift]
-            terms.append((P[1:-1, :], E[1:-1, :], cols, -cfd[1:-1, :] * sign))
-    # one-sided transverse derivative on the first and last face rows
-    for row, coeffs in ((0, ((0, -3.0), (1, 4.0), (2, -1.0))), (m - 1, ((m - 1, 3.0), (m - 2, -4.0), (m - 3, 1.0)))):
-        for jj, wgt in coeffs:
+    cfd = area * 0.5 / (4.0 * h_t)
+    for rows, coeffs in (
+        (slice(1, m - 1), ((1, 1.0), (-1, -1.0))),
+        (slice(0, 1), ((0, -3.0), (1, 4.0), (2, -1.0))),  # one-sided on the first and last face rows
+        (slice(m - 1, m), ((0, 3.0), (-1, -4.0), (-2, 1.0))),
+    ):
+        r = np.arange(m)[rows]
+        for dr, wgt in coeffs:
             for shift in (0, 1):
-                cols = idx[jj, shift:n - 1 + shift]
-                terms.append((P[row, :], E[row, :], cols, -cfd[row, :] * wgt))
+                cols = idx[r + dr, shift:n - 1 + shift]
+                terms.append((P[rows], E[rows], cols, -cfd[rows] * wgt, (dnt[rows, :-1], dnt[rows, 1:])))
     # advective upwind: the outflow part of the flux takes u from P, the inflow part from E
-    terms.append((P, E, P, np.maximum(flux, 0.0)))
-    terms.append((P, E, E, np.minimum(flux, 0.0)))
-
-
-def _face_terms(grid: GridSpec, D: SymTensorField, fe: np.ndarray, fn: np.ndarray) -> list:
-    """The face terms of ``_add_face_family`` for both face directions, in a fixed order."""
-    ny, nx = grid.shape
-    hx, hy = grid.hx, grid.hy
-    idx = np.arange(ny * nx).reshape(ny, nx)
-    cy = np.ones(ny)
-    cy[0] = cy[-1] = 0.5
-    cx = np.ones(nx)
-    cx[0] = cx[-1] = 0.5
-    terms: list = []
-    # faces between (i, j) and (i+1, j), then, transposed, between (i, j) and (i, j+1)
-    _add_face_family(terms, idx, D.d11, D.d12, fe, hx, hy, hy * cy)
-    _add_face_family(terms, idx.T, D.d22.T, D.d12.T, fn.T, hy, hx, hx * cx)
-    return terms
-
-
-@dataclass(frozen=True)
-class _Pattern:
-    """CSC structure of the step matrix and where each face-term entry lands in ``data``.
-
-    ``plus[k]`` and ``minus[k]`` are the slots of the k-th face value (in
-    the raveled order of the terms) at (rows_plus, cols) and (rows_minus,
-    cols); ``diag`` holds the slots of the diagonal.
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    plus: np.ndarray
-    minus: np.ndarray
-    diag: np.ndarray
+    terms.append((P, E, P, 1.0, (outflow,)))
+    terms.append((P, E, E, 1.0, (inflow,)))
 
 
 @lru_cache(maxsize=8)
-def _pattern(ny: int, nx: int) -> _Pattern:
-    """The step matrix's pattern, computed once per grid shape.
+def _step_map(grid: GridSpec) -> tuple[sp.csr_matrix, sp.csr_matrix, np.ndarray]:
+    """The step matrix's value map, CSR pattern and diagonal slots, built once per grid.
 
-    Only the index arrays of the face terms are used, so the data passed
-    to the face routine here is zeros.
+    ``B @ z`` is the matrix's ``data`` without the cell weights, for z the
+    concatenation of d11, d12, d22 (raveled), max(fe, 0), min(fe, 0),
+    max(fn, 0) and min(fn, 0).  B is made from the face terms of
+    ``_add_face_family``; it bakes in the spacings and face lengths, so it
+    is cached per grid, not per shape.  The arrays are read-only.
     """
-    grid = GridSpec(nx, ny)
-    zeros = np.zeros(grid.shape)
-    terms = _face_terms(grid, SymTensorField(grid, zeros, zeros, zeros), zeros[:, 1:], zeros[1:, :])
-    size = ny * nx
-    diag = np.arange(size)
-    rows = np.concatenate([r.ravel() for r, _, _, _ in terms] + [r.ravel() for _, r, _, _ in terms] + [diag])
-    cols = np.concatenate([c.ravel() for _, _, c, _ in terms] * 2 + [diag])
-    keys, slot = np.unique(cols * size + rows, return_inverse=True)
-    indptr = np.zeros(size + 1, dtype=np.int32)
-    np.cumsum(np.bincount(keys // size, minlength=size), out=indptr[1:])
-    k = (slot.size - size) // 2
-    pattern = _Pattern(indptr, (keys % size).astype(np.int32), slot[:k], slot[k:2 * k], slot[2 * k:])
-    for arr in (pattern.indptr, pattern.indices, pattern.plus, pattern.minus, pattern.diag):
+    ny, nx = grid.shape
+    size, ne = ny * nx, ny * (nx - 1)
+    # positions in z; those of d11 are the node indices
+    z = np.arange(3 * size + 2 * (ne + (ny - 1) * nx), dtype=np.int32)
+    d11, d12, d22 = z[:3 * size].reshape(3, ny, nx)
+    fe_out, fe_in = z[3 * size:3 * size + 2 * ne].reshape(2, ny, nx - 1)
+    fn_out, fn_in = z[3 * size + 2 * ne:].reshape(2, ny - 1, nx)
+    len_e = grid.hy * np.r_[0.5, [1.0] * (ny - 2), 0.5]  # face lengths per row (column), halved on the edges
+    len_n = grid.hx * np.r_[0.5, [1.0] * (nx - 2), 0.5]
+    terms: list = []
+    # faces between (i, j) and (i+1, j), then, transposed, between (i, j) and (i, j+1)
+    _add_face_family(terms, d11, d11, d12, fe_out, fe_in, grid.hx, grid.hy, len_e)
+    _add_face_family(terms, d11.T, d22.T, d12.T, fn_out.T, fn_in.T, grid.hy, grid.hx, len_n)
+
+    diag = np.arange(size, dtype=np.int64) * (size + 1)  # keys row * size + col of the diagonal
+    keys = np.sort(np.concatenate(
+        [(r.astype(np.int64) * size + c).ravel() for rp, rm, c, _, _ in terms for r in (rp, rm)] + [diag]
+    ))
+    keys = keys[np.r_[True, keys[1:] != keys[:-1]]]  # distinct; np.unique's hash path is far slower here
+    pattern = sp.csr_matrix((np.ones(keys.size, dtype=bool), np.divmod(keys, size)), shape=(size, size))
+    # one entry of B per side and input of every face value
+    parts = [
+        (np.searchsorted(keys, r.astype(np.int64) * size + c).astype(np.int32).ravel(), zk.ravel(),
+         np.broadcast_to(sign * coef, c.shape).ravel())
+        for rp, rm, c, coef, zs in terms for r, sign in ((rp, 1.0), (rm, -1.0)) for zk in zs
+    ]
+    # each temporary is freed as soon as it is used, which keeps the build's peak memory down
+    slots, inputs, coefs = map(np.concatenate, zip(*parts))
+    del parts
+    B = sp.coo_matrix((coefs, (slots, inputs)), shape=(keys.size, z.size)).tocsr()
+    del slots, inputs, coefs
+    B.eliminate_zeros()  # a node's own d12 cancels between its two interior faces in each direction
+    diag_slots = np.searchsorted(keys, diag)
+    for arr in (B.data, B.indices, B.indptr, pattern.indices, pattern.indptr, diag_slots):
         arr.flags.writeable = False
-    return pattern
+    return B, pattern, diag_slots
 
 
 def _assemble_parabolic(
     grid: GridSpec, D: SymTensorField, fe: np.ndarray, fn: np.ndarray, dt: float
-) -> tuple[sp.csc_matrix, np.ndarray]:
-    """Backward-Euler finite-volume matrix in CSC form; rhs is cell_weights/dt * u_old.
+) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Backward-Euler finite-volume matrix in CSR form; rhs is cell_weights/dt * u_old.
 
-    The matrix refills the grid shape's fixed pattern: face values are
-    summed into their slots, plus and minus halves separately, and the
-    cell weights over dt are added on the diagonal.
+    The values are one product of the grid's fixed linear map with the
+    nodal tensor entries and the split face fluxes (see ``_step_map``),
+    plus the cell weights over dt on the diagonal.
     """
-    ny, nx = grid.shape
-    pattern = _pattern(ny, nx)
+    B, pattern, diag = _step_map(grid)
     w = grid.cell_weights()
-    vals = np.concatenate([v.ravel() for _, _, _, v in _face_terms(grid, D, fe, fn)])
-    data = np.bincount(pattern.plus, weights=vals, minlength=pattern.indices.size)
-    data -= np.bincount(pattern.minus, weights=vals, minlength=pattern.indices.size)
-    data[pattern.diag] += w.ravel() / dt
-    return sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=(ny * nx, ny * nx)), w
+    z = np.concatenate(
+        [D.d11, D.d12, D.d22, np.maximum(fe, 0.0), np.minimum(fe, 0.0), np.maximum(fn, 0.0), np.minimum(fn, 0.0)],
+        axis=None,
+    )
+    data = B @ z
+    data[diag] += w.ravel() / dt
+    return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape), w
 
 
 # BiCGSTAB iterations the cosine-preconditioned solve may take before an
@@ -387,9 +385,10 @@ def _cosine_preconditioner(grid: GridSpec, w: np.ndarray, dt: float, c: float) -
     return spla.LinearOperator((w.size, w.size), solve, dtype=float)
 
 
-def _bicgstab(A: sp.csc_matrix, b: np.ndarray, x0: np.ndarray, M: spla.LinearOperator, maxiter: int) -> np.ndarray:
-    x, _ = spla.bicgstab(A, b, x0=x0.copy(), rtol=1e-14, atol=0.0, maxiter=maxiter, M=M)
-    return x
+def _bicgstab(
+    A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray, M: spla.LinearOperator, maxiter: int
+) -> tuple[np.ndarray, int]:
+    return spla.bicgstab(A, b, x0=x0.copy(), rtol=1e-14, atol=0.0, maxiter=maxiter, M=M)
 
 
 def parabolic_step(
@@ -410,11 +409,12 @@ def parabolic_step(
 
     One BiCGSTAB call, started from ``x0`` (default ``u_old``), is
     preconditioned by ``_cosine_preconditioner`` and takes at most
-    ``min(lin_max, _FAST_ITERATIONS)`` iterations.  If its recomputed
-    relative residual is above ``lin_tol`` or not finite, the matrix is
-    factored by ``splu`` and solved again from ``x0`` by one BiCGSTAB call
-    preconditioned with the factor, at most ``lin_max`` iterations (one
-    normally suffices).  Then a failed factorization, a non-finite result
+    ``min(lin_max, _FAST_ITERATIONS)`` iterations.  If that call stops
+    short of its own 1e-14 target (the cap or a breakdown) or its
+    recomputed relative residual is above ``lin_tol`` or not finite, the
+    matrix is factored by ``splu`` (on a CSC copy) and solved again from
+    ``x0`` by one BiCGSTAB call preconditioned with the factor, at most
+    ``lin_max`` iterations (one normally suffices).  Then a failed factorization, a non-finite result
     or a relative residual above ``lin_tol`` raises ``SolverError``.
 
     Returns the new field and the relative residual of the linear solve.
@@ -429,14 +429,14 @@ def parabolic_step(
     start = (u_old if x0 is None else x0).values.ravel()
 
     M = _cosine_preconditioner(grid, w, dt, float(np.mean(0.5 * (D.d11 + D.d22))))
-    x = _bicgstab(A, b, start, M, min(lin_max, _FAST_ITERATIONS))
+    x, info = _bicgstab(A, b, start, M, min(lin_max, _FAST_ITERATIONS))
     rel = float(np.linalg.norm(b - A @ x)) / bnorm
-    if not rel <= lin_tol:  # a miss, or nan
+    if info != 0 or not rel <= lin_tol:  # capped, broken down, a miss, or nan
         try:
-            lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
+            lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise SolverError(f"LU factorization failed: {exc}") from exc
-        x = _bicgstab(A, b, start, spla.LinearOperator(A.shape, lu.solve, dtype=float), lin_max)
+        x, _ = _bicgstab(A, b, start, spla.LinearOperator(A.shape, lu.solve, dtype=float), lin_max)
         if not np.all(np.isfinite(x)):
             raise SolverError("transport solve produced non-finite values")
         rel = float(np.linalg.norm(b - A @ x)) / bnorm
