@@ -34,6 +34,7 @@ from .identities import (
     log_kernel_average,
     power_equation_residual,
     reconstruct_hessian,
+    recursion_threshold,
     sandwich_identity_residuals,
     square_decomposition_residuals,
     superlinear_recursion,
@@ -347,7 +348,7 @@ def check_recursion(seed: int = DEFAULT_SEED) -> CheckRow:
     # in exact arithmetic.
     frac = rng.uniform(0.0, 1.0, n)
     frac[0] = 1.0 - 1e-9
-    y0 = frac * c ** (-1.0 / alpha) * b ** (-1.0 / alpha**2)
+    y0 = frac * recursion_threshold(c, b, alpha)
     # iterate in log space; decaying tails clamp instead of overflowing
     ly = np.where(y0 > 0, np.log(np.where(y0 > 0, y0, 1.0)), -1e306)
     logc, logb = np.log(c), np.log(b)

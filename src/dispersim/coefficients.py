@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import convolve2d
+from scipy.ndimage import convolve
 
 from .grid import ScalarField, SymTensorField, VectorField, deriv1
 
@@ -99,11 +99,11 @@ def mollify(q: VectorField, radius: float) -> VectorField:
     if radius == 0.0:
         return VectorField(g, q.comp1.copy(), q.comp2.copy())
     kernel = bump_kernel(radius, g.hx, g.hy)
-    den = convolve2d(np.ones(g.shape), kernel, mode="same", boundary="fill")
+    den = convolve(np.ones(g.shape), kernel, mode="constant")
     return VectorField(
         g,
-        convolve2d(q.comp1, kernel, mode="same", boundary="fill") / den,
-        convolve2d(q.comp2, kernel, mode="same", boundary="fill") / den,
+        convolve(q.comp1, kernel, mode="constant") / den,
+        convolve(q.comp2, kernel, mode="constant") / den,
     )
 
 

@@ -88,28 +88,21 @@ def deriv2_4(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     return out
 
 
+def sub_box(arr: np.ndarray, rect: tuple[float, float, float, float]) -> np.ndarray:
+    """Nodes of ``arr`` inside ``rect`` = (x1_lo, x1_hi, x2_lo, x2_hi), given as fractions of each axis."""
+    n2, n1 = arr.shape
+    i0, i1 = int(np.ceil(rect[0] * (n1 - 1))), int(np.floor(rect[1] * (n1 - 1))) + 1
+    j0, j1 = int(np.ceil(rect[2] * (n2 - 1))), int(np.floor(rect[3] * (n2 - 1))) + 1
+    return arr[j0:j1, i0:i1]
+
+
 # ---------------------------------------------------------------------------
 # pointwise 2x2 matrix identities
 
 
-@dataclass(frozen=True)
-class Sym2:
-    """One symmetric 2x2 matrix."""
-
-    a11: float
-    a12: float
-    a22: float
-
-    def as_matrix(self) -> np.ndarray:
-        return np.array([[self.a11, self.a12], [self.a12, self.a22]])
-
-    @property
-    def trace(self) -> float:
-        return self.a11 + self.a22
-
-    @property
-    def det(self) -> float:
-        return self.a11 * self.a22 - self.a12**2
+def _quad_form(a11, a12, a22, w1, w2):
+    """a11 w1^2 + 2 a12 w1 w2 + a22 w2^2: the symmetric matrix (a11, a12, a22) applied to w twice."""
+    return a11 * w1**2 + 2.0 * a12 * w1 * w2 + a22 * w2**2
 
 
 def square_decomposition_residuals(a11, a12, a22) -> np.ndarray:
@@ -122,16 +115,15 @@ def square_decomposition_residuals(a11, a12, a22) -> np.ndarray:
     return np.maximum(np.abs(r11), np.maximum(np.abs(r12), np.abs(r22)))
 
 
-def square_decomposition_residual(A: Sym2) -> float:
-    return float(square_decomposition_residuals(A.a11, A.a12, A.a22))
-
-
 def sandwich_identity_residuals(d11, d12, d22, s11, s12, s22) -> np.ndarray:
     """Entrywise residual of S D S - (D:S) S + det(S) det(D) D^{-1}, vectorized.
 
     det(D) D^{-1} is the adjugate [[d22, -d12], [-d12, d11]], so no division
-    by det(D) occurs; callers enforce invertibility.
+    by det(D) occurs; D must still be positive-definite at every entry.
     """
+    det_d = d11 * d22 - d12 * d12
+    if not np.all(det_d > 0):
+        raise ValueError(f"D must be symmetric positive-definite, got min det(D) = {np.min(det_d)}")
     t11 = s11 * d11 + s12 * d12
     t12 = s11 * d12 + s12 * d22
     t21 = s12 * d11 + s22 * d12
@@ -145,12 +137,6 @@ def sandwich_identity_residuals(d11, d12, d22, s11, s12, s22) -> np.ndarray:
     r12 = m12 - c * s12 - det_s * d12
     r22 = m22 - c * s22 + det_s * d11
     return np.maximum(np.abs(r11), np.maximum(np.abs(r12), np.abs(r22)))
-
-
-def sandwich_identity_residual(D: Sym2, S: Sym2) -> float:
-    if not D.det > 0:
-        raise ValueError(f"D must be symmetric positive-definite, got det(D) = {D.det}")
-    return float(sandwich_identity_residuals(D.a11, D.a12, D.a22, S.a11, S.a12, S.a22))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +174,7 @@ class IdentityWorkspace:
 
     @property
     def phi(self):
-        return self.d11 * self.ux1**2 + 2.0 * self.d12 * self.ux1 * self.ux2 + self.d22 * self.ux2**2
+        return _quad_form(self.d11, self.d12, self.d22, self.ux1, self.ux2)
 
     @property
     def e1(self):
@@ -219,8 +205,8 @@ class IdentityWorkspace:
     def g(self):
         """Relative-gradient vector of D along grad(u): G = (D_xk grad u . grad u)/phi."""
         phi = self.phi
-        g1 = (self.d11_x1 * self.ux1**2 + 2.0 * self.d12_x1 * self.ux1 * self.ux2 + self.d22_x1 * self.ux2**2) / phi
-        g2 = (self.d11_x2 * self.ux1**2 + 2.0 * self.d12_x2 * self.ux1 * self.ux2 + self.d22_x2 * self.ux2**2) / phi
+        g1 = _quad_form(self.d11_x1, self.d12_x1, self.d22_x1, self.ux1, self.ux2) / phi
+        g2 = _quad_form(self.d11_x2, self.d12_x2, self.d22_x2, self.ux1, self.ux2) / phi
         return g1, g2
 
     def _aux_matrices(self):
@@ -262,11 +248,11 @@ def reconstruct_hessian(ws: IdentityWorkspace):
     r3 = ws.u_t - ws.w
     d11, d12, d22 = ws.d11, ws.d12, ws.d22
     e1, e2 = ws.e1, ws.e2
-    cross = d22 * d11 - 2.0 * d12**2
+    m1, m2, _ = ws._aux_matrices()
     denom = det_d * phi
-    u11 = ((cross * ws.ux1 - d12 * d22 * ws.ux2) * p1 - d22 * e2 * p2) / (2.0 * denom) + r3 * e2**2 / denom
-    u12 = (d11 * e2 * p1 + d22 * e1 * p2) / (2.0 * denom) - r3 * e1 * e2 / denom
-    u22 = -(d11 * e1 * p1 + (d12 * d11 * ws.ux1 - cross * ws.ux2) * p2) / (2.0 * denom) + r3 * e1**2 / denom
+    u11 = -(m2[1][0] * p1 + m2[1][1] * p2) / (2.0 * denom) + r3 * e2**2 / denom
+    u12 = (m2[0][0] * p1 + m2[0][1] * p2) / (2.0 * denom) - r3 * e1 * e2 / denom
+    u22 = -(m1[0][0] * p1 + m1[0][1] * p2) / (2.0 * denom) + r3 * e1**2 / denom
 
     e_mat = np.zeros(np.broadcast(e1, d22).shape + (3, 3))
     e_mat[..., 0, 0] = e1
@@ -332,7 +318,7 @@ def forcing_coefficients(ws: IdentityWorkspace) -> ForcingCoefficients:
     m3u1 = m3[0] * ws.ux1 + m3[1] * ws.ux2
     m3u2 = m3[1] * ws.ux1 + m3[2] * ws.ux2
     div_d1, div_d2 = ws.div_d
-    dt_quad = ws.d11_t * ws.ux1**2 + 2.0 * ws.d12_t * ws.ux1 * ws.ux2 + ws.d22_t * ws.ux2**2
+    dt_quad = _quad_form(ws.d11_t, ws.d12_t, ws.d22_t, ws.ux1, ws.ux2)
     r3 = ws.u_t - ws.w
     source = (
         (dd1 * mg1 + dd2 * mg2) / denom
@@ -391,7 +377,7 @@ def power_equation_residual(
         d11, d12, d22 = dispersion_entries(q1, q2, params, reg_eps)
         ux1 = deriv1_4(u, hx, axis=1)
         ux2 = deriv1_4(u, hy, axis=0)
-        phi = d11 * ux1**2 + 2.0 * d12 * ux1 * ux2 + d22 * ux2**2
+        phi = _quad_form(d11, d12, d22, ux1, ux2)
         slices[tag] = dict(u=u, d11=d11, d12=d12, d22=d22, ux1=ux1, ux2=ux2, phi=phi, psi=phi**j)
 
     s0, sm, sp = slices["0"], slices["-"], slices["+"]
@@ -423,16 +409,12 @@ def power_equation_residual(
     div_flux = deriv1_4(fc.flux1, hx, axis=1) + deriv1_4(fc.flux2, hy, axis=0)
     rhs = (fc.drift1 * psi_x1 + fc.drift2 * psi_x2) / psi + j * fc.source + j * div_flux
 
-    ilo = int(np.ceil(sub_rect[0] * (grid.nx - 1)))
-    ihi = int(np.floor(sub_rect[1] * (grid.nx - 1))) + 1
-    jlo = int(np.ceil(sub_rect[2] * (grid.ny - 1)))
-    jhi = int(np.floor(sub_rect[3] * (grid.ny - 1))) + 1
-    grad_mag = np.hypot(s0["ux1"], s0["ux2"])[jlo:jhi, ilo:ihi]
+    grad_mag = sub_box(np.hypot(s0["ux1"], s0["ux2"]), sub_rect)
     if grad_mag.min() < grad_floor:
         raise ValueError(
             f"|grad u| dips to {grad_mag.min():.3g} < {grad_floor} on the evaluation sub-rectangle"
         )
-    res = (lhs - rhs)[jlo:jhi, ilo:ihi]
+    res = sub_box(lhs - rhs, sub_rect)
     return res, float(np.max(np.abs(res)))
 
 

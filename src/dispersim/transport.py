@@ -72,7 +72,6 @@ from .grid import (
     GridSpec,
     ScalarField,
     SymTensorField,
-    VectorField,
     deriv1,
     diff_x1,
     integrate,
@@ -85,8 +84,6 @@ from .grid import (
 class SimState:
     u: ScalarField
     v: ScalarField
-    q: VectorField
-    q_eps: VectorField
     D_eps: SymTensorField
     t: float
     step: int
@@ -453,17 +450,15 @@ def _coupled_fields(u: ScalarField, cfg: RunConfig, poisson: PoissonSolver):
     v, rep = poisson.solve(diff_x1(u), tol=cfg.lin_tol)
     if not rep.converged:
         raise SolverError(f"stream-function solve missed its tolerance: residual {rep.residual_norm:.3e}")
-    q = stream_velocity(v)
-    q_eps = mollify(q, cfg.reg.moll_radius)
-    D_eps = dispersion_tensor_regularized(q_eps, cfg.phys, cfg.reg)
-    return v, q, q_eps, D_eps
+    q_eps = mollify(stream_velocity(v), cfg.reg.moll_radius)
+    return v, dispersion_tensor_regularized(q_eps, cfg.phys, cfg.reg)
 
 
 def initial_state(cfg: RunConfig, poisson: PoissonSolver | None = None) -> SimState:
     poisson = poisson or PoissonSolver(cfg.grid)
     u0 = initial_condition(cfg.ic, cfg.ic_params, cfg.grid)
-    v, q, q_eps, D_eps = _coupled_fields(u0, cfg, poisson)
-    return SimState(u0, v, q, q_eps, D_eps, t=0.0, step=0)
+    v, D_eps = _coupled_fields(u0, cfg, poisson)
+    return SimState(u0, v, D_eps, t=0.0, step=0)
 
 
 def picard_coupled_step(
@@ -473,11 +468,11 @@ def picard_coupled_step(
 
     Each inner pass re-solves the parabolic step from the same u_old with the
     latest coefficients, until the max-norm change between successive inner
-    iterates drops below picard_tol.  The state's v, q and tensor are taken
+    iterates drops below picard_tol.  The state's v and tensor are taken
     as the coefficients of its u, so the first pass uses them as they are.
     Each pass's transport solve (see ``parabolic_step``) starts from the
     previous iterate; the report's ``linear_residual`` is the worst of them.
-    The returned state's v, q and tensor are refreshed from the accepted u,
+    The returned state's v and tensor are refreshed from the accepted u,
     so its elliptic residual is below lin_tol.
     """
     poisson = poisson or PoissonSolver(cfg.grid)
@@ -485,7 +480,7 @@ def picard_coupled_step(
     u_n = state.u
     mass_old = integrate(u_n)
     u_k = u_n
-    v_k, q_k, q_eps_k, D_eps_k = state.v, state.q, state.q_eps, state.D_eps
+    v_k, D_eps_k = state.v, state.D_eps
     gaps: list[float] = []
     lin_res = 0.0
     for _ in range(cfg.picard_max):
@@ -494,7 +489,7 @@ def picard_coupled_step(
         gap = float(np.max(np.abs(u_next.values - u_k.values)))
         gaps.append(gap)
         u_k = u_next
-        v_k, q_k, q_eps_k, D_eps_k = _coupled_fields(u_k, cfg, poisson)
+        v_k, D_eps_k = _coupled_fields(u_k, cfg, poisson)
         if gap <= cfg.picard_tol:
             break
     else:
@@ -509,7 +504,7 @@ def picard_coupled_step(
         mass_drift=(mass_new - mass_old) / max(abs(mass_old), 1e-300),
         picard_gap_history=gaps,
     )
-    new_state = SimState(u_k, v_k, q_k, q_eps_k, D_eps_k, t=state.t + dt, step=state.step + 1)
+    new_state = SimState(u_k, v_k, D_eps_k, t=state.t + dt, step=state.step + 1)
     return new_state, report
 
 

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dispersim
 from dispersim.coefficients import (
     PhysParams,
     RegParams,
@@ -90,6 +96,40 @@ def test_mollify_never_grows_maxnorm():
     out = mollify(q, 0.15)
     assert np.max(np.abs(out.comp1)) <= np.max(np.abs(q.comp1)) + 1e-14
     assert np.max(np.abs(out.comp2)) <= np.max(np.abs(q.comp2)) + 1e-14
+
+
+def test_mollify_matches_loop_convolution_on_unequal_spacing():
+    # hx = 1/40 and hy = 1/30 give a 13 x 11 node kernel, so a transposed kernel fails here
+    g = GridSpec(41, 25, lx=1.0, ly=0.8)
+    r = 0.15
+    rng = np.random.default_rng(10)
+    q = VectorField(g, rng.uniform(-1, 1, g.shape), rng.uniform(-1, 1, g.shape))
+    out = mollify(q, r)
+    ny, nx = g.shape
+    num1, num2, den = np.zeros(g.shape), np.zeros(g.shape), np.zeros(g.shape)
+    for dj in range(1 - ny, ny):
+        for di in range(1 - nx, nx):
+            s = ((di * g.hx) ** 2 + (dj * g.hy) ** 2) / r**2
+            if s >= 1.0:
+                continue
+            w = np.exp(-1.0 / (1.0 - s))
+            # node (j, i) gathers node (j + dj, i + di) wherever that lies in the domain
+            dst = (slice(max(0, -dj), ny - max(0, dj)), slice(max(0, -di), nx - max(0, di)))
+            src = (slice(max(0, dj), ny - max(0, -dj)), slice(max(0, di), nx - max(0, -di)))
+            num1[dst] += w * q.comp1[src]
+            num2[dst] += w * q.comp2[src]
+            den[dst] += w
+    assert np.max(np.abs(out.comp1 - num1 / den)) <= 1e-13
+    assert np.max(np.abs(out.comp2 - num2 / den)) <= 1e-13
+
+
+def test_run_path_does_not_import_scipy_signal():
+    # scipy.signal drags in a few hundred modules that no run needs
+    code = "import sys, dispersim.transport, dispersim.acceptance, dispersim.verify; print('scipy.signal' in sys.modules)"
+    src = str(Path(dispersim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_mollify_radius_too_large():

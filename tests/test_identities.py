@@ -6,15 +6,12 @@ from dispersim.grid import GridSpec, ScalarField
 from dispersim.identities import (
     IdentityWorkspace,
     RecursionParams,
-    Sym2,
     forcing_coefficients,
     log_kernel_average,
     power_equation_residual,
     reconstruct_hessian,
     recursion_threshold,
-    sandwich_identity_residual,
     sandwich_identity_residuals,
-    square_decomposition_residual,
     square_decomposition_residuals,
     superlinear_recursion,
     vector_calc_residuals,
@@ -25,16 +22,15 @@ from dispersim.identities import (
 
 
 def test_square_decomposition_identity_matrix():
-    assert square_decomposition_residual(Sym2(1.0, 0.0, 1.0)) == 0.0
+    assert square_decomposition_residuals(1.0, 0.0, 1.0) == 0.0
 
 
 def test_square_decomposition_worked():
     # A = [[2,1],[1,3]]: A^2 = [[5,5],[5,10]], tr = 5, det = 5
-    A = Sym2(2.0, 1.0, 3.0)
-    assert A.trace == 5.0 and A.det == 5.0
-    assert square_decomposition_residual(A) == 0.0
-    sq = A.as_matrix() @ A.as_matrix()
-    assert np.array_equal(sq, np.array([[5.0, 5.0], [5.0, 10.0]]))
+    A = np.array([[2.0, 1.0], [1.0, 3.0]])
+    assert np.trace(A) == 5.0 and A[0, 0] * A[1, 1] - A[0, 1] ** 2 == 5.0
+    assert square_decomposition_residuals(2.0, 1.0, 3.0) == 0.0
+    assert np.array_equal(A @ A, np.array([[5.0, 5.0], [5.0, 10.0]]))
 
 
 def test_square_decomposition_randomized():
@@ -50,15 +46,14 @@ def test_square_decomposition_randomized():
 
 def test_sandwich_identity_exact_case():
     # D = I, S = [[0,1],[1,0]]: SDS = I, D:S = 0, det S = -1
-    assert sandwich_identity_residual(Sym2(1.0, 0.0, 1.0), Sym2(0.0, 1.0, 0.0)) == 0.0
+    assert sandwich_identity_residuals(1.0, 0.0, 1.0, 0.0, 1.0, 0.0) == 0.0
 
 
 def test_sandwich_identity_worked_pair():
-    D = Sym2(7.8, 2.4, 9.2)
-    S = Sym2(2.0, 1.0, 3.0)
-    assert sandwich_identity_residual(D, S) <= 1e-10
+    assert sandwich_identity_residuals(7.8, 2.4, 9.2, 2.0, 1.0, 3.0) <= 1e-10
     # direct evaluation of both sides as the oracle
-    Dm, Sm = D.as_matrix(), S.as_matrix()
+    Dm = np.array([[7.8, 2.4], [2.4, 9.2]])
+    Sm = np.array([[2.0, 1.0], [1.0, 3.0]])
     lhs = Sm @ Dm @ Sm
     contr = Dm[0, 0] * Sm[0, 0] + 2 * Dm[0, 1] * Sm[0, 1] + Dm[1, 1] * Sm[1, 1]
     rhs = contr * Sm - np.linalg.det(Sm) * np.linalg.det(Dm) * np.linalg.inv(Dm)
@@ -83,7 +78,12 @@ def test_sandwich_identity_randomized():
 
 def test_sandwich_identity_rejects_singular():
     with pytest.raises(ValueError, match="positive-definite"):
-        sandwich_identity_residual(Sym2(1.0, 1.0, 1.0), Sym2(1.0, 0.0, 1.0))
+        sandwich_identity_residuals(1.0, 1.0, 1.0, 1.0, 0.0, 1.0)
+    # one singular entry among positive-definite ones is enough
+    d11 = np.array([2.0, 1.0, 3.0])
+    d12 = np.array([0.5, 1.0, 0.0])
+    with pytest.raises(ValueError, match="positive-definite"):
+        sandwich_identity_residuals(d11, d12, d11, 1.0, 0.0, 1.0)
 
 
 # --- Hessian reconstruction
