@@ -68,8 +68,6 @@ def _cmd_verify(args) -> int:
 def _cmd_mms(args) -> int:
     from .mms import coupled_time_convergence, format_convergence_table, poisson_convergence
 
-    if args.levels < 2:
-        raise ConfigError(f"levels must be at least 2, got {args.levels}")
     if args.case == "poisson":
         rows, slope = poisson_convergence(levels=args.levels)
     else:

@@ -35,13 +35,18 @@ class EllipticSolveReport:
     converged: bool
 
 
+@lru_cache(maxsize=8)
 def _laplacian_matrix(grid: GridSpec) -> sp.csr_matrix:
+    """The 5-point -lap_h on the interior nodes, built once per grid; its arrays are read-only."""
     mx, my = grid.nx - 2, grid.ny - 2
     ex = np.ones(mx)
     ey = np.ones(my)
     tx = sp.diags([-ex[1:], 2.0 * ex, -ex[1:]], [-1, 0, 1], format="csr") / grid.hx**2
     ty = sp.diags([-ey[1:], 2.0 * ey, -ey[1:]], [-1, 0, 1], format="csr") / grid.hy**2
-    return (sp.kron(sp.identity(my, format="csr"), tx) + sp.kron(ty, sp.identity(mx, format="csr"))).tocsr()
+    A = (sp.kron(sp.identity(my, format="csr"), tx) + sp.kron(ty, sp.identity(mx, format="csr"))).tocsr()
+    for arr in (A.data, A.indices, A.indptr):
+        arr.flags.writeable = False
+    return A
 
 
 @lru_cache(maxsize=8)
@@ -63,7 +68,7 @@ def laplacian_eigenvalues(grid: GridSpec, reflecting: bool) -> np.ndarray:
 
 
 class PoissonSolver:
-    """Reusable solver instance owning the assembled matrix and the eigenvalues of -lap_h."""
+    """Solver for one grid; the assembled matrix and the eigenvalues of -lap_h are built once per grid and shared."""
 
     def __init__(self, grid: GridSpec):
         self.grid = grid

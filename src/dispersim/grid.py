@@ -129,10 +129,6 @@ class SymTensorField:
         self.d12 = _grid_array(self.d12, self.grid, "SymTensorField.d12")
         self.d22 = _grid_array(self.d22, self.grid, "SymTensorField.d22")
 
-    def apply(self, w1: np.ndarray, w2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Node-wise matrix-vector product (D w)."""
-        return self.d11 * w1 + self.d12 * w2, self.d12 * w1 + self.d22 * w2
-
     def quad_form(self, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
         """Node-wise quadratic form D w . w."""
         return self.d11 * w1 * w1 + 2.0 * self.d12 * w1 * w2 + self.d22 * w2 * w2

@@ -119,11 +119,14 @@ def sandwich_identity_residuals(d11, d12, d22, s11, s12, s22) -> np.ndarray:
     """Entrywise residual of S D S - (D:S) S + det(S) det(D) D^{-1}, vectorized.
 
     det(D) D^{-1} is the adjugate [[d22, -d12], [-d12, d11]], so no division
-    by det(D) occurs; D must still be positive-definite at every entry.
+    by det(D) occurs; D must still be positive-definite at every entry,
+    which for a symmetric 2x2 matrix is d11 > 0 and det(D) > 0.
     """
     det_d = d11 * d22 - d12 * d12
-    if not np.all(det_d > 0):
-        raise ValueError(f"D must be symmetric positive-definite, got min det(D) = {np.min(det_d)}")
+    if not (np.all(d11 > 0) and np.all(det_d > 0)):
+        raise ValueError(
+            f"D must be symmetric positive-definite, got min d11 = {np.min(d11)}, min det(D) = {np.min(det_d)}"
+        )
     t11 = s11 * d11 + s12 * d12
     t12 = s11 * d12 + s12 * d22
     t21 = s12 * d11 + s22 * d12
@@ -335,18 +338,14 @@ def forcing_coefficients(ws: IdentityWorkspace) -> ForcingCoefficients:
 # manufactured-field residual of the dissipation-power equation
 
 
-def power_equation_residual(
-    u_fn,
-    v_fn,
-    params: PhysParams,
-    j: int,
-    grid: GridSpec,
-    dt_fd: float,
-    t0: float = 0.25,
-    reg_eps: float = 1e-2,
-    sub_rect: tuple[float, float, float, float] = (0.25, 0.75, 0.25, 0.75),
-    grad_floor: float = 0.5,
-) -> tuple[np.ndarray, float]:
+# evaluation time, tensor regularization, evaluation window and |grad u| floor of the power-equation check
+_POWER_T0 = 0.25
+_POWER_REG_EPS = 1e-2
+_POWER_BOX = (0.25, 0.75, 0.25, 0.75)
+_POWER_GRAD_FLOOR = 0.5
+
+
+def power_equation_residual(u_fn, v_fn, params: PhysParams, j: int, grid: GridSpec) -> tuple[np.ndarray, float]:
     """Residual of the parabolic equation for psi = phi^j on manufactured fields.
 
     ``u_fn(x1, x2, t)`` and ``v_fn(x1, x2, t)`` are smooth manufactured
@@ -354,27 +353,27 @@ def power_equation_residual(
     the tensor uses the eps-regularized profile (smooth in q, so the
     identity holds for arbitrary manufactured v, including fields whose
     velocity vanishes somewhere), and w is defined as u_t - D:hess(u) so
-    the identity is exact in the continuum.  The returned residual over
-    the evaluation sub-rectangle is therefore pure discretization error:
-    fourth order in space, second order in the time differences.
+    the identity is exact in the continuum.  Time derivatives are central
+    differences at t = 0.25 with step ``grid.hx``.  The returned residual
+    over the evaluation sub-rectangle is therefore pure discretization
+    error: fourth order in space, second order in the time differences.
 
-    Raises ValueError if |grad u| falls below ``grad_floor`` anywhere on
-    the sub-rectangle (the identity only holds away from critical points).
+    Raises ValueError if |grad u| falls below 0.5 anywhere on the
+    sub-rectangle (the identity only holds away from critical points).
     """
     if j < 1:
         raise ValueError("power j must be >= 1")
-    if dt_fd <= 0:
-        raise ValueError("dt_fd must be positive")
     hx, hy = grid.hx, grid.hy
+    dt_fd = hx
     x1m, x2m = grid.nodes()
 
     slices = {}
-    for tag, t in (("-", t0 - dt_fd), ("0", t0), ("+", t0 + dt_fd)):
+    for tag, t in (("-", _POWER_T0 - dt_fd), ("0", _POWER_T0), ("+", _POWER_T0 + dt_fd)):
         u = np.asarray(u_fn(x1m, x2m, t), dtype=float)
         v = np.asarray(v_fn(x1m, x2m, t), dtype=float)
         q1 = -deriv1_4(v, hy, axis=0)
         q2 = deriv1_4(v, hx, axis=1)
-        d11, d12, d22 = dispersion_entries(q1, q2, params, reg_eps)
+        d11, d12, d22 = dispersion_entries(q1, q2, params, _POWER_REG_EPS)
         ux1 = deriv1_4(u, hx, axis=1)
         ux2 = deriv1_4(u, hy, axis=0)
         phi = _quad_form(d11, d12, d22, ux1, ux2)
@@ -409,12 +408,12 @@ def power_equation_residual(
     div_flux = deriv1_4(fc.flux1, hx, axis=1) + deriv1_4(fc.flux2, hy, axis=0)
     rhs = (fc.drift1 * psi_x1 + fc.drift2 * psi_x2) / psi + j * fc.source + j * div_flux
 
-    grad_mag = sub_box(np.hypot(s0["ux1"], s0["ux2"]), sub_rect)
-    if grad_mag.min() < grad_floor:
+    grad_mag = sub_box(np.hypot(s0["ux1"], s0["ux2"]), _POWER_BOX)
+    if grad_mag.min() < _POWER_GRAD_FLOOR:
         raise ValueError(
-            f"|grad u| dips to {grad_mag.min():.3g} < {grad_floor} on the evaluation sub-rectangle"
+            f"|grad u| dips to {grad_mag.min():.3g} < {_POWER_GRAD_FLOOR} on the evaluation sub-rectangle"
         )
-    res = sub_box(lhs - rhs, sub_rect)
+    res = sub_box(lhs - rhs, _POWER_BOX)
     return res, float(np.max(np.abs(res)))
 
 

@@ -44,8 +44,16 @@ from .coefficients import PhysParams, dispersion_entries
 from .grid import GridSpec, ScalarField
 from .identities import deriv1_4, deriv2_4, sub_box
 
+# eta-rectangle (lo1, hi1, lo2, hi2) every chart is sampled and meshed on; the plain
+# transport residual uses it in x, so the identity chart reproduces it bit for bit
+ETA_RECT = (0.1, 0.9, 0.1, 0.9)
 # evaluation window of the transformed residuals: drops the one-sided stencil closures
 _CENTRAL_BOX = (0.15, 0.85, 0.15, 0.85)
+# points sampled by the pointwise chart identities, besides the four corners
+_N_SAMPLES = 1000
+# time and physical parameters of the manufactured transport residuals
+_TRANSPORT_T = 0.25
+_TRANSPORT_PHYS = PhysParams(1.0, 2.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -58,7 +66,6 @@ class Chart:
     grad_fwd: Callable  # (x1, x2) -> ((g1_x1, g2_x1), (g1_x2, g2_x2))
     grad_inv: Callable  # (eta1, eta2) -> ((f1_e1, f2_e1), (f1_e2, f2_e2))
     hess_fwd: Callable  # (x1, x2) -> ((g1_x1x1, g1_x1x2, g1_x2x2), (g2_x1x1, g2_x1x2, g2_x2x2))
-    eta_rect: tuple[float, float, float, float] = (0.1, 0.9, 0.1, 0.9)
 
 
 def identity_chart() -> Chart:
@@ -114,18 +121,18 @@ def builtin_charts() -> tuple[Chart, Chart, Chart]:
     return identity_chart(), shear_chart(), exponential_chart()
 
 
-def _sample_points(chart: Chart, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    lo1, hi1, lo2, hi2 = chart.eta_rect
+def _sample_points(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    lo1, hi1, lo2, hi2 = ETA_RECT
     rng = np.random.default_rng(seed)
-    e1 = rng.uniform(lo1, hi1, size=n)
-    e2 = rng.uniform(lo2, hi2, size=n)
+    e1 = rng.uniform(lo1, hi1, size=_N_SAMPLES)
+    e2 = rng.uniform(lo2, hi2, size=_N_SAMPLES)
     corners = np.array([[lo1, lo2], [lo1, hi2], [hi1, lo2], [hi1, hi2]])
     return np.concatenate([e1, corners[:, 0]]), np.concatenate([e2, corners[:, 1]])
 
 
-def jacobian_identity_residual(chart: Chart, n_samples: int = 1000, seed: int = 0) -> float:
+def jacobian_identity_residual(chart: Chart, seed: int = 0) -> float:
     """max-norm of grad_inv(eta) @ grad_fwd(f(eta)) - I over sampled chart points."""
-    e1, e2 = _sample_points(chart, n_samples, seed)
+    e1, e2 = _sample_points(seed)
     x1, x2 = chart.inv(e1, e2)
     jf = chart.grad_inv(e1, e2)
     jg = chart.grad_fwd(x1, x2)
@@ -137,9 +144,9 @@ def jacobian_identity_residual(chart: Chart, n_samples: int = 1000, seed: int = 
     return res
 
 
-def det_product_residual(chart: Chart, n_samples: int = 1000, seed: int = 0) -> float:
+def det_product_residual(chart: Chart, seed: int = 0) -> float:
     """max-norm of det(grad_inv)(eta) * det(grad_fwd)(f(eta)) - 1."""
-    e1, e2 = _sample_points(chart, n_samples, seed)
+    e1, e2 = _sample_points(seed)
     x1, x2 = chart.inv(e1, e2)
     jf = chart.grad_inv(e1, e2)
     jg = chart.grad_fwd(x1, x2)
@@ -148,13 +155,13 @@ def det_product_residual(chart: Chart, n_samples: int = 1000, seed: int = 0) -> 
     return float(np.max(np.abs(det_f * det_g - 1.0)))
 
 
-def pushforward_gradient_residual(chart: Chart, grad_u: Callable, n_samples: int = 1000, seed: int = 0) -> float:
+def pushforward_gradient_residual(chart: Chart, grad_u: Callable, seed: int = 0) -> float:
     """Check grad(u)(x) = grad_fwd(x) @ grad(u o f)(g(x)) for an analytic gradient.
 
     grad(u o f) is expanded through the chain rule with grad_inv, so the
     residual reduces to (I - grad_fwd grad_inv) grad(u) at mapped points.
     """
-    e1, e2 = _sample_points(chart, n_samples, seed)
+    e1, e2 = _sample_points(seed)
     x1, x2 = chart.inv(e1, e2)
     gu1, gu2 = grad_u(x1, x2)
     jf = chart.grad_inv(e1, e2)
@@ -197,7 +204,7 @@ def transformed_poisson_residual(chart: Chart, v_fn: Callable, u_fn: Callable, n
     the returned residual over the central part of the eta mesh is then
     pure finite-difference error.
     """
-    E1, E2, h1m, h2m = _rect_mesh(chart.eta_rect, n)
+    E1, E2, h1m, h2m = _rect_mesh(ETA_RECT, n)
     x1, x2, jg, h1, h2 = _chart_scalars(chart, E1, E2)
     vt = np.asarray(v_fn(x1, x2), dtype=float)
     ut = np.asarray(u_fn(x1, x2), dtype=float)
@@ -290,9 +297,10 @@ def transport_expression_x(fix: TransportFields, x1, x2, t: float, p: PhysParams
     )
 
 
-def transport_expression_eta(chart: Chart, fix: TransportFields, n: int, t: float, p: PhysParams) -> np.ndarray:
+def transport_expression_eta(chart: Chart, fix: TransportFields, n: int) -> np.ndarray:
     """Finite-difference value of the flattened transport expression on the eta mesh."""
-    E1, E2, h1m, h2m = _rect_mesh(chart.eta_rect, n)
+    t, p = _TRANSPORT_T, _TRANSPORT_PHYS
+    E1, E2, h1m, h2m = _rect_mesh(ETA_RECT, n)
     x1, x2, jg, h1, h2 = _chart_scalars(chart, E1, E2)
     ut = np.asarray(fix.u(x1, x2, t), dtype=float)
     vt = np.asarray(fix.v(x1, x2), dtype=float)
@@ -327,34 +335,25 @@ def transport_expression_eta(chart: Chart, fix: TransportFields, n: int, t: floa
     )
 
 
-def transformed_transport_residual(
-    chart: Chart, fix: TransportFields, n: int, t: float = 0.25, p: PhysParams | None = None
-) -> tuple[np.ndarray, float]:
+def transformed_transport_residual(chart: Chart, fix: TransportFields, n: int) -> tuple[np.ndarray, float]:
     """Flattened-minus-original transport expression; converges to zero under refinement."""
-    p = p or PhysParams(1.0, 2.0, 1.0)
-    E1, E2, _, _ = _rect_mesh(chart.eta_rect, n)
+    E1, E2, _, _ = _rect_mesh(ETA_RECT, n)
     x1, x2 = chart.inv(E1, E2)
-    expr = transport_expression_eta(chart, fix, n, t, p)
-    res = sub_box(expr - transport_expression_x(fix, x1, x2, t, p), _CENTRAL_BOX)
+    expr = transport_expression_eta(chart, fix, n)
+    res = sub_box(expr - transport_expression_x(fix, x1, x2, _TRANSPORT_T, _TRANSPORT_PHYS), _CENTRAL_BOX)
     return res, float(np.max(np.abs(res)))
 
 
-def plain_transport_residual(
-    fix: TransportFields,
-    n: int,
-    t: float = 0.25,
-    p: PhysParams | None = None,
-    rect: tuple[float, float, float, float] = (0.1, 0.9, 0.1, 0.9),
-) -> tuple[np.ndarray, float]:
+def plain_transport_residual(fix: TransportFields, n: int) -> tuple[np.ndarray, float]:
     """Untransformed counterpart: finite differences in the original coordinates.
 
     Computes u_t - D:hess(u) - div(D).grad(u) + grad(u).q by finite
-    differences on a uniform rectangle minus the analytic value; with the
-    identity chart, ``transformed_transport_residual`` reproduces this
-    field bit for bit.
+    differences on the uniform ``ETA_RECT`` mesh minus the analytic value;
+    with the identity chart, ``transformed_transport_residual`` reproduces
+    this field bit for bit.
     """
-    p = p or PhysParams(1.0, 2.0, 1.0)
-    X1, X2, h1, h2 = _rect_mesh(rect, n)
+    t, p = _TRANSPORT_T, _TRANSPORT_PHYS
+    X1, X2, h1, h2 = _rect_mesh(ETA_RECT, n)
     u = np.asarray(fix.u(X1, X2, t), dtype=float)
     v = np.asarray(fix.v(X1, X2), dtype=float)
     u_1 = deriv1_4(u, h1, axis=1)

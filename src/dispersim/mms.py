@@ -17,7 +17,7 @@ import numpy as np
 
 from .elliptic import PoissonSolver, SolverError
 from .grid import GridSpec, ScalarField
-from .transport import RunConfig, run
+from .transport import run
 
 
 @dataclass
@@ -41,11 +41,16 @@ def _fitted_order(rows: list[ConvergenceLevel]) -> float:
     return float(np.polyfit(np.log([r.h for r in rows]), np.log([r.error for r in rows]), 1)[0])
 
 
-def poisson_convergence(levels: int = 4, n0: int = 17) -> tuple[list[ConvergenceLevel], float]:
+def _check_levels(levels: int) -> None:
     if levels < 2:
-        raise ValueError("need at least 2 levels")
+        raise ValueError(f"levels must be at least 2, got {levels}")
+
+
+def poisson_convergence(levels: int = 4) -> tuple[list[ConvergenceLevel], float]:
+    """Poisson MMS on the grids 17, 33, 65, ... (``levels`` of them)."""
+    _check_levels(levels)
     rows: list[ConvergenceLevel] = []
-    n = n0
+    n = 17
     for _ in range(levels):
         g = GridSpec(n, n)
         x1, x2 = g.nodes()
@@ -61,17 +66,15 @@ def poisson_convergence(levels: int = 4, n0: int = 17) -> tuple[list[Convergence
     return rows, _fitted_order(rows)
 
 
-def coupled_time_convergence(
-    levels: int = 3, n: int = 33, base: RunConfig | None = None
-) -> tuple[list[ConvergenceLevel], float]:
-    """Temporal self-convergence of the coupled march under dt halving."""
-    if levels < 2:
-        raise ValueError("need at least 2 levels")
-    if base is None:
-        from .acceptance import reference_config
+def coupled_time_convergence(levels: int = 3) -> tuple[list[ConvergenceLevel], float]:
+    """Temporal self-convergence of the coupled march under dt halving.
 
-        base = reference_config(n=n, t_end=0.125)
-        base = replace(base, dt=1.0 / (n - 1) / 2.0)
+    The base run is ``reference_config(33, t_end=0.125)`` at dt = 1/64.
+    """
+    from .acceptance import reference_config
+
+    _check_levels(levels)
+    base = replace(reference_config(n=33, t_end=0.125), dt=1.0 / 64)
     finals = [run(replace(base, dt=base.dt / 2**k)).final.u.values for k in range(levels)]
     rows: list[ConvergenceLevel] = []
     for k in range(levels - 1):

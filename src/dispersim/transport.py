@@ -39,12 +39,12 @@ function (see ``elliptic``) and one BiCGSTAB call for the transport step,
 asked for a relative residual of 1e-14 and preconditioned by the exact
 inverse of the step matrix for the constant tensor c I (c the mean of
 (d11 + d22)/2) without advection: two type-I cosine transforms and a
-division (Concus & Golub, SIAM J. Numer. Anal. 10(6), 1973).  A pass whose
-call stops short of 1e-14 within ``_FAST_ITERATIONS`` iterations (strong
-tensor contrast) factors a CSC copy of its own matrix exactly (SuperLU,
-minimum-degree ordering on A^T A + A) and solves again with BiCGSTAB
-preconditioned by that factor.  ``lin_max`` bounds the iterations of every
-BiCGSTAB call.  The true residual is recomputed and checked against
+division (Concus & Golub, SIAM J. Numer. Anal. 10(6), 1973).  ``lin_max``
+bounds the iterations of that call.  A pass whose call stops short of
+1e-14 within ``min(lin_max, _FAST_ITERATIONS)`` iterations (strong tensor
+contrast) or misses ``lin_tol`` factors a CSC copy of its own matrix
+exactly (SuperLU, minimum-degree ordering on A^T A + A) and solves with
+the factor directly.  The true residual is recomputed and checked against
 ``lin_tol``, so solver error stays far below the conservation diagnostics.
 """
 
@@ -382,12 +382,6 @@ def _cosine_preconditioner(grid: GridSpec, w: np.ndarray, dt: float, c: float) -
     return spla.LinearOperator((w.size, w.size), solve, dtype=float)
 
 
-def _bicgstab(
-    A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray, M: spla.LinearOperator, maxiter: int
-) -> tuple[np.ndarray, int]:
-    return spla.bicgstab(A, b, x0=x0.copy(), rtol=1e-14, atol=0.0, maxiter=maxiter, M=M)
-
-
 def parabolic_step(
     u_old: ScalarField,
     D: SymTensorField,
@@ -409,10 +403,9 @@ def parabolic_step(
     ``min(lin_max, _FAST_ITERATIONS)`` iterations.  If that call stops
     short of its own 1e-14 target (the cap or a breakdown) or its
     recomputed relative residual is above ``lin_tol`` or not finite, the
-    matrix is factored by ``splu`` (on a CSC copy) and solved again from
-    ``x0`` by one BiCGSTAB call preconditioned with the factor, at most
-    ``lin_max`` iterations (one normally suffices).  Then a failed factorization, a non-finite result
-    or a relative residual above ``lin_tol`` raises ``SolverError``.
+    matrix is factored by ``splu`` (on a CSC copy) and solved directly with
+    the factor.  Then a failed factorization, a non-finite result or a
+    relative residual above ``lin_tol`` raises ``SolverError``.
 
     Returns the new field and the relative residual of the linear solve.
     """
@@ -426,14 +419,14 @@ def parabolic_step(
     start = (u_old if x0 is None else x0).values.ravel()
 
     M = _cosine_preconditioner(grid, w, dt, float(np.mean(0.5 * (D.d11 + D.d22))))
-    x, info = _bicgstab(A, b, start, M, min(lin_max, _FAST_ITERATIONS))
+    x, info = spla.bicgstab(A, b, x0=start.copy(), rtol=1e-14, atol=0.0, maxiter=min(lin_max, _FAST_ITERATIONS), M=M)
     rel = float(np.linalg.norm(b - A @ x)) / bnorm
     if info != 0 or not rel <= lin_tol:  # capped, broken down, a miss, or nan
         try:
             lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise SolverError(f"LU factorization failed: {exc}") from exc
-        x, _ = _bicgstab(A, b, start, spla.LinearOperator(A.shape, lu.solve, dtype=float), lin_max)
+        x = lu.solve(b)
         if not np.all(np.isfinite(x)):
             raise SolverError("transport solve produced non-finite values")
         rel = float(np.linalg.norm(b - A @ x)) / bnorm
@@ -446,24 +439,21 @@ def parabolic_step(
 # coupled stepping
 
 
-def _coupled_fields(u: ScalarField, cfg: RunConfig, poisson: PoissonSolver):
-    v, rep = poisson.solve(diff_x1(u), tol=cfg.lin_tol)
+def _coupled_fields(u: ScalarField, cfg: RunConfig):
+    v, rep = PoissonSolver(cfg.grid).solve(diff_x1(u), tol=cfg.lin_tol)
     if not rep.converged:
         raise SolverError(f"stream-function solve missed its tolerance: residual {rep.residual_norm:.3e}")
     q_eps = mollify(stream_velocity(v), cfg.reg.moll_radius)
     return v, dispersion_tensor_regularized(q_eps, cfg.phys, cfg.reg)
 
 
-def initial_state(cfg: RunConfig, poisson: PoissonSolver | None = None) -> SimState:
-    poisson = poisson or PoissonSolver(cfg.grid)
+def initial_state(cfg: RunConfig) -> SimState:
     u0 = initial_condition(cfg.ic, cfg.ic_params, cfg.grid)
-    v, D_eps = _coupled_fields(u0, cfg, poisson)
+    v, D_eps = _coupled_fields(u0, cfg)
     return SimState(u0, v, D_eps, t=0.0, step=0)
 
 
-def picard_coupled_step(
-    state: SimState, cfg: RunConfig, poisson: PoissonSolver | None = None, dt: float | None = None
-) -> tuple[SimState, StepReport]:
+def picard_coupled_step(state: SimState, cfg: RunConfig, dt: float | None = None) -> tuple[SimState, StepReport]:
     """Advance one time step, iterating the elliptic/coefficient/parabolic loop.
 
     Each inner pass re-solves the parabolic step from the same u_old with the
@@ -475,7 +465,6 @@ def picard_coupled_step(
     The returned state's v and tensor are refreshed from the accepted u,
     so its elliptic residual is below lin_tol.
     """
-    poisson = poisson or PoissonSolver(cfg.grid)
     dt = cfg.dt if dt is None else dt
     u_n = state.u
     mass_old = integrate(u_n)
@@ -489,7 +478,7 @@ def picard_coupled_step(
         gap = float(np.max(np.abs(u_next.values - u_k.values)))
         gaps.append(gap)
         u_k = u_next
-        v_k, D_eps_k = _coupled_fields(u_k, cfg, poisson)
+        v_k, D_eps_k = _coupled_fields(u_k, cfg)
         if gap <= cfg.picard_tol:
             break
     else:
@@ -508,36 +497,32 @@ def picard_coupled_step(
     return new_state, report
 
 
-def state_consistency_residual(state: SimState, poisson: PoissonSolver | None = None) -> float:
+def state_consistency_residual(state: SimState) -> float:
     """Residual of the state's stream function against its own density field."""
-    poisson = poisson or PoissonSolver(state.u.grid)
-    return poisson.residual_norm(state.v, diff_x1(state.u))
+    return PoissonSolver(state.u.grid).residual_norm(state.v, diff_x1(state.u))
 
 
 # ---------------------------------------------------------------------------
 # trajectories and diagnostics
 
 
-def _grad_and_phi(state: SimState) -> tuple[np.ndarray, np.ndarray]:
-    """|grad u| and the dissipation density phi = D_eps grad u . grad u at the nodes."""
+def _diag_row(state: SimState, report: StepReport | None, prev_u: ScalarField | None,
+              dt: float, dissip_before: float, mass0: float) -> DiagnosticsRow:
+    """The diagnostics of ``state``, with phi = D_eps grad u . grad u at the nodes.
+
+    A step's row (``prev_u`` given) adds dt times the integral of phi to
+    the accumulated dissipation ``dissip_before``.
+    """
     u = state.u
     g1 = deriv1(u.values, u.grid.hx, axis=1)
     g2 = deriv1(u.values, u.grid.hy, axis=0)
-    return np.hypot(g1, g2), state.D_eps.quad_form(g1, g2)
-
-
-def _dissipation(state: SimState) -> float:
-    return integrate(ScalarField(state.u.grid, _grad_and_phi(state)[1]))
-
-
-def _diag_row(state: SimState, report: StepReport | None, prev_u: ScalarField | None,
-              dt: float, cum_dissip: float, mass0: float) -> DiagnosticsRow:
-    u = state.u
-    grad, phi = _grad_and_phi(state)
+    phi = state.D_eps.quad_form(g1, g2)
     mass = integrate(u)
     ut_sup = 0.0
+    energy_dissip = dissip_before
     if prev_u is not None:
         ut_sup = float(np.max(np.abs(u.values - prev_u.values))) / dt
+        energy_dissip += dt * integrate(ScalarField(u.grid, phi))
     return DiagnosticsRow(
         step=state.step,
         t=state.t,
@@ -545,8 +530,8 @@ def _diag_row(state: SimState, report: StepReport | None, prev_u: ScalarField | 
         umin=float(np.min(u.values)),
         mass=mass,
         l2sq=integrate(ScalarField(u.grid, u.values**2)),
-        energy_dissip=cum_dissip,
-        grad_sup=float(np.max(grad)),
+        energy_dissip=energy_dissip,
+        grad_sup=float(np.max(np.hypot(g1, g2))),
         phi_max=float(np.max(phi)),
         ut_sup=ut_sup,
         picard_iters=report.picard_iterations if report else 0,
@@ -572,8 +557,7 @@ def run(cfg: RunConfig, outdir: str | Path | None = None) -> Trajectory:
     artifacts.
     """
     target = Path(outdir) if outdir else (Path(cfg.outdir) if cfg.outdir else None)
-    poisson = PoissonSolver(cfg.grid)
-    state = initial_state(cfg, poisson)
+    state = initial_state(cfg)
     mass0 = integrate(state.u)
 
     n_exact = round(cfg.t_end / cfg.dt)
@@ -601,7 +585,6 @@ def run(cfg: RunConfig, outdir: str | Path | None = None) -> Trajectory:
     rows = [_diag_row(state, None, None, cfg.dt, 0.0, mass0)]
     states = [state]
     reports: list[StepReport] = []
-    cum_dissip = 0.0
     try:
         if diag_file:
             diag_file.write(_format_row(rows[0]) + "\n")
@@ -609,9 +592,8 @@ def run(cfg: RunConfig, outdir: str | Path | None = None) -> Trajectory:
         snap(state)
         for k, dt in enumerate(step_sizes):
             prev_u = state.u
-            state, report = picard_coupled_step(state, cfg, poisson, dt=dt)
-            cum_dissip += dt * _dissipation(state)
-            row = _diag_row(state, report, prev_u, dt, cum_dissip, mass0)
+            state, report = picard_coupled_step(state, cfg, dt=dt)
+            row = _diag_row(state, report, prev_u, dt, rows[-1].energy_dissip, mass0)
             rows.append(row)
             reports.append(report)
             if diag_file:

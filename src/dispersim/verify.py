@@ -37,8 +37,8 @@ def _appendix_rows(seed: int) -> list[CheckRow]:
     ]
 
 
-def _solver_rows(seed: int, cache: RunCache | None = None) -> list[CheckRow]:
-    cache = cache or RunCache()
+def _solver_rows() -> list[CheckRow]:
+    cache = RunCache()
     return [
         ac.check_poisson_mms(),
         ac.check_mass_conservation(cache),
@@ -55,9 +55,9 @@ def run_suite(suite: str, seed: int = DEFAULT_SEED) -> list[CheckRow]:
     if suite == "appendix":
         return _appendix_rows(seed)
     if suite == "solver":
-        return _solver_rows(seed)
+        return _solver_rows()
     if suite == "all":
-        return _identities_rows(seed) + _appendix_rows(seed) + _solver_rows(seed)
+        return _identities_rows(seed) + _appendix_rows(seed) + _solver_rows()
     raise ValueError(f"unknown suite {suite!r}; expected identities, appendix, solver, or all")
 
 
@@ -85,11 +85,10 @@ def write_csv(rows: list[CheckRow], path) -> None:
             )
 
 
-def verify_command(suite: str, seed: int = DEFAULT_SEED, csv_path="verify_results.csv") -> int:
+def verify_command(suite: str, seed: int = DEFAULT_SEED) -> int:
     rows = run_suite(suite, seed)
     print(f"suite: {suite}   seed: {seed}")
     print(format_table(rows))
-    if csv_path:
-        write_csv(rows, Path(csv_path))
-        print(f"results written to {csv_path}")
+    write_csv(rows, Path("verify_results.csv"))
+    print("results written to verify_results.csv")
     return 0 if all(r.passed for r in rows) else 1

@@ -109,3 +109,10 @@ def test_mms_poisson_converges_through_513():
     rows, slope = poisson_convergence(levels=6)
     assert rows[-1].label == "513x513"
     assert abs(slope - 2.0) <= 0.05
+
+
+def test_solver_matrix_built_once_per_grid():
+    g = GridSpec(17, 9, lx=1.0, ly=0.5)
+    A = PoissonSolver(g).matrix
+    assert PoissonSolver(g).matrix is A
+    assert not A.data.flags.writeable

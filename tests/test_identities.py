@@ -86,6 +86,12 @@ def test_sandwich_identity_rejects_singular():
         sandwich_identity_residuals(d11, d12, d11, 1.0, 0.0, 1.0)
 
 
+def test_sandwich_identity_rejects_negative_definite():
+    # det(D) = 5.75 > 0, but both eigenvalues are negative
+    with pytest.raises(ValueError, match="positive-definite"):
+        sandwich_identity_residuals(-2.0, 0.5, -3.0, 1.0, 0.2, 1.0)
+
+
 # --- Hessian reconstruction
 
 
@@ -217,7 +223,7 @@ def test_power_equation_trivial():
     u = lambda x1, x2, t: 2 * x1 + x2 + 0 * t
     v = lambda x1, x2, t: np.zeros_like(x1)
     g = GridSpec(33, 33)
-    _, norm = power_equation_residual(u, v, PhysParams(1, 2, 1), 1, g, dt_fd=g.hx)
+    _, norm = power_equation_residual(u, v, PhysParams(1, 2, 1), 1, g)
     assert norm <= 1e-12
 
 
@@ -227,7 +233,7 @@ def test_power_equation_refinement(j):
     norms = []
     for n in (33, 65):
         g = GridSpec(n, n)
-        _, norm = power_equation_residual(u, v, PhysParams(1, 2, 1), j, g, dt_fd=g.hx)
+        _, norm = power_equation_residual(u, v, PhysParams(1, 2, 1), j, g)
         norms.append(norm)
     assert norms[0] / norms[1] >= 3.0
 
@@ -238,7 +244,7 @@ def test_power_equation_time_dependent_tensor():
     norms = []
     for n in (33, 65):
         g = GridSpec(n, n)
-        _, norm = power_equation_residual(u, v, PhysParams(1, 2, 1), 1, g, dt_fd=g.hx)
+        _, norm = power_equation_residual(u, v, PhysParams(1, 2, 1), 1, g)
         norms.append(norm)
     assert norms[0] / norms[1] >= 3.0
 
@@ -248,7 +254,7 @@ def test_power_equation_rejects_flat_gradient():
     v = lambda x1, x2, t: np.zeros_like(x1)
     g = GridSpec(33, 33)
     with pytest.raises(ValueError, match="grad"):
-        power_equation_residual(u, v, PhysParams(1, 2, 1), 1, g, dt_fd=g.hx)
+        power_equation_residual(u, v, PhysParams(1, 2, 1), 1, g)
 
 
 # --- vector calculus product rules
