@@ -32,7 +32,9 @@ analysis rests on:
   drives every level-set truncation argument, with its smallness
   threshold y_0 <= c^{-1/alpha} b^{-1/alpha^2};
 * log-kernel averages eta(f; r) = sup_x integral over a ball of
-  |f(y)| |ln|x-y|| dy, the quantity controlling local boundedness.
+  |f(y)| |ln|x-y|| dy, the quantity controlling local boundedness,
+  evaluated as one zero-padded FFT convolution over the node lattice with
+  the kernel's spectrum cached per grid.
 
 Stencils here are fourth-order in space (one-sided closures at the
 boundary keep the order uniform) so identity residuals decay fast enough
@@ -44,8 +46,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy.fft import irfft2, next_fast_len, rfft2
 
 from .coefficients import PhysParams, dispersion_entries
 from .grid import GridSpec, ScalarField
@@ -581,42 +585,55 @@ def _log_cell_integral(hx: float, hy: float) -> float:
     return -4.0 * corner
 
 
+@lru_cache(maxsize=8)
+def _log_kernel_spectrum(grid: GridSpec) -> tuple[tuple[int, int], np.ndarray]:
+    """The padded shape and the rfft2 of the log-kernel offset table, once per grid; the spectrum is read-only.
+
+    Entry (ny - 1 + dj, nx - 1 + di) of the table is |ln|d|| hx hy at the
+    offset d = (di hx, dj hy), |di| <= nx - 1, |dj| <= ny - 1; the zero offset
+    holds the analytic integral over the singular cell.  Padding each axis to
+    at least 3n - 2 makes the circular convolution with an (ny, nx) field a
+    linear one.
+    """
+    ny, nx = grid.shape
+    d = np.hypot(np.arange(1 - ny, ny)[:, None] * grid.hy, np.arange(1 - nx, nx)[None, :] * grid.hx)
+    d[ny - 1, nx - 1] = 1.0
+    table = np.abs(np.log(d)) * (grid.hx * grid.hy)
+    table[ny - 1, nx - 1] = _log_cell_integral(grid.hx, grid.hy)
+    shape = (next_fast_len(3 * ny - 2, real=True), next_fast_len(3 * nx - 2, real=True))
+    spectrum = rfft2(table, s=shape)
+    spectrum.flags.writeable = False
+    return shape, spectrum
+
+
 def log_kernel_average(f: ScalarField, radius: float, center: tuple[float, float]) -> float:
     """sup over nearby nodes x of the ball integral of |f(y)| |ln|x-y|| dy.
 
     Quadrature assigns each ball node its cell area; the singular node is
-    integrated analytically over its own cell.  The sup is taken over grid
-    nodes within twice the radius of the ball center, so the result is a
-    lower bound for the true supremum over the plane.
+    integrated analytically over its own cell.  On the uniform lattice that
+    sum is one linear convolution of |f| restricted to the ball with a table
+    of |ln|d|| over the node offsets d, evaluated with zero-padded FFTs
+    against the table's spectrum, which is cached per grid.  The sup is taken
+    over grid nodes within twice the radius of the ball center, so the
+    result is a lower bound for the true supremum over the plane.  A
+    non-finite radius, center or value of f inside the ball raises; values
+    outside the ball are never read.
     """
     g = f.grid
     cx, cy = center
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError("radius must be positive")
-    if cx - radius < 0 or cx + radius > g.lx or cy - radius < 0 or cy + radius > g.ly:
+    if not (cx - radius >= 0 and cx + radius <= g.lx and cy - radius >= 0 and cy + radius <= g.ly):
         raise ValueError("ball exits the domain")
     x1m, x2m = g.nodes()
-    ball = (x1m - cx) ** 2 + (x2m - cy) ** 2 <= radius**2
-    ys1 = x1m[ball]
-    ys2 = x2m[ball]
-    fv = np.abs(f.values[ball])
-    area = g.hx * g.hy
-    self_term = _log_cell_integral(g.hx, g.hy)
-
-    near = (x1m - cx) ** 2 + (x2m - cy) ** 2 <= (2.0 * radius) ** 2
-    xs1 = x1m[near]
-    xs2 = x2m[near]
-    best = 0.0
-    chunk = 256
-    for start in range(0, xs1.size, chunk):
-        c1 = xs1[start:start + chunk][:, None]
-        c2 = xs2[start:start + chunk][:, None]
-        d = np.hypot(ys1[None, :] - c1, ys2[None, :] - c2)
-        singular = d == 0.0
-        kern = np.zeros_like(d)
-        np.log(d, out=kern, where=~singular)
-        np.abs(kern, out=kern)
-        vals = (fv[None, :] * kern).sum(axis=1) * area
-        vals += (fv[None, :] * singular).sum(axis=1) * self_term
-        best = max(best, float(vals.max()))
-    return best
+    dist2 = (x1m - cx) ** 2 + (x2m - cy) ** 2
+    fv = np.where(dist2 <= radius**2, np.abs(f.values), 0.0)
+    if not np.isfinite(fv).all():
+        raise ValueError("f is not finite inside the ball")
+    near = dist2 <= (2.0 * radius) ** 2
+    if not near.any():
+        return 0.0
+    shape, spectrum = _log_kernel_spectrum(g)
+    conv = irfft2(rfft2(fv, s=shape) * spectrum, s=shape)
+    ny, nx = g.shape
+    return max(0.0, float(conv[ny - 1:2 * ny - 1, nx - 1:2 * nx - 1][near].max()))

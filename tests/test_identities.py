@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dispersim.coefficients import PhysParams
 from dispersim.grid import GridSpec, ScalarField
 from dispersim.identities import (
     IdentityWorkspace,
     RecursionParams,
+    _log_cell_integral,
+    _log_kernel_spectrum,
     forcing_coefficients,
     log_kernel_average,
     power_equation_residual,
@@ -338,6 +342,110 @@ def test_recursion_param_validation():
 
 
 # --- log-kernel averages
+
+
+def _pairwise_log_kernel_average(f, radius, center):
+    """Reference: the sum over every (sup node, ball node) pair, in chunks of sup nodes."""
+    g = f.grid
+    cx, cy = center
+    x1m, x2m = g.nodes()
+    ball = (x1m - cx) ** 2 + (x2m - cy) ** 2 <= radius**2
+    ys1 = x1m[ball]
+    ys2 = x2m[ball]
+    fv = np.abs(f.values[ball])
+    area = g.hx * g.hy
+    self_term = _log_cell_integral(g.hx, g.hy)
+
+    near = (x1m - cx) ** 2 + (x2m - cy) ** 2 <= (2.0 * radius) ** 2
+    xs1 = x1m[near]
+    xs2 = x2m[near]
+    best = 0.0
+    chunk = 256
+    for start in range(0, xs1.size, chunk):
+        c1 = xs1[start:start + chunk][:, None]
+        c2 = xs2[start:start + chunk][:, None]
+        d = np.hypot(ys1[None, :] - c1, ys2[None, :] - c2)
+        singular = d == 0.0
+        kern = np.zeros_like(d)
+        np.log(d, out=kern, where=~singular)
+        np.abs(kern, out=kern)
+        vals = (fv[None, :] * kern).sum(axis=1) * area
+        vals += (fv[None, :] * singular).sum(axis=1) * self_term
+        best = max(best, float(vals.max()))
+    return best
+
+
+@st.composite
+def _log_kernel_case(draw):
+    nx = draw(st.integers(9, 41))
+    ny = draw(st.integers(9, 41).filter(lambda n: n != nx))
+    lx = draw(st.floats(0.3, 2.5).filter(lambda v: v != 1.0))
+    ly = draw(st.floats(0.3, 2.5).filter(lambda v: v != 1.0))
+    g = GridSpec(nx, ny, lx, ly)
+    radius = draw(st.floats(0.02, 1.0)) * min(lx, ly) / 2.0
+    cx = radius + draw(st.floats(0.0, 1.0)) * (lx - 2.0 * radius)
+    cy = radius + draw(st.floats(0.0, 1.0)) * (ly - 2.0 * radius)
+    assume(cx - radius >= 0 and cx + radius <= lx and cy - radius >= 0 and cy + radius <= ly)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = ScalarField(g, draw(st.floats(0.1, 10.0)) * rng.standard_normal(g.shape))
+    return f, radius, (cx, cy)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_log_kernel_case())
+def test_log_kernel_matches_pairwise_sum(case):
+    f, radius, center = case
+    got = log_kernel_average(f, radius, center)
+    ref = _pairwise_log_kernel_average(f, radius, center)
+    if ref == 0.0:
+        assert got == 0.0
+    else:
+        assert abs(got - ref) <= 1e-13 * ref
+
+
+@pytest.mark.parametrize("radius", [0.2, 0.1])
+def test_log_kernel_constant_field_closed_form(radius):
+    # f = 1: the sup sits at the ball centre, where the integral is pi r^2 (1/2 - ln r)
+    g = GridSpec(129, 129)
+    eta = log_kernel_average(ScalarField.full(g, 1.0), radius, (0.5, 0.5))
+    exact = np.pi * radius**2 * (0.5 - np.log(radius))
+    assert abs(eta - exact) <= 2e-2 * exact
+
+
+def test_log_kernel_no_node_near_returns_zero():
+    # h = 0.125: the nearest node is 0.088 from the centre, beyond 2r = 0.02
+    g = GridSpec(9, 9)
+    assert log_kernel_average(ScalarField.full(g, 1.0), 0.01, (0.0625, 0.0625)) == 0.0
+
+
+def test_log_kernel_rejects_nan_radius():
+    g = GridSpec(33, 33)
+    with pytest.raises(ValueError, match="radius"):
+        log_kernel_average(ScalarField.full(g, 1.0), float("nan"), (0.5, 0.5))
+
+
+def test_log_kernel_rejects_nan_center():
+    g = GridSpec(33, 33)
+    with pytest.raises(ValueError, match="ball"):
+        log_kernel_average(ScalarField.full(g, 1.0), 0.1, (float("nan"), 0.5))
+
+
+def test_log_kernel_rejects_nan_inside_ball():
+    # ScalarField checks its values only when built, so write the NaN afterwards
+    g = GridSpec(33, 33)
+    f = ScalarField.full(g, 1.0)
+    f.values[0, 0] = np.nan  # outside the ball: never read
+    assert log_kernel_average(f, 0.1, (0.5, 0.5)) == log_kernel_average(ScalarField.full(g, 1.0), 0.1, (0.5, 0.5))
+    f.values[16, 16] = np.nan
+    with pytest.raises(ValueError, match="not finite"):
+        log_kernel_average(f, 0.1, (0.5, 0.5))
+
+
+def test_log_kernel_spectrum_cached_per_grid():
+    shape, spectrum = _log_kernel_spectrum(GridSpec(33, 21, 1.3, 0.7))
+    assert _log_kernel_spectrum(GridSpec(33, 21, 1.3, 0.7))[1] is spectrum
+    assert shape[0] >= 3 * 21 - 2 and shape[1] >= 3 * 33 - 2
+    assert not spectrum.flags.writeable
 
 
 def test_log_kernel_zero_field():
