@@ -11,7 +11,7 @@ from .coefficients import (
     mollify,
     stream_velocity,
 )
-from .elliptic import EllipticSolveReport, PoissonSolver, SolverError, solve_poisson
+from .elliptic import EllipticSolveReport, PoissonSolver, SolverError
 from .grid import (
     GridSpec,
     ScalarField,

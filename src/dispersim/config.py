@@ -4,8 +4,8 @@ The format is one ``key = value`` pair per line, ``#`` starts a comment,
 blank lines are ignored.  Keys are exactly::
 
     nx, ny, lx, ly, a, b, m, eps, moll_radius, dt, t_end,
-    picard_tol, picard_max, lin_tol, lin_max, ic, ic_params,
-    output_every, outdir
+    picard_tol, picard_max, lin_tol, ic, ic_params, output_every,
+    outdir
 
 Required: nx, ny, a, b, m, dt, t_end, ic.  Everything else has a
 documented default.  Errors carry the offending line number.

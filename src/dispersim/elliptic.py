@@ -6,10 +6,11 @@ coefficients on a uniform grid, so the type-I discrete sine transform
 diagonalizes it exactly (Buzbee, Golub & Nielson, SIAM J. Numer. Anal.
 7(4), 1970): transform, divide by the 5-point eigenvalues, transform
 back.  One residual correction through the same transform removes most
-of the rounding the transforms leave behind.  The reported residual is
-recomputed from the assembled matrix after the solve, so
-``report.residual_norm`` always matches an independent evaluation of
-||A v - b||_2.
+of the rounding the transforms leave behind.  The residual is recomputed
+from the assembled matrix after the solve, so ``report.residual_norm``
+always matches an independent evaluation of ||A v - b||_2, and a solve
+whose residual exceeds ``tol * ||b||_2`` raises ``SolverError``: callers
+never inspect the residual themselves.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ class SolverError(RuntimeError):
 class EllipticSolveReport:
     iterations: int  # solver applications: 0 for a zero rhs, 1 otherwise
     residual_norm: float
-    converged: bool
 
 
 @lru_cache(maxsize=8)
@@ -79,7 +79,7 @@ class PoissonSolver:
         return idstn(dstn(b, type=1, norm="ortho") / self._eigenvalues, type=1, norm="ortho")
 
     def solve(self, rhs: ScalarField, tol: float = 1e-10) -> tuple[ScalarField, EllipticSolveReport]:
-        """Solve lap(v) = rhs, v = 0 on the boundary; converged means ||Av-b|| <= tol*||b||."""
+        """Solve lap(v) = rhs, v = 0 on the boundary; raise ``SolverError`` if ||Av-b|| > tol*||b||."""
         if tol <= 0:
             raise ValueError("tol must be positive")
         if rhs.grid != self.grid:
@@ -88,21 +88,24 @@ class PoissonSolver:
         bnorm = float(np.linalg.norm(b))
         v = np.zeros(self.grid.shape)
         if bnorm == 0.0:
-            return ScalarField(self.grid, v), EllipticSolveReport(0, 0.0, True)
+            return ScalarField(self.grid, v), EllipticSolveReport(0, 0.0)
 
         x = self._apply_inverse(b)
         x += self._apply_inverse(b - (self.matrix @ x.ravel()).reshape(b.shape))
         if not np.all(np.isfinite(x)):
             raise SolverError("sine-transform Poisson solve produced non-finite values")
-        residual = float(np.linalg.norm(b.ravel() - self.matrix @ x.ravel()))
         v[1:-1, 1:-1] = x
-        return ScalarField(self.grid, v), EllipticSolveReport(1, residual, residual <= tol * bnorm)
+        field = ScalarField(self.grid, v)
+        residual = self.residual_norm(field, rhs)
+        if residual > tol * bnorm:
+            raise SolverError(
+                f"Poisson solve on the {self.grid.nx}x{self.grid.ny} grid missed its tolerance: "
+                f"residual {residual:.3e} > tol {tol:.1e} * ||b|| {bnorm:.3e}"
+            )
+        return field, EllipticSolveReport(1, residual)
 
     def residual_norm(self, v: ScalarField, rhs: ScalarField) -> float:
         """||A v - b||_2 for an externally supplied candidate solution."""
         b = -rhs.values[1:-1, 1:-1].ravel()
         return float(np.linalg.norm(b - self.matrix @ v.values[1:-1, 1:-1].ravel()))
 
-
-def solve_poisson(rhs: ScalarField, tol: float = 1e-10) -> tuple[ScalarField, EllipticSolveReport]:
-    return PoissonSolver(rhs.grid).solve(rhs, tol=tol)

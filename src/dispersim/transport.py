@@ -39,19 +39,20 @@ function (see ``elliptic``) and one BiCGSTAB call for the transport step,
 asked for a relative residual of 1e-14 and preconditioned by the exact
 inverse of the step matrix for the constant tensor c I (c the mean of
 (d11 + d22)/2) without advection: two type-I cosine transforms and a
-division (Concus & Golub, SIAM J. Numer. Anal. 10(6), 1973).  ``lin_max``
-bounds the iterations of that call.  A pass whose call stops short of
-1e-14 within ``min(lin_max, _FAST_ITERATIONS)`` iterations (strong tensor
-contrast) or misses ``lin_tol`` factors a CSC copy of its own matrix
-exactly (SuperLU, minimum-degree ordering on A^T A + A) and solves with
-the factor directly.  The true residual is recomputed and checked against
-``lin_tol``, so solver error stays far below the conservation diagnostics.
+division (Concus & Golub, SIAM J. Numer. Anal. 10(6), 1973).  A pass
+whose call stops short of 1e-14 within ``_FAST_ITERATIONS`` iterations
+(strong tensor contrast) or misses ``lin_tol`` factors a CSC copy of its
+own matrix exactly (SuperLU, minimum-degree ordering on A^T A + A) and
+solves with the factor directly.  The true residual is recomputed and
+checked against ``lin_tol``, so solver error stays far below the
+conservation diagnostics.  Each solve raises ``SolverError`` on its own
+failure; the Picard loop raises it only for a stalled fixed point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 
@@ -91,11 +92,16 @@ class SimState:
 
 @dataclass
 class StepReport:
-    picard_iterations: int
-    picard_gap: float
+    picard_gap_history: list[float]  # the max-norm change of u on each Picard pass
     linear_residual: float  # the worst relative residual over the step's passes
-    mass_drift: float
-    picard_gap_history: list[float] = field(default_factory=list)
+
+    @property
+    def picard_iterations(self) -> int:
+        return len(self.picard_gap_history)
+
+    @property
+    def picard_gap(self) -> float:
+        return self.picard_gap_history[-1]
 
 
 @dataclass
@@ -108,7 +114,6 @@ class RunConfig:
     picard_tol: float = 1e-10
     picard_max: int = 30
     lin_tol: float = 1e-10
-    lin_max: int = 5000
     ic: str = "gaussian"
     ic_params: str = ""
     output_every: int = 0
@@ -122,9 +127,8 @@ class RunConfig:
         for name in ("picard_tol", "lin_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("picard_max", "lin_max"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.picard_max < 1:
+            raise ValueError(f"picard_max must be at least 1, got {self.picard_max}")
         if self.output_every < 0:
             raise ValueError(f"output_every must be nonnegative, got {self.output_every}")
         # the mollifier radius is bounded by the domain, which RegParams does not know
@@ -388,7 +392,6 @@ def parabolic_step(
     stream: ScalarField,
     dt: float,
     lin_tol: float = 1e-10,
-    lin_max: int = 5000,
     *,
     x0: ScalarField | None = None,
 ) -> tuple[ScalarField, float]:
@@ -400,7 +403,7 @@ def parabolic_step(
 
     One BiCGSTAB call, started from ``x0`` (default ``u_old``), is
     preconditioned by ``_cosine_preconditioner`` and takes at most
-    ``min(lin_max, _FAST_ITERATIONS)`` iterations.  If that call stops
+    ``_FAST_ITERATIONS`` iterations.  If that call stops
     short of its own 1e-14 target (the cap or a breakdown) or its
     recomputed relative residual is above ``lin_tol`` or not finite, the
     matrix is factored by ``splu`` (on a CSC copy) and solved directly with
@@ -419,7 +422,7 @@ def parabolic_step(
     start = (u_old if x0 is None else x0).values.ravel()
 
     M = _cosine_preconditioner(grid, w, dt, float(np.mean(0.5 * (D.d11 + D.d22))))
-    x, info = spla.bicgstab(A, b, x0=start.copy(), rtol=1e-14, atol=0.0, maxiter=min(lin_max, _FAST_ITERATIONS), M=M)
+    x, info = spla.bicgstab(A, b, x0=start.copy(), rtol=1e-14, atol=0.0, maxiter=_FAST_ITERATIONS, M=M)
     rel = float(np.linalg.norm(b - A @ x)) / bnorm
     if info != 0 or not rel <= lin_tol:  # capped, broken down, a miss, or nan
         try:
@@ -440,9 +443,7 @@ def parabolic_step(
 
 
 def _coupled_fields(u: ScalarField, cfg: RunConfig):
-    v, rep = PoissonSolver(cfg.grid).solve(diff_x1(u), tol=cfg.lin_tol)
-    if not rep.converged:
-        raise SolverError(f"stream-function solve missed its tolerance: residual {rep.residual_norm:.3e}")
+    v, _ = PoissonSolver(cfg.grid).solve(diff_x1(u), tol=cfg.lin_tol)
     q_eps = mollify(stream_velocity(v), cfg.reg.moll_radius)
     return v, dispersion_tensor_regularized(q_eps, cfg.phys, cfg.reg)
 
@@ -466,14 +467,12 @@ def picard_coupled_step(state: SimState, cfg: RunConfig, dt: float | None = None
     so its elliptic residual is below lin_tol.
     """
     dt = cfg.dt if dt is None else dt
-    u_n = state.u
-    mass_old = integrate(u_n)
-    u_k = u_n
+    u_n = u_k = state.u
     v_k, D_eps_k = state.v, state.D_eps
     gaps: list[float] = []
     lin_res = 0.0
     for _ in range(cfg.picard_max):
-        u_next, rel = parabolic_step(u_n, D_eps_k, v_k, dt, lin_tol=cfg.lin_tol, lin_max=cfg.lin_max, x0=u_k)
+        u_next, rel = parabolic_step(u_n, D_eps_k, v_k, dt, lin_tol=cfg.lin_tol, x0=u_k)
         lin_res = max(lin_res, rel)
         gap = float(np.max(np.abs(u_next.values - u_k.values)))
         gaps.append(gap)
@@ -485,16 +484,7 @@ def picard_coupled_step(state: SimState, cfg: RunConfig, dt: float | None = None
         raise SolverError(
             f"fixed-point iteration stalled after {cfg.picard_max} passes, last gap {gaps[-1]:.3e}"
         )
-    mass_new = integrate(u_k)
-    report = StepReport(
-        picard_iterations=len(gaps),
-        picard_gap=gaps[-1],
-        linear_residual=lin_res,
-        mass_drift=(mass_new - mass_old) / max(abs(mass_old), 1e-300),
-        picard_gap_history=gaps,
-    )
-    new_state = SimState(u_k, v_k, D_eps_k, t=state.t + dt, step=state.step + 1)
-    return new_state, report
+    return SimState(u_k, v_k, D_eps_k, t=state.t + dt, step=state.step + 1), StepReport(gaps, lin_res)
 
 
 def state_consistency_residual(state: SimState) -> float:

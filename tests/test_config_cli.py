@@ -1,7 +1,10 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from dispersim import transport
+from dispersim import config, transport
 from dispersim.cli import main
 from dispersim.config import ConfigError, parse_config, serialize_config
 from dispersim.elliptic import SolverError
@@ -25,7 +28,7 @@ def test_minimal_config_gets_defaults():
     assert cfg.grid.nx == 17 and cfg.grid.lx == 1.0
     assert cfg.reg.eps == 1e-6 and cfg.reg.moll_radius == 0.0
     assert cfg.picard_tol == 1e-10 and cfg.picard_max == 30
-    assert cfg.lin_tol == 1e-10 and cfg.lin_max == 5000
+    assert cfg.lin_tol == 1e-10
     assert cfg.ic_params == "" and cfg.output_every == 0 and cfg.outdir == ""
 
 
@@ -41,8 +44,21 @@ def test_isotropic_equality_allowed():
 
 
 def test_unknown_key_rejected_with_line():
-    with pytest.raises(ConfigError, match="line 11: unknown key 'bogus'"):
-        parse_config(MINIMAL + "bogus = 3\n")
+    # lin_max, the deleted BiCGSTAB cap, must be rejected at its line, not silently ignored
+    for key in ("bogus", "lin_max"):
+        with pytest.raises(ConfigError, match=f"line 11: unknown key '{key}'"):
+            parse_config(MINIMAL + f"{key} = 1\n")
+
+
+def test_documented_key_lists_match_config_keys():
+    keys = ", ".join(config.KEYS)
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = (
+        re.search(r"Keys \(exactly\):\s*```\n(.*?)```", readme, re.S).group(1),
+        re.search(r"Keys are exactly::\n\n(.*?)\n\n", config.__doc__, re.S).group(1),
+    )
+    for block in blocks:
+        assert " ".join(block.split()) == keys
 
 
 def test_missing_required_keys():
@@ -62,7 +78,7 @@ def test_nonpositive_dt_rejected():
         ("a", "0"), ("b", "0.5"), ("m", "0"), ("eps", "0"),
         ("moll_radius", "-0.1"), ("moll_radius", "0.6"),
         ("dt", "0"), ("t_end", "0.01"), ("picard_tol", "0"), ("picard_max", "0"),
-        ("lin_tol", "-1e-10"), ("lin_max", "0"), ("output_every", "-1"),
+        ("lin_tol", "-1e-10"), ("output_every", "-1"),
     ],
 )
 def test_invalid_value_reported_at_its_line(key, bad):
@@ -117,9 +133,15 @@ def test_cli_run_bad_config_exit_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
 
 
-def test_cli_run_solver_failure_exit_3(tmp_path):
-    cfg_path = _write_cfg(tmp_path, "picard_max = 1\npicard_tol = 1e-16\n")
-    assert main(["run", "--config", str(cfg_path), "--outdir", str(tmp_path / "o")]) == 3
+def test_cli_run_solver_failure_exit_3(tmp_path, capsys):
+    # a stalled fixed point, then a Poisson tolerance no solve can reach: each solve names its own failure
+    for extra, message in (
+        ("picard_max = 1\npicard_tol = 1e-16\n", "fixed-point iteration stalled"),
+        ("lin_tol = 1e-20\n", "Poisson solve on the 17x17 grid missed its tolerance"),
+    ):
+        cfg_path = _write_cfg(tmp_path, extra)
+        assert main(["run", "--config", str(cfg_path), "--outdir", str(tmp_path / "o")]) == 3
+        assert message in capsys.readouterr().err
 
 
 def test_factorization_failure_is_solver_failure(tmp_path, monkeypatch):
@@ -127,6 +149,7 @@ def test_factorization_failure_is_solver_failure(tmp_path, monkeypatch):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(transport.spla, "splu", singular)
+    monkeypatch.setattr(transport, "_FAST_ITERATIONS", 1)
     # the LU is the fallback for a cosine-preconditioned solve that misses
     # lin_tol; with a varying tensor one iteration does not reach it
     g = GridSpec(9, 9)
@@ -134,8 +157,8 @@ def test_factorization_failure_is_solver_failure(tmp_path, monkeypatch):
     D = SymTensorField(g, 1.0 + x1, 0.1 * x2, 2.0 - x2)
     u_old = ScalarField(g, np.exp(-((x1 - 0.5) ** 2 + (x2 - 0.5) ** 2) / 0.02))
     with pytest.raises(SolverError, match="exactly singular"):
-        transport.parabolic_step(u_old, D, ScalarField.full(g, 0.0), dt=0.1, lin_max=1)
-    cfg_path = _write_cfg(tmp_path, "lin_max = 1\n")
+        transport.parabolic_step(u_old, D, ScalarField.full(g, 0.0), dt=0.1)
+    cfg_path = _write_cfg(tmp_path)
     assert main(["run", "--config", str(cfg_path), "--outdir", str(tmp_path / "o")]) == 3
 
 
