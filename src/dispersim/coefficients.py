@@ -16,17 +16,19 @@ sqrt(|q|^2 + eps), which is smooth in q for every eps > 0:
 ``mollify`` smooths a velocity field componentwise with a compactly
 supported bump kernel; near the boundary the kernel is renormalized over
 in-domain nodes, which preserves constants exactly and never increases
-the max-norm.
+the max-norm.  The kernel and that normalizer are built once per grid
+and radius.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.ndimage import convolve
 
-from .grid import ScalarField, SymTensorField, VectorField, deriv1
+from .grid import GridSpec, ScalarField, SymTensorField, VectorField, deriv1
 
 
 @dataclass(frozen=True)
@@ -89,6 +91,19 @@ def bump_kernel(radius: float, hx: float, hy: float) -> np.ndarray:
     return k
 
 
+@lru_cache(maxsize=8)
+def _mollifier(grid: GridSpec, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """The bump kernel and its in-domain normalizer (the kernel convolved with ones), built once per grid and radius.
+
+    Both arrays are read-only.
+    """
+    kernel = bump_kernel(radius, grid.hx, grid.hy)
+    den = convolve(np.ones(grid.shape), kernel, mode="constant")
+    kernel.flags.writeable = False
+    den.flags.writeable = False
+    return kernel, den
+
+
 def mollify(q: VectorField, radius: float) -> VectorField:
     """Componentwise convolution with the normalized bump of the given radius."""
     if radius < 0:
@@ -98,8 +113,7 @@ def mollify(q: VectorField, radius: float) -> VectorField:
         raise ValueError(f"mollifier radius {radius} exceeds half the domain size")
     if radius == 0.0:
         return VectorField(g, q.comp1.copy(), q.comp2.copy())
-    kernel = bump_kernel(radius, g.hx, g.hy)
-    den = convolve(np.ones(g.shape), kernel, mode="constant")
+    kernel, den = _mollifier(g, radius)
     return VectorField(
         g,
         convolve(q.comp1, kernel, mode="constant") / den,

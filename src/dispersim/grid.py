@@ -10,13 +10,17 @@ accurate up to the edge of the domain (affine fields are differentiated
 exactly, quadratics exactly at interior nodes).
 
 Snapshot files are CSV with header ``x1,x2,value`` in the same row-major
-node order, written with 17 significant digits so a write/read round
-trip is bit-exact.
+node order, written with 17 significant digits, bit-exact round trip.
+The coordinate text of a grid is printed once into a cached per-grid
+template (one %-format string per grid row), so a write formats only the
+values, one grid row at a time.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -188,14 +192,32 @@ def integrate(f: ScalarField) -> float:
 # ---------------------------------------------------------------------------
 # snapshot files: CSV "x1,x2,value", row-major node order
 
+@lru_cache(maxsize=8)
+def _snapshot_template(grid: GridSpec) -> tuple[str, ...]:
+    """Per grid row, the %-format of its snapshot lines with x1 and x2 already printed.
+
+    ``tpl % tuple(row)`` fills in one row of values; built once per grid.
+    """
+    return tuple(
+        "".join("%.17g,%.17g," % (x1, x2) + "%.17g\n" for x1 in grid.x1.tolist())
+        for x2 in grid.x2.tolist()
+    )
+
+
 def write_snapshot(f: ScalarField, path) -> None:
-    x1, x2 = f.grid.nodes()
-    cols = np.column_stack([x1.ravel(), x2.ravel(), f.values.ravel()])
-    np.savetxt(path, cols, delimiter=",", header="x1,x2,value", comments="", fmt="%.17g")
+    with open(path, "w") as fh:
+        fh.write("x1,x2,value\n")
+        for tpl, row in zip(_snapshot_template(f.grid), f.values.tolist()):
+            fh.write(tpl % tuple(row))
 
 
 def read_snapshot(path, grid: GridSpec | None = None) -> ScalarField:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    """Load a snapshot; its coordinates must match ``grid``, or the grid they imply when it is None."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # numpy's empty-input warning; raised below instead
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[0] == 0:
+        raise ValueError(f"{path}: no data rows")
     if data.shape[1] != 3:
         raise ValueError(f"{path}: expected 3 columns x1,x2,value")
     x1s, x2s, vals = data[:, 0], data[:, 1], data[:, 2]
@@ -203,13 +225,11 @@ def read_snapshot(path, grid: GridSpec | None = None) -> ScalarField:
     if nx < 3 or data.shape[0] % nx != 0:
         raise ValueError(f"{path}: rows are not in row-major grid order")
     ny = data.shape[0] // nx
-    inferred = GridSpec(nx, ny, lx=float(x1s[nx - 1]), ly=float(x2s[-1]))
-    if grid is not None:
-        gx1, gx2 = grid.nodes()
-        if (nx, ny) != (grid.nx, grid.ny) or not (
-            np.allclose(x1s, gx1.ravel(), rtol=1e-12, atol=1e-14)
-            and np.allclose(x2s, gx2.ravel(), rtol=1e-12, atol=1e-14)
-        ):
-            raise ValueError(f"{path}: node coordinates do not match the {grid.nx}x{grid.ny} grid")
-        return ScalarField(grid, vals)
-    return ScalarField(inferred, vals)
+    grid = grid or GridSpec(nx, ny, lx=float(x1s[nx - 1]), ly=float(x2s[-1]))
+    gx1, gx2 = grid.nodes()
+    if (nx, ny) != (grid.nx, grid.ny) or not (
+        np.allclose(x1s, gx1.ravel(), rtol=1e-12, atol=1e-14)
+        and np.allclose(x2s, gx2.ravel(), rtol=1e-12, atol=1e-14)
+    ):
+        raise ValueError(f"{path}: node coordinates do not match the {grid.nx}x{grid.ny} grid")
+    return ScalarField(grid, vals)

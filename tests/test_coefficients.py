@@ -5,11 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.ndimage import convolve
 
 import dispersim
 from dispersim.coefficients import (
     PhysParams,
     RegParams,
+    _mollifier,
+    bump_kernel,
     dispersion_tensor,
     dispersion_tensor_regularized,
     divergence,
@@ -121,6 +124,21 @@ def test_mollify_matches_loop_convolution_on_unequal_spacing():
             den[dst] += w
     assert np.max(np.abs(out.comp1 - num1 / den)) <= 1e-13
     assert np.max(np.abs(out.comp2 - num2 / den)) <= 1e-13
+
+
+def test_mollify_cache_matches_uncached_formula():
+    # the grid of the loop test above; a second radius catches a stale cache entry
+    g = GridSpec(41, 25, lx=1.0, ly=0.8)
+    rng = np.random.default_rng(11)
+    q = VectorField(g, rng.uniform(-1, 1, g.shape), rng.uniform(-1, 1, g.shape))
+    for r in (0.1, 0.15):
+        kernel = bump_kernel(r, g.hx, g.hy)
+        den = convolve(np.ones(g.shape), kernel, mode="constant")
+        out = mollify(q, r)
+        assert np.array_equal(out.comp1, convolve(q.comp1, kernel, mode="constant") / den)
+        assert np.array_equal(out.comp2, convolve(q.comp2, kernel, mode="constant") / den)
+        cached_kernel, cached_den = _mollifier(g, r)
+        assert not cached_kernel.flags.writeable and not cached_den.flags.writeable
 
 
 def test_run_path_does_not_import_scipy_signal():

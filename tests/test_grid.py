@@ -1,9 +1,16 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
+from dispersim import transport
+from dispersim.acceptance import reference_config
+from dispersim.coefficients import RegParams
 from dispersim.grid import (
     GridSpec,
     ScalarField,
+    _snapshot_template,
     diff_x1,
     diff_x2,
     hessian,
@@ -11,6 +18,13 @@ from dispersim.grid import (
     read_snapshot,
     write_snapshot,
 )
+
+
+def _savetxt_snapshot(f, path):
+    """The reference writer: every coordinate and value through np.savetxt."""
+    x1, x2 = f.grid.nodes()
+    cols = np.column_stack([x1.ravel(), x2.ravel(), f.values.ravel()])
+    np.savetxt(path, cols, delimiter=",", header="x1,x2,value", comments="", fmt="%.17g")
 
 
 def test_grid_too_small_rejected():
@@ -144,3 +158,53 @@ def test_snapshot_grid_mismatch(tmp_path):
     write_snapshot(f, path)
     with pytest.raises(ValueError, match="grid"):
         read_snapshot(path, GridSpec(13, 11))
+
+
+@pytest.mark.parametrize("g", [GridSpec(11, 13, lx=0.7, ly=1.9), GridSpec(17, 9, lx=2.5, ly=0.3)])
+def test_snapshot_bytes_match_savetxt(tmp_path, g):
+    rng = np.random.default_rng(7)
+    vals = rng.standard_normal(g.shape) * np.pi
+    vals.flat[:8] = [5e-324, -0.0, 1e300, -1e300, 1e-300, 1.0 / 3.0, 0.0, -1.0]
+    f = ScalarField(g, vals)
+    write_snapshot(f, tmp_path / "new.csv")
+    _savetxt_snapshot(f, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert np.array_equal(read_snapshot(tmp_path / "new.csv", g).values, vals)
+
+
+def test_snapshot_template_cached_per_grid():
+    g = GridSpec(11, 13, lx=0.7, ly=1.9)
+    assert _snapshot_template(g) is _snapshot_template(g)
+    assert len(_snapshot_template(g)) == g.ny
+
+
+def test_snapshot_rows_out_of_order_rejected(tmp_path):
+    g = GridSpec(5, 4)
+    path = tmp_path / "field.csv"
+    write_snapshot(ScalarField(g, np.arange(20.0)), path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[7], lines[8] = lines[8], lines[7]  # rows 6 and 7, after the header
+    path.write_text("".join(lines))
+    for grid in (None, g):
+        with pytest.raises(ValueError, match="node coordinates do not match the 5x4 grid"):
+            read_snapshot(path, grid)
+
+
+def test_snapshot_header_only_rejected(tmp_path):
+    path = tmp_path / "field.csv"
+    path.write_text("x1,x2,value\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no data rows"):
+            read_snapshot(path)
+
+
+def test_run_snapshots_match_savetxt(tmp_path):
+    cfg = dataclasses.replace(reference_config(17), reg=RegParams(moll_radius=0.1), output_every=1)
+    traj = transport.run(cfg, tmp_path / "run")
+    assert len(traj.states) == round(cfg.t_end / cfg.dt) + 1
+    for st in traj.states:
+        for name, field in (("u", st.u), ("v", st.v)):
+            _savetxt_snapshot(field, tmp_path / "oracle.csv")
+            written = tmp_path / "run" / f"{name}_{st.step:06d}.csv"
+            assert written.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
