@@ -15,20 +15,22 @@ sqrt(|q|^2 + eps), which is smooth in q for every eps > 0:
 
 ``mollify`` smooths a velocity field componentwise with a compactly
 supported bump kernel; near the boundary the kernel is renormalized over
-in-domain nodes, which preserves constants exactly and never increases
-the max-norm.  The kernel and that normalizer are built once per grid
-and radius.
+in-domain nodes, which preserves constants and does not increase the
+max-norm, both up to rounding.  Both components and the normalizer are
+linear "same"-size convolutions, evaluated with zero-padded FFTs
+(``grid.LatticeConvolution``); the kernel's spectrum and the normalizer
+(the convolution of a field of ones) are built once per grid and radius.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.ndimage import convolve
 
-from .grid import GridSpec, ScalarField, SymTensorField, VectorField, deriv1
+from .grid import GridSpec, LatticeConvolution, ScalarField, SymTensorField, VectorField, deriv1
 
 
 @dataclass(frozen=True)
@@ -44,8 +46,8 @@ class PhysParams:
 
     def __post_init__(self):
         for name in ("a", "b", "m"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.b < self.a:
             raise ValueError(f"dispersion ordering requires b > a (or b == a), got a={self.a}, b={self.b}")
 
@@ -58,10 +60,10 @@ class RegParams:
     moll_radius: float = 0.0
 
     def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.moll_radius < 0:
-            raise ValueError(f"moll_radius must be nonnegative, got {self.moll_radius}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
+        if not (math.isfinite(self.moll_radius) and self.moll_radius >= 0):
+            raise ValueError(f"moll_radius must be nonnegative and finite, got {self.moll_radius}")
 
 
 def stream_velocity(v: ScalarField) -> VectorField:
@@ -92,20 +94,24 @@ def bump_kernel(radius: float, hx: float, hy: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _mollifier(grid: GridSpec, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """The bump kernel and its in-domain normalizer (the kernel convolved with ones), built once per grid and radius.
+def _mollifier(grid: GridSpec, radius: float) -> tuple[LatticeConvolution, np.ndarray]:
+    """The convolution with the bump kernel and its in-domain normalizer (the convolution of ones), once per grid and radius.
 
-    Both arrays are read-only.
+    The kernel's spectrum and the normalizer are read-only.
     """
-    kernel = bump_kernel(radius, grid.hx, grid.hy)
-    den = convolve(np.ones(grid.shape), kernel, mode="constant")
-    kernel.flags.writeable = False
+    conv = LatticeConvolution(bump_kernel(radius, grid.hx, grid.hy), grid.shape)
+    den = conv(np.ones(grid.shape))
     den.flags.writeable = False
-    return kernel, den
+    return conv, den
 
 
 def mollify(q: VectorField, radius: float) -> VectorField:
-    """Componentwise convolution with the normalized bump of the given radius."""
+    """Componentwise convolution with the bump of the given radius, normalized over in-domain nodes.
+
+    Both components go through one FFT convolution against the kernel
+    spectrum cached per grid and radius.  Constants are preserved and the
+    max-norm does not grow, up to rounding; radius 0 returns a copy.
+    """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     g = q.grid
@@ -113,12 +119,9 @@ def mollify(q: VectorField, radius: float) -> VectorField:
         raise ValueError(f"mollifier radius {radius} exceeds half the domain size")
     if radius == 0.0:
         return VectorField(g, q.comp1.copy(), q.comp2.copy())
-    kernel, den = _mollifier(g, radius)
-    return VectorField(
-        g,
-        convolve(q.comp1, kernel, mode="constant") / den,
-        convolve(q.comp2, kernel, mode="constant") / den,
-    )
+    conv, den = _mollifier(g, radius)
+    smooth = conv(np.stack((q.comp1, q.comp2))) / den
+    return VectorField(g, smooth[0], smooth[1])
 
 
 def dispersion_entries(q1, q2, p: PhysParams, eps: float = 0.0):

@@ -14,15 +14,21 @@ node order, written with 17 significant digits, bit-exact round trip.
 The coordinate text of a grid is printed once into a cached per-grid
 template (one %-format string per grid row), so a write formats only the
 values, one grid row at a time.
+
+``LatticeConvolution`` is the one FFT convolution of the package: a
+linear "same"-size convolution of node arrays with a fixed kernel, whose
+zero-padded spectrum is taken once when it is built.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.fft import irfft2, next_fast_len, rfft2
 
 
 @dataclass(frozen=True)
@@ -39,8 +45,8 @@ class GridSpec:
             if getattr(self, name) < 3:
                 raise ValueError(f"grid too small: {name} must be at least 3, got {self.nx}x{self.ny}")
         for name in ("lx", "ly"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
     @property
     def hx(self) -> float:
@@ -187,6 +193,33 @@ def hessian(f: ScalarField) -> SymTensorField:
 def integrate(f: ScalarField) -> float:
     """Trapezoidal quadrature over the rectangle; exact for affine integrands."""
     return float(np.sum(f.grid.cell_weights() * f.values))
+
+
+# ---------------------------------------------------------------------------
+# convolution over the node lattice
+
+class LatticeConvolution:
+    """Linear "same"-size convolution of (..., ny, nx) node arrays with one centred kernel of odd size.
+
+    Entry (j, i) of the result sums kernel[K + dj, L + di] * values[j - dj, i - di]
+    over the offsets that stay on the grid, where (K, L) is the kernel's
+    centre: values beyond the grid count as zero.  Each axis is zero-padded
+    to next_fast_len(n + k - 1), long enough that the circular FFT
+    convolution is the linear one.  The kernel's rfft2 is taken once, here,
+    and is read-only; a call transforms a stack of fields in one rfft2 over
+    the last two axes and crops the centred window.
+    """
+
+    def __init__(self, kernel: np.ndarray, shape: tuple[int, int]):
+        (ky, kx), (ny, nx) = kernel.shape, shape
+        self.padded = (next_fast_len(ny + ky - 1, real=True), next_fast_len(nx + kx - 1, real=True))
+        self.window = (slice(ky // 2, ky // 2 + ny), slice(kx // 2, kx // 2 + nx))
+        self.spectrum = rfft2(kernel, s=self.padded)
+        self.spectrum.flags.writeable = False
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        full = irfft2(rfft2(values, s=self.padded) * self.spectrum, s=self.padded)
+        return full[(..., *self.window)]
 
 
 # ---------------------------------------------------------------------------

@@ -49,10 +49,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import irfft2, next_fast_len, rfft2
 
 from .coefficients import PhysParams, dispersion_entries
-from .grid import GridSpec, ScalarField
+from .grid import GridSpec, LatticeConvolution, ScalarField
 
 # ---------------------------------------------------------------------------
 # fourth-order finite differences with one-sided boundary closures
@@ -586,24 +585,20 @@ def _log_cell_integral(hx: float, hy: float) -> float:
 
 
 @lru_cache(maxsize=8)
-def _log_kernel_spectrum(grid: GridSpec) -> tuple[tuple[int, int], np.ndarray]:
-    """The padded shape and the rfft2 of the log-kernel offset table, once per grid; the spectrum is read-only.
+def _log_kernel_convolution(grid: GridSpec) -> LatticeConvolution:
+    """The convolution with the log-kernel offset table, whose spectrum is taken once per grid.
 
     Entry (ny - 1 + dj, nx - 1 + di) of the table is |ln|d|| hx hy at the
     offset d = (di hx, dj hy), |di| <= nx - 1, |dj| <= ny - 1; the zero offset
-    holds the analytic integral over the singular cell.  Padding each axis to
-    at least 3n - 2 makes the circular convolution with an (ny, nx) field a
-    linear one.
+    holds the analytic integral over the singular cell.  The table reaches
+    across the whole grid, so each axis is padded to at least 3n - 2.
     """
     ny, nx = grid.shape
     d = np.hypot(np.arange(1 - ny, ny)[:, None] * grid.hy, np.arange(1 - nx, nx)[None, :] * grid.hx)
     d[ny - 1, nx - 1] = 1.0
     table = np.abs(np.log(d)) * (grid.hx * grid.hy)
     table[ny - 1, nx - 1] = _log_cell_integral(grid.hx, grid.hy)
-    shape = (next_fast_len(3 * ny - 2, real=True), next_fast_len(3 * nx - 2, real=True))
-    spectrum = rfft2(table, s=shape)
-    spectrum.flags.writeable = False
-    return shape, spectrum
+    return LatticeConvolution(table, grid.shape)
 
 
 def log_kernel_average(f: ScalarField, radius: float, center: tuple[float, float]) -> float:
@@ -633,7 +628,4 @@ def log_kernel_average(f: ScalarField, radius: float, center: tuple[float, float
     near = dist2 <= (2.0 * radius) ** 2
     if not near.any():
         return 0.0
-    shape, spectrum = _log_kernel_spectrum(g)
-    conv = irfft2(rfft2(fv, s=shape) * spectrum, s=shape)
-    ny, nx = g.shape
-    return max(0.0, float(conv[ny - 1:2 * ny - 1, nx - 1:2 * nx - 1][near].max()))
+    return max(0.0, float(_log_kernel_convolution(g)(fv)[near].max()))

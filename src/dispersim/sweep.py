@@ -45,16 +45,25 @@ def apply_value(cfg: RunConfig, name: str, value: float) -> RunConfig:
 
 
 def run_sweep(cfg: RunConfig, name: str, values: list[float], outdir) -> list[Trajectory]:
-    """Run every parameter value; summary rows are ordered by value."""
-    variants = [(v, apply_value(cfg, name, v)) for v in sorted(values)]  # validate all before writing
+    """Run every parameter value; summary rows are ordered by value.
+
+    Every value is validated, and must get a run directory of its own,
+    before anything is written.
+    """
+    variants = [(f"{name}_{v:g}", v, apply_value(cfg, name, v)) for v in sorted(values)]
+    by_dir: dict[str, list[float]] = {}
+    for subdir, v, _ in variants:
+        by_dir.setdefault(subdir, []).append(v)
+    shared = [f"{', '.join(f'{name}={v!r}' for v in vs)} in {d}" for d, vs in by_dir.items() if len(vs) > 1]
+    if shared:
+        raise ConfigError(f"sweep values would share a run directory: {'; '.join(shared)}")
     base = Path(outdir)
     base.mkdir(parents=True, exist_ok=True)
     results: list[Trajectory] = []
     with open(base / "summary.csv", "w") as fh:
         fh.write("param,value," + ",".join(DIAGNOSTIC_COLUMNS) + "\n")
-        for v, variant in variants:
-            subdir = base / f"{name}_{v:g}"
-            tr = run(variant, outdir=subdir)
+        for subdir, v, variant in variants:
+            tr = run(variant, outdir=base / subdir)
             results.append(tr)
             fh.write(f"{name},{v:.17g}," + _format_row(tr.diagnostics[-1]) + "\n")
             fh.flush()

@@ -120,13 +120,11 @@ class RunConfig:
     outdir: str = ""
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        for name in ("dt", "t_end", "picard_tol", "lin_tol"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.t_end < self.dt:
             raise ValueError(f"t_end must be at least dt, got t_end={self.t_end}, dt={self.dt}")
-        for name in ("picard_tol", "lin_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.picard_max < 1:
             raise ValueError(f"picard_max must be at least 1, got {self.picard_max}")
         if self.output_every < 0:

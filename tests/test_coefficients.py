@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -5,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.ndimage import convolve
 
 import dispersim
@@ -126,28 +129,72 @@ def test_mollify_matches_loop_convolution_on_unequal_spacing():
     assert np.max(np.abs(out.comp2 - num2 / den)) <= 1e-13
 
 
+def _ndimage_mollify(q, r):
+    # the direct convolution: scipy.ndimage with zeros beyond the grid, normalized by the convolution of ones
+    kernel = bump_kernel(r, q.grid.hx, q.grid.hy)
+    den = convolve(np.ones(q.grid.shape), kernel, mode="constant")
+    return convolve(q.comp1, kernel, mode="constant") / den, convolve(q.comp2, kernel, mode="constant") / den
+
+
 def test_mollify_cache_matches_uncached_formula():
     # the grid of the loop test above; a second radius catches a stale cache entry
     g = GridSpec(41, 25, lx=1.0, ly=0.8)
     rng = np.random.default_rng(11)
     q = VectorField(g, rng.uniform(-1, 1, g.shape), rng.uniform(-1, 1, g.shape))
     for r in (0.1, 0.15):
-        kernel = bump_kernel(r, g.hx, g.hy)
-        den = convolve(np.ones(g.shape), kernel, mode="constant")
         out = mollify(q, r)
-        assert np.array_equal(out.comp1, convolve(q.comp1, kernel, mode="constant") / den)
-        assert np.array_equal(out.comp2, convolve(q.comp2, kernel, mode="constant") / den)
-        cached_kernel, cached_den = _mollifier(g, r)
-        assert not cached_kernel.flags.writeable and not cached_den.flags.writeable
+        conv, den = _mollifier.__wrapped__(g, r)
+        fresh = conv(np.stack((q.comp1, q.comp2))) / den
+        assert np.array_equal(out.comp1, fresh[0]) and np.array_equal(out.comp2, fresh[1])
+        for got, ref in zip((out.comp1, out.comp2), _ndimage_mollify(q, r)):
+            assert np.max(np.abs(got - ref)) <= 1e-13
+        cached_conv, cached_den = _mollifier(g, r)
+        assert not cached_conv.spectrum.flags.writeable and not cached_den.flags.writeable
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nx=st.integers(3, 40),
+    ny=st.integers(3, 40),
+    lx=st.floats(0.2, 3.0),
+    ly=st.floats(0.2, 3.0),
+    frac=st.floats(0.01, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mollify_property_against_direct_convolution(nx, ny, lx, ly, frac, seed):
+    g = GridSpec(nx, ny, lx=lx, ly=ly)
+    r = frac * 0.5 * min(lx, ly)
+    rng = np.random.default_rng(seed)
+    q = VectorField(g, rng.uniform(-1, 1, g.shape), rng.uniform(-1, 1, g.shape) * 10.0 ** rng.uniform(-3, 3))
+    out = mollify(q, r)
+    for got, ref, comp in zip((out.comp1, out.comp2), _ndimage_mollify(q, r), (q.comp1, q.comp2)):
+        qmax = np.max(np.abs(comp))
+        assert np.max(np.abs(got - ref)) <= 1e-13 * qmax
+        assert np.max(np.abs(got)) <= qmax * (1.0 + 1e-14)
+    c1, c2 = rng.uniform(-5, 5, 2)
+    const = mollify(_const_vector(g, c1, c2), r)
+    assert np.max(np.abs(const.comp1 - c1)) <= 1e-13 * abs(c1)
+    assert np.max(np.abs(const.comp2 - c2)) <= 1e-13 * abs(c2)
+
+
+@functools.cache
+def _run_path_modules() -> frozenset[str]:
+    # one fresh interpreter serves every import test below
+    code = "import sys, dispersim.transport, dispersim.acceptance, dispersim.verify; print(' '.join(sys.modules))"
+    src = str(Path(dispersim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    return frozenset(out.stdout.split())
 
 
 def test_run_path_does_not_import_scipy_signal():
     # scipy.signal drags in a few hundred modules that no run needs
-    code = "import sys, dispersim.transport, dispersim.acceptance, dispersim.verify; print('scipy.signal' in sys.modules)"
-    src = str(Path(dispersim.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "False"
+    assert "scipy.signal" not in _run_path_modules()
+
+
+def test_run_path_does_not_import_scipy_ndimage():
+    # the mollifier convolves by FFT, so nothing on the run path needs scipy.ndimage
+    assert "scipy.ndimage" not in _run_path_modules()
 
 
 def test_mollify_radius_too_large():

@@ -95,6 +95,22 @@ def test_invalid_value_reported_at_its_line(key, bad):
     assert info.value.line == lineno
 
 
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+@pytest.mark.parametrize(
+    "key", ["lx", "ly", "a", "b", "m", "eps", "moll_radius", "dt", "t_end", "picard_tol", "lin_tol"]
+)
+def test_cli_run_non_finite_value_exit_2_at_its_line(tmp_path, capsys, key, bad):
+    lines = MINIMAL.splitlines()
+    lineno = next((i for i, line in enumerate(lines, start=1) if line.startswith(f"{key} =")), len(lines) + 1)
+    lines[lineno - 1:lineno] = [f"{key} = {bad}"]
+    path = tmp_path / "run.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["run", "--config", str(path), "--outdir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: line {lineno}: {key} " in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_malformed_line():
     with pytest.raises(ConfigError, match="line 2"):
         parse_config("nx = 9\nny 9\n")
@@ -225,6 +241,15 @@ def test_cli_sweep_validates_every_value_before_running(tmp_path):
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", str(cfg_path), "--param", "moll_radius=0.1,0.9", "--outdir", str(out)]) == 2
     assert not list(tmp_path.glob("sweep/moll_radius_*"))
+
+
+@pytest.mark.parametrize("values", ["0.01,0.010000001", "0.02,0.01,0.02"])
+def test_cli_sweep_rejects_values_sharing_a_run_directory(tmp_path, capsys, values):
+    cfg_path = _write_cfg(tmp_path)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg_path), "--param", f"dt={values}", "--outdir", str(out)]) == 2
+    assert "share a run directory" in capsys.readouterr().err
+    assert not list(tmp_path.glob("sweep/dt_*"))
 
 
 def test_cli_verify_identities(tmp_path, monkeypatch, capsys):

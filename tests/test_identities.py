@@ -9,7 +9,7 @@ from dispersim.identities import (
     IdentityWorkspace,
     RecursionParams,
     _log_cell_integral,
-    _log_kernel_spectrum,
+    _log_kernel_convolution,
     forcing_coefficients,
     log_kernel_average,
     power_equation_residual,
@@ -442,10 +442,10 @@ def test_log_kernel_rejects_nan_inside_ball():
 
 
 def test_log_kernel_spectrum_cached_per_grid():
-    shape, spectrum = _log_kernel_spectrum(GridSpec(33, 21, 1.3, 0.7))
-    assert _log_kernel_spectrum(GridSpec(33, 21, 1.3, 0.7))[1] is spectrum
-    assert shape[0] >= 3 * 21 - 2 and shape[1] >= 3 * 33 - 2
-    assert not spectrum.flags.writeable
+    conv = _log_kernel_convolution(GridSpec(33, 21, 1.3, 0.7))
+    assert _log_kernel_convolution(GridSpec(33, 21, 1.3, 0.7)) is conv
+    assert conv.padded[0] >= 3 * 21 - 2 and conv.padded[1] >= 3 * 33 - 2
+    assert not conv.spectrum.flags.writeable
 
 
 def test_log_kernel_zero_field():
