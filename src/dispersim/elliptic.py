@@ -80,8 +80,8 @@ class PoissonSolver:
 
     def solve(self, rhs: ScalarField, tol: float = 1e-10) -> tuple[ScalarField, EllipticSolveReport]:
         """Solve lap(v) = rhs, v = 0 on the boundary; raise ``SolverError`` if ||Av-b|| > tol*||b||."""
-        if tol <= 0:
-            raise ValueError("tol must be positive")
+        if not tol > 0:  # also rejects nan
+            raise ValueError(f"tol must be positive, got {tol}")
         if rhs.grid != self.grid:
             raise ValueError("rhs is on a different grid")
         b = -rhs.values[1:-1, 1:-1]

@@ -38,7 +38,11 @@ analysis rests on:
 
 Stencils here are fourth-order in space (one-sided closures at the
 boundary keep the order uniform) so identity residuals decay fast enough
-to be separated from rounding at desk-scale grids.  Time derivatives of
+to be separated from rounding at desk-scale grids.  ``grad_4``, ``div_4``
+and ``hess_4`` are the one way this module and ``mapped_domain``
+differentiate a node array, ``contract`` is the one A:S, and
+``windowed_residual`` the one windowed max-norm; ``deriv1_4`` and
+``deriv2_4`` are their one-axis building blocks.  Time derivatives of
 manufactured fields use second-order central differences.
 """
 
@@ -91,12 +95,39 @@ def deriv2_4(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     return out
 
 
+def grad_4(f: np.ndarray, h1: float, h2: float) -> tuple[np.ndarray, np.ndarray]:
+    """(f_x1, f_x2) on a node array indexed [x2, x1] with spacings h1 along x1 and h2 along x2."""
+    return deriv1_4(f, h1, axis=1), deriv1_4(f, h2, axis=0)
+
+
+def div_4(f1: np.ndarray, f2: np.ndarray, h1: float, h2: float) -> np.ndarray:
+    """Divergence f1_x1 + f2_x2 of the vector field (f1, f2)."""
+    return deriv1_4(f1, h1, axis=1) + deriv1_4(f2, h2, axis=0)
+
+
+def hess_4(f: np.ndarray, h1: float, h2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(f_11, f_12, f_22), the mixed entry differentiating along x2 first."""
+    f12 = deriv1_4(deriv1_4(f, h2, axis=0), h1, axis=1)
+    return deriv2_4(f, h1, axis=1), f12, deriv2_4(f, h2, axis=0)
+
+
+def contract(a, s):
+    """A:S = a11 s11 + 2 a12 s12 + a22 s22 for symmetric 2x2 matrices given as (11, 12, 22) entries."""
+    return a[0] * s[0] + 2.0 * a[1] * s[1] + a[2] * s[2]
+
+
 def sub_box(arr: np.ndarray, rect: tuple[float, float, float, float]) -> np.ndarray:
     """Nodes of ``arr`` inside ``rect`` = (x1_lo, x1_hi, x2_lo, x2_hi), given as fractions of each axis."""
     n2, n1 = arr.shape
     i0, i1 = int(np.ceil(rect[0] * (n1 - 1))), int(np.floor(rect[1] * (n1 - 1))) + 1
     j0, j1 = int(np.ceil(rect[2] * (n2 - 1))), int(np.floor(rect[3] * (n2 - 1))) + 1
     return arr[j0:j1, i0:i1]
+
+
+def windowed_residual(arr: np.ndarray, rect: tuple[float, float, float, float]) -> tuple[np.ndarray, float]:
+    """The ``sub_box`` of a residual field and its max-norm."""
+    res = sub_box(arr, rect)
+    return res, float(np.max(np.abs(res)))
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +168,7 @@ def sandwich_identity_residuals(d11, d12, d22, s11, s12, s22) -> np.ndarray:
     m11 = t11 * s11 + t12 * s12
     m12 = t11 * s12 + t12 * s22
     m22 = t21 * s12 + t22 * s22
-    c = d11 * s11 + 2.0 * d12 * s12 + d22 * s22
+    c = contract((d11, d12, d22), (s11, s12, s22))
     det_s = s11 * s22 - s12 * s12
     r11 = m11 - c * s11 + det_s * d22
     r12 = m12 - c * s12 - det_s * d12
@@ -374,27 +405,25 @@ def power_equation_residual(u_fn, v_fn, params: PhysParams, j: int, grid: GridSp
     for tag, t in (("-", _POWER_T0 - dt_fd), ("0", _POWER_T0), ("+", _POWER_T0 + dt_fd)):
         u = np.asarray(u_fn(x1m, x2m, t), dtype=float)
         v = np.asarray(v_fn(x1m, x2m, t), dtype=float)
-        q1 = -deriv1_4(v, hy, axis=0)
-        q2 = deriv1_4(v, hx, axis=1)
-        d11, d12, d22 = dispersion_entries(q1, q2, params, _POWER_REG_EPS)
-        ux1 = deriv1_4(u, hx, axis=1)
-        ux2 = deriv1_4(u, hy, axis=0)
+        v1, v2 = grad_4(v, hx, hy)
+        d11, d12, d22 = dispersion_entries(-v2, v1, params, _POWER_REG_EPS)
+        ux1, ux2 = grad_4(u, hx, hy)
         phi = _quad_form(d11, d12, d22, ux1, ux2)
         slices[tag] = dict(u=u, d11=d11, d12=d12, d22=d22, ux1=ux1, ux2=ux2, phi=phi, psi=phi**j)
 
     s0, sm, sp = slices["0"], slices["-"], slices["+"]
     inv2dt = 1.0 / (2.0 * dt_fd)
     u_t = (sp["u"] - sm["u"]) * inv2dt
-    u11 = deriv2_4(s0["u"], hx, axis=1)
-    u22 = deriv2_4(s0["u"], hy, axis=0)
-    u12 = deriv1_4(deriv1_4(s0["u"], hy, axis=0), hx, axis=1)
-    w = u_t - (s0["d11"] * u11 + 2.0 * s0["d12"] * u12 + s0["d22"] * u22)
+    w = u_t - contract((s0["d11"], s0["d12"], s0["d22"]), hess_4(s0["u"], hx, hy))
+    d11_x1, d11_x2 = grad_4(s0["d11"], hx, hy)
+    d12_x1, d12_x2 = grad_4(s0["d12"], hx, hy)
+    d22_x1, d22_x2 = grad_4(s0["d22"], hx, hy)
 
     ws = IdentityWorkspace(
         ux1=s0["ux1"], ux2=s0["ux2"], u_t=u_t, w=w,
         d11=s0["d11"], d12=s0["d12"], d22=s0["d22"],
-        d11_x1=deriv1_4(s0["d11"], hx, 1), d12_x1=deriv1_4(s0["d12"], hx, 1), d22_x1=deriv1_4(s0["d22"], hx, 1),
-        d11_x2=deriv1_4(s0["d11"], hy, 0), d12_x2=deriv1_4(s0["d12"], hy, 0), d22_x2=deriv1_4(s0["d22"], hy, 0),
+        d11_x1=d11_x1, d12_x1=d12_x1, d22_x1=d22_x1,
+        d11_x2=d11_x2, d12_x2=d12_x2, d22_x2=d22_x2,
         d11_t=(sp["d11"] - sm["d11"]) * inv2dt,
         d12_t=(sp["d12"] - sm["d12"]) * inv2dt,
         d22_t=(sp["d22"] - sm["d22"]) * inv2dt,
@@ -403,12 +432,11 @@ def power_equation_residual(u_fn, v_fn, params: PhysParams, j: int, grid: GridSp
 
     psi = s0["psi"]
     psi_t = (sp["psi"] - sm["psi"]) * inv2dt
-    psi_x1 = deriv1_4(psi, hx, axis=1)
-    psi_x2 = deriv1_4(psi, hy, axis=0)
+    psi_x1, psi_x2 = grad_4(psi, hx, hy)
     p1 = (s0["d11"] * psi_x1 + s0["d12"] * psi_x2) / psi
     p2 = (s0["d12"] * psi_x1 + s0["d22"] * psi_x2) / psi
-    lhs = psi_t / psi - (deriv1_4(p1, hx, axis=1) + deriv1_4(p2, hy, axis=0))
-    div_flux = deriv1_4(fc.flux1, hx, axis=1) + deriv1_4(fc.flux2, hy, axis=0)
+    lhs = psi_t / psi - div_4(p1, p2, hx, hy)
+    div_flux = div_4(fc.flux1, fc.flux2, hx, hy)
     rhs = (fc.drift1 * psi_x1 + fc.drift2 * psi_x2) / psi + j * fc.source + j * div_flux
 
     grad_mag = sub_box(np.hypot(s0["ux1"], s0["ux2"]), _POWER_BOX)
@@ -416,8 +444,7 @@ def power_equation_residual(u_fn, v_fn, params: PhysParams, j: int, grid: GridSp
         raise ValueError(
             f"|grad u| dips to {grad_mag.min():.3g} < {_POWER_GRAD_FLOOR} on the evaluation sub-rectangle"
         )
-    res = sub_box(lhs - rhs, _POWER_BOX)
-    return res, float(np.max(np.abs(res)))
+    return windowed_residual(lhs - rhs, _POWER_BOX)
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +462,10 @@ def _random_smooth(grid: GridSpec, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
+def _max_abs(*residuals: np.ndarray) -> float:
+    return float(max(np.max(np.abs(r)) for r in residuals))
+
+
 def vector_calc_residuals(grid: GridSpec, seed: int = 0) -> dict[str, float]:
     """Max-norm residuals of the product-rule identities on random smooth fields.
 
@@ -443,74 +474,55 @@ def vector_calc_residuals(grid: GridSpec, seed: int = 0) -> dict[str, float]:
     """
     rng = np.random.default_rng(seed)
     hx, hy = grid.hx, grid.hy
-
-    def d1(v):
-        return deriv1_4(v, hx, axis=1)
-
-    def d2(v):
-        return deriv1_4(v, hy, axis=0)
-
     f1, f2 = _random_smooth(grid, rng), _random_smooth(grid, rng)
     g1, g2 = _random_smooth(grid, rng), _random_smooth(grid, rng)
     a11, a12, a22 = _random_smooth(grid, rng), _random_smooth(grid, rng), _random_smooth(grid, rng)
     u = _random_smooth(grid, rng)
+    f1_1, f1_2 = grad_4(f1, hx, hy)
+    f2_1, f2_2 = grad_4(f2, hx, hy)
+    g1_1, g1_2 = grad_4(g1, hx, hy)
+    g2_1, g2_2 = grad_4(g2, hx, hy)
+    a11_1, a11_2 = grad_4(a11, hx, hy)
+    a12_1, a12_2 = grad_4(a12, hx, hy)
+    a22_1, a22_2 = grad_4(a22, hx, hy)
+    u_1, u_2 = grad_4(u, hx, hy)
+    diva1 = a11_1 + a12_2
+    diva2 = a12_1 + a22_2
     out: dict[str, float] = {}
 
     # grad(F.G) = grad(F) G + grad(G) F, with grad(F)_{ij} = d_i F_j
-    dot = f1 * g1 + f2 * g2
-    lhs1, lhs2 = d1(dot), d2(dot)
-    rhs1 = d1(f1) * g1 + d1(f2) * g2 + d1(g1) * f1 + d1(g2) * f2
-    rhs2 = d2(f1) * g1 + d2(f2) * g2 + d2(g1) * f1 + d2(g2) * f2
-    out["grad-of-dot"] = float(max(np.max(np.abs(lhs1 - rhs1)), np.max(np.abs(lhs2 - rhs2))))
+    dot_1, dot_2 = grad_4(f1 * g1 + f2 * g2, hx, hy)
+    r1 = dot_1 - (f1_1 * g1 + f2_1 * g2 + g1_1 * f1 + g2_1 * f2)
+    r2 = dot_2 - (f1_2 * g1 + f2_2 * g2 + g1_2 * f1 + g2_2 * f2)
+    out["grad-of-dot"] = _max_abs(r1, r2)
 
     # div(A F) = A : grad(F) + div(A) . F
     af1 = a11 * f1 + a12 * f2
     af2 = a12 * f1 + a22 * f2
-    lhs = d1(af1) + d2(af2)
-    contr = a11 * d1(f1) + a12 * d1(f2) + a12 * d2(f1) + a22 * d2(f2)
-    diva1, diva2 = d1(a11) + d2(a12), d1(a12) + d2(a22)
-    out["div-of-matvec"] = float(np.max(np.abs(lhs - (contr + diva1 * f1 + diva2 * f2))))
+    contr = a11 * f1_1 + a12 * f2_1 + a12 * f1_2 + a22 * f2_2
+    out["div-of-matvec"] = _max_abs(div_4(af1, af2, hx, hy) - (contr + diva1 * f1 + diva2 * f2))
 
     # grad(A F) = grad(F) A^T + (A_x1 F, A_x2 F)^T, entry (i, j) = d_i (A F)_j
-    res = 0.0
-    d_ops = (d1, d2)
-    da = {(1, 1, 1): d1(a11), (1, 2, 1): d1(a12), (2, 2, 1): d1(a22),
-          (1, 1, 2): d2(a11), (1, 2, 2): d2(a12), (2, 2, 2): d2(a22)}
-
-    def a_entry(r, c):
-        return a11 if (r, c) == (1, 1) else a22 if (r, c) == (2, 2) else a12
-
-    def da_entry(r, c, k):
-        key = (min(r, c), max(r, c), k)
-        return da[key]
-
-    af = (af1, af2)
-    fve = (f1, f2)
-    for i in (1, 2):
-        for jj in (1, 2):
-            lhs_ij = d_ops[i - 1](af[jj - 1])
-            rhs_ij = sum(d_ops[i - 1](fve[k - 1]) * a_entry(jj, k) for k in (1, 2))
-            rhs_ij = rhs_ij + sum(da_entry(jj, k, i) * fve[k - 1] for k in (1, 2))
-            res = max(res, float(np.max(np.abs(lhs_ij - rhs_ij))))
-    out["grad-of-matvec"] = res
+    af1_1, af1_2 = grad_4(af1, hx, hy)
+    af2_1, af2_2 = grad_4(af2, hx, hy)
+    r11 = af1_1 - (a11 * f1_1 + a12 * f2_1 + (a11_1 * f1 + a12_1 * f2))
+    r12 = af2_1 - (a12 * f1_1 + a22 * f2_1 + (a12_1 * f1 + a22_1 * f2))
+    r21 = af1_2 - (a11 * f1_2 + a12 * f2_2 + (a11_2 * f1 + a12_2 * f2))
+    r22 = af2_2 - (a12 * f1_2 + a22 * f2_2 + (a12_2 * f1 + a22_2 * f2))
+    out["grad-of-matvec"] = _max_abs(r11, r12, r21, r22)
 
     # div(u A) = u div(A) + grad(u)^T A  (row-vector identity)
-    res = 0.0
-    for jj in (1, 2):
-        lhs_j = d1(u * a_entry(1, jj)) + d2(u * a_entry(2, jj))
-        rhs_j = u * (diva1 if jj == 1 else diva2) + d1(u) * a_entry(1, jj) + d2(u) * a_entry(2, jj)
-        res = max(res, float(np.max(np.abs(lhs_j - rhs_j))))
-    out["div-of-scaled-matrix"] = res
+    ua12 = u * a12
+    r1 = div_4(u * a11, ua12, hx, hy) - (u * diva1 + u_1 * a11 + u_2 * a12)
+    r2 = div_4(ua12, u * a22, hx, hy) - (u * diva2 + u_1 * a12 + u_2 * a22)
+    out["div-of-scaled-matrix"] = _max_abs(r1, r2)
 
     # grad(|grad u|^2) = 2 hess(u) grad(u)
-    u1, u2 = d1(u), d2(u)
-    sq = u1 * u1 + u2 * u2
-    h11 = deriv2_4(u, hx, axis=1)
-    h22 = deriv2_4(u, hy, axis=0)
-    h12 = d1(d2(u))
-    r1 = d1(sq) - 2.0 * (h11 * u1 + h12 * u2)
-    r2 = d2(sq) - 2.0 * (h12 * u1 + h22 * u2)
-    out["grad-of-grad-square"] = float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
+    sq_1, sq_2 = grad_4(u_1 * u_1 + u_2 * u_2, hx, hy)
+    h11, h12, h22 = hess_4(u, hx, hy)
+    r1 = sq_1 - 2.0 * (h11 * u_1 + h12 * u_2)
+    r2 = sq_2 - 2.0 * (h12 * u_1 + h22 * u_2)
+    out["grad-of-grad-square"] = _max_abs(r1, r2)
     return out
 
 

@@ -42,7 +42,7 @@ import numpy as np
 
 from .coefficients import PhysParams, dispersion_entries
 from .grid import GridSpec, ScalarField
-from .identities import deriv1_4, deriv2_4, sub_box
+from .identities import contract, div_4, grad_4, hess_4, windowed_residual
 
 # eta-rectangle (lo1, hi1, lo2, hi2) every chart is sampled and meshed on; the plain
 # transport residual uses it in x, so the identity chart reproduces it bit for bit
@@ -208,21 +208,18 @@ def transformed_poisson_residual(chart: Chart, v_fn: Callable, u_fn: Callable, n
     x1, x2, jg, h1, h2 = _chart_scalars(chart, E1, E2)
     vt = np.asarray(v_fn(x1, x2), dtype=float)
     ut = np.asarray(u_fn(x1, x2), dtype=float)
-    vt_1 = deriv1_4(vt, h1m, axis=1)
-    vt_2 = deriv1_4(vt, h2m, axis=0)
-    ut_1 = deriv1_4(ut, h1m, axis=1)
-    ut_2 = deriv1_4(ut, h2m, axis=0)
+    vt_1, vt_2 = grad_4(vt, h1m, h2m)
+    ut_1, ut_2 = grad_4(ut, h1m, h2m)
     # K = (grad_fwd)^T (grad_fwd) composed with f; K_ij = sum_k J_ki J_kj
     k11 = jg[0][0] ** 2 + jg[1][0] ** 2
     k12 = jg[0][0] * jg[0][1] + jg[1][0] * jg[1][1]
     k22 = jg[0][1] ** 2 + jg[1][1] ** 2
     p1, p2 = _matvec(((k11, k12), (k12, k22)), vt_1, vt_2)
-    div_p = deriv1_4(p1, h1m, axis=1) + deriv1_4(p2, h2m, axis=0)
+    div_p = div_4(p1, p2, h1m, h2m)
     beta1, beta2 = _matvec(jg, vt_1, vt_2)
     qt1, qt2 = -beta2, beta1
     rhs = ut_1 * jg[0][0] + ut_2 * jg[0][1]
-    res = sub_box(div_p + h1 * qt1 + h2 * qt2 - rhs, _CENTRAL_BOX)
-    return res, float(np.max(np.abs(res)))
+    return windowed_residual(div_p + h1 * qt1 + h2 * qt2 - rhs, _CENTRAL_BOX)
 
 
 @dataclass(frozen=True)
@@ -291,7 +288,7 @@ def transport_expression_x(fix: TransportFields, x1, x2, t: float, p: PhysParams
     ux1, ux2 = fix.u_x1(x1, x2, t), fix.u_x2(x1, x2, t)
     return (
         fix.u_t(x1, x2, t)
-        - (d11 * fix.u_x1x1(x1, x2, t) + 2.0 * d12 * fix.u_x1x2(x1, x2, t) + d22 * fix.u_x2x2(x1, x2, t))
+        - contract((d11, d12, d22), (fix.u_x1x1(x1, x2, t), fix.u_x1x2(x1, x2, t), fix.u_x2x2(x1, x2, t)))
         - (div_d1 * ux1 + div_d2 * ux2)
         + (ux1 * q1 + ux2 * q2)
     )
@@ -304,13 +301,8 @@ def transport_expression_eta(chart: Chart, fix: TransportFields, n: int) -> np.n
     x1, x2, jg, h1, h2 = _chart_scalars(chart, E1, E2)
     ut = np.asarray(fix.u(x1, x2, t), dtype=float)
     vt = np.asarray(fix.v(x1, x2), dtype=float)
-    ut_1 = deriv1_4(ut, h1m, axis=1)
-    ut_2 = deriv1_4(ut, h2m, axis=0)
-    u_11 = deriv2_4(ut, h1m, axis=1)
-    u_22 = deriv2_4(ut, h2m, axis=0)
-    u_12 = deriv1_4(deriv1_4(ut, h2m, axis=0), h1m, axis=1)
-    vt_1 = deriv1_4(vt, h1m, axis=1)
-    vt_2 = deriv1_4(vt, h2m, axis=0)
+    ut_1, ut_2 = grad_4(ut, h1m, h2m)
+    vt_1, vt_2 = grad_4(vt, h1m, h2m)
     beta1, beta2 = _matvec(jg, vt_1, vt_2)
     qt1, qt2 = -beta2, beta1
     d11, d12, d22 = dispersion_entries(qt1, qt2, p)
@@ -322,13 +314,13 @@ def transport_expression_eta(chart: Chart, fix: TransportFields, n: int) -> np.n
     m11 = jg[0][0] * t11 + jg[1][0] * t21
     m12 = jg[0][0] * t12 + jg[1][0] * t22
     m22 = jg[0][1] * t12 + jg[1][1] * t22
-    div_m1 = deriv1_4(m11, h1m, axis=1) + deriv1_4(m12, h2m, axis=0)
-    div_m2 = deriv1_4(m12, h1m, axis=1) + deriv1_4(m22, h2m, axis=0)
+    div_m1 = div_4(m11, m12, h1m, h2m)
+    div_m2 = div_4(m12, m22, h1m, h2m)
     jgu1, jgu2 = _matvec(jg, ut_1, ut_2)
     y1, y2 = _matvec(((d11, d12), (d12, d22)), jgu1, jgu2)
     return (
         np.asarray(fix.u_t(x1, x2, t), dtype=float)
-        - (m11 * u_11 + 2.0 * m12 * u_12 + m22 * u_22)
+        - contract((m11, m12, m22), hess_4(ut, h1m, h2m))
         - (div_m1 * ut_1 + div_m2 * ut_2)
         - (h2 * y1 - h1 * y2)
         + (jgu1 * qt1 + jgu2 * qt2)
@@ -340,8 +332,7 @@ def transformed_transport_residual(chart: Chart, fix: TransportFields, n: int) -
     E1, E2, _, _ = _rect_mesh(ETA_RECT, n)
     x1, x2 = chart.inv(E1, E2)
     expr = transport_expression_eta(chart, fix, n)
-    res = sub_box(expr - transport_expression_x(fix, x1, x2, _TRANSPORT_T, _TRANSPORT_PHYS), _CENTRAL_BOX)
-    return res, float(np.max(np.abs(res)))
+    return windowed_residual(expr - transport_expression_x(fix, x1, x2, _TRANSPORT_T, _TRANSPORT_PHYS), _CENTRAL_BOX)
 
 
 def plain_transport_residual(fix: TransportFields, n: int) -> tuple[np.ndarray, float]:
@@ -356,25 +347,19 @@ def plain_transport_residual(fix: TransportFields, n: int) -> tuple[np.ndarray, 
     X1, X2, h1, h2 = _rect_mesh(ETA_RECT, n)
     u = np.asarray(fix.u(X1, X2, t), dtype=float)
     v = np.asarray(fix.v(X1, X2), dtype=float)
-    u_1 = deriv1_4(u, h1, axis=1)
-    u_2 = deriv1_4(u, h2, axis=0)
-    u_11 = deriv2_4(u, h1, axis=1)
-    u_22 = deriv2_4(u, h2, axis=0)
-    u_12 = deriv1_4(deriv1_4(u, h2, axis=0), h1, axis=1)
-    v_1 = deriv1_4(v, h1, axis=1)
-    v_2 = deriv1_4(v, h2, axis=0)
+    u_1, u_2 = grad_4(u, h1, h2)
+    v_1, v_2 = grad_4(v, h1, h2)
     q1, q2 = -v_2, v_1
     d11, d12, d22 = dispersion_entries(q1, q2, p)
-    div_d1 = deriv1_4(d11, h1, axis=1) + deriv1_4(d12, h2, axis=0)
-    div_d2 = deriv1_4(d12, h1, axis=1) + deriv1_4(d22, h2, axis=0)
+    div_d1 = div_4(d11, d12, h1, h2)
+    div_d2 = div_4(d12, d22, h1, h2)
     expr = (
         np.asarray(fix.u_t(X1, X2, t), dtype=float)
-        - (d11 * u_11 + 2.0 * d12 * u_12 + d22 * u_22)
+        - contract((d11, d12, d22), hess_4(u, h1, h2))
         - (div_d1 * u_1 + div_d2 * u_2)
         + (u_1 * q1 + u_2 * q2)
     )
-    res = sub_box(expr - transport_expression_x(fix, X1, X2, t, p), _CENTRAL_BOX)
-    return res, float(np.max(np.abs(res)))
+    return windowed_residual(expr - transport_expression_x(fix, X1, X2, t, p), _CENTRAL_BOX)
 
 
 # ---------------------------------------------------------------------------

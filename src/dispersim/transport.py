@@ -129,6 +129,7 @@ class RunConfig:
             raise ValueError(f"picard_max must be at least 1, got {self.picard_max}")
         if self.output_every < 0:
             raise ValueError(f"output_every must be nonnegative, got {self.output_every}")
+        _parse_params(self.ic_params)
         # the mollifier radius is bounded by the domain, which RegParams does not know
         if self.reg.moll_radius > 0.5 * min(self.grid.lx, self.grid.ly):
             raise ValueError(f"moll_radius {self.reg.moll_radius} exceeds half the domain size")
@@ -171,18 +172,22 @@ class Trajectory:
 
 
 def _parse_params(text: str) -> dict[str, float]:
+    """The name=value pairs of ``ic_params``; each message names ``ic_params`` first, which locates its line."""
     out: dict[str, float] = {}
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
         if "=" not in part:
-            raise ValueError(f"malformed ic parameter {part!r}, expected name=value")
+            raise ValueError(f"ic_params: malformed parameter {part!r}, expected name=value")
         key, val = part.split("=", 1)
+        key = key.strip()
         try:
-            out[key.strip()] = float(val)
+            out[key] = float(val)
         except ValueError as exc:
-            raise ValueError(f"ic parameter {key.strip()!r} has non-numeric value {val!r}") from exc
+            raise ValueError(f"ic_params: parameter {key!r} has non-numeric value {val!r}") from exc
+        if not math.isfinite(out[key]):
+            raise ValueError(f"ic_params: parameter {key!r} must be finite, got {val!r}")
     return out
 
 
@@ -410,6 +415,8 @@ def parabolic_step(
 
     Returns the new field and the relative residual of the linear solve.
     """
+    if not lin_tol > 0:
+        raise ValueError(f"lin_tol must be positive, got {lin_tol}")
     grid = u_old.grid
     fe, fn = _face_fluxes_from_stream(stream.values, grid)
     A, w = _assemble_parabolic(grid, D, fe, fn, dt)
@@ -548,13 +555,11 @@ def run(cfg: RunConfig, outdir: str | Path | None = None) -> Trajectory:
     state = initial_state(cfg)
     mass0 = integrate(state.u)
 
-    n_exact = round(cfg.t_end / cfg.dt)
-    if abs(n_exact * cfg.dt - cfg.t_end) <= 1e-9 * cfg.t_end:
-        step_sizes = [cfg.dt] * n_exact
-    else:
-        n = int(math.ceil(cfg.t_end / cfg.dt))
-        step_sizes = [cfg.dt] * (n - 1) + [cfg.t_end - (n - 1) * cfg.dt]
-    n_steps = len(step_sizes)
+    # a whole number of dt steps when t_end is one to 1e-9; otherwise the last step is shortened
+    n_steps, last_dt = round(cfg.t_end / cfg.dt), cfg.dt
+    if abs(n_steps * cfg.dt - cfg.t_end) > 1e-9 * cfg.t_end:
+        n_steps = int(math.ceil(cfg.t_end / cfg.dt))
+        last_dt = cfg.t_end - (n_steps - 1) * cfg.dt
 
     diag_file = None
     if target:
@@ -578,7 +583,9 @@ def run(cfg: RunConfig, outdir: str | Path | None = None) -> Trajectory:
             diag_file.write(_format_row(rows[0]) + "\n")
             diag_file.flush()
         snap(state)
-        for k, dt in enumerate(step_sizes):
+        for k in range(n_steps):
+            is_last = k == n_steps - 1
+            dt = last_dt if is_last else cfg.dt
             prev_u = state.u
             state, report = picard_coupled_step(state, cfg, dt=dt)
             row = _diag_row(state, report, prev_u, dt, rows[-1].energy_dissip, mass0)
@@ -587,7 +594,6 @@ def run(cfg: RunConfig, outdir: str | Path | None = None) -> Trajectory:
             if diag_file:
                 diag_file.write(_format_row(row) + "\n")
                 diag_file.flush()
-            is_last = k == n_steps - 1
             if is_last or (cfg.output_every > 0 and state.step % cfg.output_every == 0):
                 snap(state)
                 states.append(state)

@@ -111,6 +111,15 @@ def test_cli_run_non_finite_value_exit_2_at_its_line(tmp_path, capsys, key, bad)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("params", ["width=nan", "amplitude=inf", "width=abc", "width"])
+def test_cli_run_bad_ic_params_exit_2_at_its_line(tmp_path, capsys, params):
+    path = _write_cfg(tmp_path, f"ic_params = {params}\n")
+    lineno = len(MINIMAL.splitlines()) + 1
+    assert main(["run", "--config", str(path), "--outdir", str(tmp_path / "out")]) == 2
+    assert f"configuration error: line {lineno}: ic_params: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_malformed_line():
     with pytest.raises(ConfigError, match="line 2"):
         parse_config("nx = 9\nny 9\n")

@@ -81,6 +81,14 @@ def test_nonconvergence_reported():
         PoissonSolver(g).solve(rhs, tol=1e-20)
 
 
+def test_nan_tolerance_rejected():
+    # nan <= 0 is false and residual > nan never holds, so a nan tol must be caught up front
+    g = GridSpec(9, 9)
+    rhs = ScalarField(g, np.random.default_rng(4).standard_normal(g.shape))
+    with pytest.raises(ValueError, match="tol must be positive, got nan"):
+        PoissonSolver(g).solve(rhs, tol=float("nan"))
+
+
 @pytest.mark.parametrize("nx,ny,lx,ly", [(33, 21, 1.0, 0.6), (17, 41, 0.5, 2.0)])
 def test_non_square_anisotropic_spacing_matches_sparse_direct(nx, ny, lx, ly):
     g = GridSpec(nx, ny, lx=lx, ly=ly)

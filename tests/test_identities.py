@@ -282,23 +282,46 @@ def test_product_rules_refine():
         assert r33[key] / r65[key] >= 3.0, key
 
 
-def test_product_rules_polynomial_exact():
-    # grad(|grad u|^2) vs 2 hess(u) grad(u) for u = x1^2 + x1 x2: both sides exact
-    from dispersim.identities import deriv1_4, deriv2_4
+@pytest.mark.parametrize(
+    "grid,tol",
+    [(GridSpec(17, 17), 1e-12), (GridSpec(17, 25, lx=1.0, ly=0.6), 1e-10)],
+    ids=["square", "unequal-spacing"],
+)
+def test_product_rules_polynomial_exact(grid, tol):
+    # grad(|grad u|^2) vs 2 hess(u) grad(u) for u = x1^2 + x1 x2: both sides exact.  The square
+    # grid's power-of-two spacing is exact in binary; hy = 0.025 is not, and its rounding, about
+    # 2e-11 through two differentiations, sets that grid's tolerance.  On the unequal spacing a
+    # helper that swapped h1 and h2 would miss the exact derivatives by O(1)
+    from dispersim.identities import div_4, grad_4, hess_4
 
-    g = GridSpec(17, 17)
-    x1, x2 = g.nodes()
+    x1, x2 = grid.nodes()
+    hx, hy = grid.hx, grid.hy
     u = x1**2 + x1 * x2
-    hx, hy = g.hx, g.hy
-    u1 = deriv1_4(u, hx, 1)
-    u2 = deriv1_4(u, hy, 0)
+    u1, u2 = grad_4(u, hx, hy)
     sq = u1**2 + u2**2
-    lhs1, lhs2 = deriv1_4(sq, hx, 1), deriv1_4(sq, hy, 0)
-    h11 = deriv2_4(u, hx, 1)
-    h22 = deriv2_4(u, hy, 0)
-    h12 = deriv1_4(deriv1_4(u, hy, 0), hx, 1)
-    assert np.max(np.abs(lhs1 - 2 * (h11 * u1 + h12 * u2))) < 1e-12
-    assert np.max(np.abs(lhs2 - 2 * (h12 * u1 + h22 * u2))) < 1e-12
+    lhs1, lhs2 = grad_4(sq, hx, hy)
+    h11, h12, h22 = hess_4(u, hx, hy)
+    assert np.max(np.abs(lhs1 - 2 * (h11 * u1 + h12 * u2))) < tol
+    assert np.max(np.abs(lhs2 - 2 * (h12 * u1 + h22 * u2))) < tol
+
+    # fourth-order stencils, one-sided closures included, differentiate a quartic exactly
+    q = x1**4 + 2 * x1**2 * x2**2 - x1 * x2**3 + 3 * x2**4 + x1 * x2
+    w = x1 * x2**3
+    q1 = 4 * x1**3 + 4 * x1 * x2**2 - x2**3 + x2
+    q2 = 4 * x1**2 * x2 - 3 * x1 * x2**2 + 12 * x2**3 + x1
+    exact = {
+        "q_1": q1,
+        "q_2": q2,
+        "q_11": 12 * x1**2 + 4 * x2**2,
+        "q_12": 8 * x1 * x2 - 3 * x2**2 + 1,
+        "q_22": 4 * x1**2 - 6 * x1 * x2 + 36 * x2**2,
+        "div(q, w)": q1 + 3 * x1 * x2**2,
+    }
+    got = dict(zip(("q_1", "q_2"), grad_4(q, hx, hy)))
+    got.update(zip(("q_11", "q_12", "q_22"), hess_4(q, hx, hy)))
+    got["div(q, w)"] = div_4(q, w, hx, hy)
+    for key, ref in exact.items():
+        assert np.max(np.abs(got[key] - ref)) < 1e-9, key
 
 
 # --- geometric recursion

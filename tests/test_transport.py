@@ -454,6 +454,26 @@ def test_lu_fallback_solves_directly(monkeypatch):
     assert len(calls) == sum(r.picard_iterations for r in tr.reports)
 
 
+def test_nan_lin_tol_rejected():
+    # with lin_tol = nan every pass would take the LU fallback and no residual check could fail
+    g = _grid(9)
+    v, _, D = _stream_setup(g)
+    u_old = initial_condition("gaussian", "", g)
+    with pytest.raises(ValueError, match="lin_tol must be positive, got nan"):
+        parabolic_step(u_old, D, v, 0.1, lin_tol=float("nan"))
+
+
+def test_run_steps_without_building_a_step_list(monkeypatch):
+    # 1e20 steps fit no list; the loop must reach the first step and report its failure
+    def failing_step(state, cfg, dt=None):
+        assert dt == cfg.dt
+        raise SolverError("stopped at the first step")
+
+    monkeypatch.setattr(transport, "picard_coupled_step", failing_step)
+    with pytest.raises(SolverError, match="first step"):
+        run(_cfg(n=9, dt=1e-20, t_end=1.0))
+
+
 @pytest.fixture(scope="module")
 def high_contrast_run():
     # amplitude 100 and m = 0.05 give a strongly varying tensor, where the
