@@ -5,12 +5,16 @@ system (-lap_h) v = -rhs over the interior nodes has constant
 coefficients on a uniform grid, so the type-I discrete sine transform
 diagonalizes it exactly (Buzbee, Golub & Nielson, SIAM J. Numer. Anal.
 7(4), 1970): transform, divide by the 5-point eigenvalues, transform
-back.  One residual correction through the same transform removes most
-of the rounding the transforms leave behind.  The residual is recomputed
-from the assembled matrix after the solve, so ``report.residual_norm``
-always matches an independent evaluation of ||A v - b||_2, and a solve
-whose residual exceeds ``tol * ||b||_2`` raises ``SolverError``: callers
-never inspect the residual themselves.
+back.  The residual of that bare solve is computed once from the
+assembled matrix.  Only when it exceeds ``tol * ||b||_2`` is one residual
+correction through the same transform applied, which removes most of the
+rounding the transforms leave behind, and the residual recomputed; the
+run path's tolerance of 1e-10 is met by the bare solve, so a pass there
+costs one sine-transform pair and one mat-vec.  ``report.residual_norm``
+is always the residual of the returned field, equal to an independent
+evaluation of ||A v - b||_2, and a solve whose residual still exceeds
+``tol * ||b||_2`` raises ``SolverError``: callers never inspect the
+residual themselves.
 """
 
 from __future__ import annotations
@@ -91,18 +95,20 @@ class PoissonSolver:
             return ScalarField(self.grid, v), EllipticSolveReport(0, 0.0)
 
         x = self._apply_inverse(b)
-        x += self._apply_inverse(b - (self.matrix @ x.ravel()).reshape(b.shape))
+        r = b - (self.matrix @ x.ravel()).reshape(b.shape)
+        residual = float(np.linalg.norm(r))
+        if not residual <= tol * bnorm:  # a miss, or nan: one residual correction through the same transform
+            x += self._apply_inverse(r)
+            residual = float(np.linalg.norm(b - (self.matrix @ x.ravel()).reshape(b.shape)))
         if not np.all(np.isfinite(x)):
             raise SolverError("sine-transform Poisson solve produced non-finite values")
-        v[1:-1, 1:-1] = x
-        field = ScalarField(self.grid, v)
-        residual = self.residual_norm(field, rhs)
         if residual > tol * bnorm:
             raise SolverError(
                 f"Poisson solve on the {self.grid.nx}x{self.grid.ny} grid missed its tolerance: "
                 f"residual {residual:.3e} > tol {tol:.1e} * ||b|| {bnorm:.3e}"
             )
-        return field, EllipticSolveReport(1, residual)
+        v[1:-1, 1:-1] = x
+        return ScalarField(self.grid, v), EllipticSolveReport(1, residual)
 
     def residual_norm(self, v: ScalarField, rhs: ScalarField) -> float:
         """||A v - b||_2 for an externally supplied candidate solution."""

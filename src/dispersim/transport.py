@@ -34,19 +34,27 @@ the face routine is run once per grid to build the sparse map from these
 inputs to the values, and each pass assembles its CSR matrix with one
 sparse mat-vec plus the cell weights over dt on the diagonal.
 
-Each Picard pass makes one exact sine-transform solve for the stream
-function (see ``elliptic``) and one BiCGSTAB call for the transport step,
-asked for a relative residual of 1e-14 and preconditioned by the exact
-inverse of the step matrix for the constant tensor c I (c the mean of
-(d11 + d22)/2) without advection: two type-I cosine transforms and a
-division (Concus & Golub, SIAM J. Numer. Anal. 10(6), 1973).  A pass
-whose call stops short of 1e-14 within ``_FAST_ITERATIONS`` iterations
-(strong tensor contrast) or misses ``lin_tol`` factors a CSC copy of its
-own matrix exactly (SuperLU, minimum-degree ordering on A^T A + A) and
-solves with the factor directly.  The true residual is recomputed and
-checked against ``lin_tol``, so solver error stays far below the
-conservation diagnostics.  Each solve raises ``SolverError`` on its own
-failure; the Picard loop raises it only for a stalled fixed point.
+Each Picard pass makes one sine-transform solve for the stream function
+(see ``elliptic``), one coefficient build and one BiCGSTAB call for the
+transport step, asked for a relative residual of 1e-13
+(``_KRYLOV_RTOL``) and preconditioned by the exact inverse of the step
+matrix for the constant tensor c I (c the mean of (d11 + d22)/2) without
+advection: two type-I cosine transforms and a division (Concus & Golub,
+SIAM J. Numer. Anal. 10(6), 1973).  A pass whose call stops short of
+1e-13 within ``_FAST_ITERATIONS`` iterations (strong tensor contrast) or
+misses ``lin_tol`` factors a CSC copy of its own matrix exactly (SuperLU,
+minimum-degree ordering on A^T A + A) and solves with the factor
+directly.  The true residual is recomputed and checked against
+``lin_tol``, so solver error stays far below the conservation
+diagnostics.
+
+Passes after the first are Anderson-mixed (Walker & Ni type II, depth
+``_ANDERSON_DEPTH``): the next iterate combines the latest transport
+result with those of up to three earlier passes, which takes fewer
+passes than plain Picard and finishes convection-dominated steps where
+plain Picard stalls.  Each solve raises ``SolverError`` on its own
+failure; the Picard loop raises it only for a stalled fixed point or a
+mix that is not finite.
 """
 
 from __future__ import annotations
@@ -92,7 +100,7 @@ class SimState:
 
 @dataclass
 class StepReport:
-    picard_gap_history: list[float]  # the max-norm change of u on each Picard pass
+    picard_gap_history: list[float]  # max|G(u_k) - u_k| on each Picard pass k, before any Anderson mixing
     linear_residual: float  # the worst relative residual over the step's passes
 
     @property
@@ -373,6 +381,16 @@ def _assemble_parabolic(
 # byte-identical.
 _FAST_ITERATIONS = 60
 
+# The relative residual each BiCGSTAB call is asked for.  The Picard gap
+# is tested at 1e-10 on fields of order one, so 1e-13 leaves three digits
+# to spare; a tighter target only buys extra preconditioner solves.
+_KRYLOV_RTOL = 1e-13
+
+# Walker & Ni type-II Anderson mixing depth of the Picard loop: each pass
+# after the first mixes its transport result with those of up to this many
+# earlier passes.  0 is plain Picard.
+_ANDERSON_DEPTH = 3
+
 
 def _cosine_preconditioner(grid: GridSpec, w: np.ndarray, dt: float, c: float) -> spla.LinearOperator:
     """The exact inverse of the step matrix for the tensor c I and zero fluxes.
@@ -407,7 +425,7 @@ def parabolic_step(
     One BiCGSTAB call, started from ``x0`` (default ``u_old``), is
     preconditioned by ``_cosine_preconditioner`` and takes at most
     ``_FAST_ITERATIONS`` iterations.  If that call stops
-    short of its own 1e-14 target (the cap or a breakdown) or its
+    short of its own ``_KRYLOV_RTOL`` target (the cap or a breakdown) or its
     recomputed relative residual is above ``lin_tol`` or not finite, the
     matrix is factored by ``splu`` (on a CSC copy) and solved directly with
     the factor.  Then a failed factorization, a non-finite result or a
@@ -427,7 +445,7 @@ def parabolic_step(
     start = (u_old if x0 is None else x0).values.ravel()
 
     M = _cosine_preconditioner(grid, w, dt, float(np.mean(0.5 * (D.d11 + D.d22))))
-    x, info = spla.bicgstab(A, b, x0=start.copy(), rtol=1e-14, atol=0.0, maxiter=_FAST_ITERATIONS, M=M)
+    x, info = spla.bicgstab(A, b, x0=start.copy(), rtol=_KRYLOV_RTOL, atol=0.0, maxiter=_FAST_ITERATIONS, M=M)
     rel = float(np.linalg.norm(b - A @ x)) / bnorm
     if info != 0 or not rel <= lin_tol:  # capped, broken down, a miss, or nan
         try:
@@ -462,26 +480,47 @@ def initial_state(cfg: RunConfig) -> SimState:
 def picard_coupled_step(state: SimState, cfg: RunConfig, dt: float | None = None) -> tuple[SimState, StepReport]:
     """Advance one time step, iterating the elliptic/coefficient/parabolic loop.
 
-    Each inner pass re-solves the parabolic step from the same u_old with the
-    latest coefficients, until the max-norm change between successive inner
-    iterates drops below picard_tol.  The state's v and tensor are taken
-    as the coefficients of its u, so the first pass uses them as they are.
-    Each pass's transport solve (see ``parabolic_step``) starts from the
-    previous iterate; the report's ``linear_residual`` is the worst of them.
-    The returned state's v and tensor are refreshed from the accepted u,
-    so its elliptic residual is below lin_tol.
+    Pass k re-solves the parabolic step from the same u_old with the
+    coefficients of the iterate u_k, which gives G(u_k); the pass's gap is
+    the max-norm of f_k = G(u_k) - u_k.  Once the gap drops below
+    picard_tol, G(u_k) is accepted.  Otherwise the next iterate is the
+    Walker & Ni type-II Anderson mix (SIAM J. Numer. Anal. 49(4), 2011)
+    with mixing 1: G(u_k) - dG gamma, where gamma is the least-squares fit
+    of f_k by the differences dF of the last ``_ANDERSON_DEPTH`` values of
+    f, and dG those of G.  The first pass, and every pass at depth 0, takes
+    G(u_k) itself: plain Picard.  The state's v and tensor are taken as the
+    coefficients of its u, so the first pass uses them as they are.  Each
+    pass's transport solve (see ``parabolic_step``) starts from u_k; the
+    report's ``linear_residual`` is the worst of them.  The returned
+    state's v and tensor are refreshed from the accepted u, so its elliptic
+    residual is below lin_tol.  A stalled loop, or a mix that is not
+    finite, raises ``SolverError``.
     """
     dt = cfg.dt if dt is None else dt
     u_n = u_k = state.u
     v_k, D_eps_k = state.v, state.D_eps
+    depth = _ANDERSON_DEPTH
+    # rows (k - 1) % depth hold f_k - f_{k-1} and G(u_k) - G(u_{k-1}), allocated once per step
+    dF = np.empty((depth, u_n.values.size))
+    dG = np.empty_like(dF)
     gaps: list[float] = []
     lin_res = 0.0
-    for _ in range(cfg.picard_max):
-        u_next, rel = parabolic_step(u_n, D_eps_k, v_k, dt, lin_tol=cfg.lin_tol, x0=u_k)
+    for k in range(cfg.picard_max):
+        g_k, rel = parabolic_step(u_n, D_eps_k, v_k, dt, lin_tol=cfg.lin_tol, x0=u_k)
         lin_res = max(lin_res, rel)
-        gap = float(np.max(np.abs(u_next.values - u_k.values)))
+        g, f = g_k.values.ravel(), (g_k.values - u_k.values).ravel()
+        gap = float(np.max(np.abs(f)))
         gaps.append(gap)
-        u_k = u_next
+        u_k = g_k
+        if depth and k and gap > cfg.picard_tol:
+            dF[(k - 1) % depth], dG[(k - 1) % depth] = f - f_prev, g - g_prev
+            cols = min(k, depth)
+            gamma = np.linalg.lstsq(dF[:cols].T, f, rcond=None)[0]
+            mixed = g - gamma @ dG[:cols]
+            if not np.all(np.isfinite(mixed)):
+                raise SolverError(f"Anderson mixing produced non-finite values on pass {k + 1}")
+            u_k = ScalarField(cfg.grid, mixed.reshape(cfg.grid.shape))
+        f_prev, g_prev = f, g
         v_k, D_eps_k = _coupled_fields(u_k, cfg)
         if gap <= cfg.picard_tol:
             break
@@ -502,11 +541,14 @@ def state_consistency_residual(state: SimState) -> float:
 
 
 def _diag_row(state: SimState, report: StepReport | None, prev_u: ScalarField | None,
-              dt: float, dissip_before: float, mass0: float) -> DiagnosticsRow:
+              dt: float, dissip_before: float, mass0: float, abs_mass0: float) -> DiagnosticsRow:
     """The diagnostics of ``state``, with phi = D_eps grad u . grad u at the nodes.
 
     A step's row (``prev_u`` given) adds dt times the integral of phi to
-    the accumulated dissipation ``dissip_before``.
+    the accumulated dissipation ``dissip_before``.  ``mass_drift`` is the
+    change of the integral of u from ``mass0`` relative to ``abs_mass0``,
+    the integral of |u_0|: the initial mass for a nonnegative u_0, and
+    still the size of the data for a zero-mean one.
     """
     u = state.u
     g1 = deriv1(u.values, u.grid.hx, axis=1)
@@ -531,7 +573,7 @@ def _diag_row(state: SimState, report: StepReport | None, prev_u: ScalarField | 
         ut_sup=ut_sup,
         picard_iters=report.picard_iterations if report else 0,
         picard_gap=report.picard_gap if report else 0.0,
-        mass_drift=(mass - mass0) / max(abs(mass0), 1e-300),
+        mass_drift=(mass - mass0) / max(abs_mass0, 1e-300),
     )
 
 
@@ -554,6 +596,7 @@ def run(cfg: RunConfig, outdir: str | Path | None = None) -> Trajectory:
     target = Path(outdir) if outdir else (Path(cfg.outdir) if cfg.outdir else None)
     state = initial_state(cfg)
     mass0 = integrate(state.u)
+    abs_mass0 = integrate(ScalarField(cfg.grid, np.abs(state.u.values)))
 
     # a whole number of dt steps when t_end is one to 1e-9; otherwise the last step is shortened
     n_steps, last_dt = round(cfg.t_end / cfg.dt), cfg.dt
@@ -575,7 +618,7 @@ def run(cfg: RunConfig, outdir: str | Path | None = None) -> Trajectory:
             write_snapshot(st.u, target / f"u_{st.step:06d}.csv")
             write_snapshot(st.v, target / f"v_{st.step:06d}.csv")
 
-    rows = [_diag_row(state, None, None, cfg.dt, 0.0, mass0)]
+    rows = [_diag_row(state, None, None, cfg.dt, 0.0, mass0, abs_mass0)]
     states = [state]
     reports: list[StepReport] = []
     try:
@@ -588,7 +631,7 @@ def run(cfg: RunConfig, outdir: str | Path | None = None) -> Trajectory:
             dt = last_dt if is_last else cfg.dt
             prev_u = state.u
             state, report = picard_coupled_step(state, cfg, dt=dt)
-            row = _diag_row(state, report, prev_u, dt, rows[-1].energy_dissip, mass0)
+            row = _diag_row(state, report, prev_u, dt, rows[-1].energy_dissip, mass0, abs_mass0)
             rows.append(row)
             reports.append(report)
             if diag_file:

@@ -368,7 +368,9 @@ def test_constant_state_is_fixed_point():
     assert st2.t == pytest.approx(st.t + cfg.dt)
 
 
-def test_picard_gap_decreases_monotonically():
+def test_picard_gap_decreases_monotonically(monkeypatch):
+    # plain Picard; Anderson-mixed gaps need not decrease monotonically
+    monkeypatch.setattr(transport, "_ANDERSON_DEPTH", 0)
     cfg = _cfg()
     st = initial_state(cfg)
     _, rep = picard_coupled_step(st, cfg)
@@ -528,7 +530,8 @@ def test_cosine_preconditioner_inverts_constant_tensor_step(grid):
     assert np.linalg.norm(A @ M.matvec(b) - b) <= 1e-13 * np.linalg.norm(b)
 
 
-def test_step_matches_standalone_passes():
+def test_step_matches_standalone_passes(monkeypatch):
+    monkeypatch.setattr(transport, "_ANDERSON_DEPTH", 0)
     cfg = _cfg()
     ps = PoissonSolver(cfg.grid)
     st = initial_state(cfg)
@@ -545,6 +548,88 @@ def test_step_matches_standalone_passes():
             break
     assert passes == rep.picard_iterations
     assert np.max(np.abs(st2.u.values - u_k.values)) <= 1e-13
+
+
+def test_step_matches_standalone_anderson():
+    # Walker & Ni type II with mixing 1 and depth 3, written out over the
+    # whole history: the step keeps only the last three differences
+    assert transport._ANDERSON_DEPTH == 3
+    cfg = _cfg()
+    ps = PoissonSolver(cfg.grid)
+    st = initial_state(cfg)
+    st2, rep = picard_coupled_step(st, cfg)
+
+    u_k = st.u.values
+    fs, gs = [], []
+    for passes in range(1, cfg.picard_max + 1):
+        v, _ = ps.solve(diff_x1(ScalarField(cfg.grid, u_k)), tol=cfg.lin_tol)
+        D = dispersion_tensor_regularized(mollify(stream_velocity(v), cfg.reg.moll_radius), cfg.phys, cfg.reg)
+        g = parabolic_step(st.u, D, v, cfg.dt, cfg.lin_tol, x0=ScalarField(cfg.grid, u_k))[0].values
+        fs.append(g - u_k)
+        gs.append(g)
+        if np.max(np.abs(fs[-1])) <= cfg.picard_tol or passes == 1:
+            u_k = g
+        else:
+            m = min(passes - 1, 3)
+            dF = np.column_stack([(fs[-i] - fs[-i - 1]).ravel() for i in range(1, m + 1)])
+            dG = np.column_stack([(gs[-i] - gs[-i - 1]).ravel() for i in range(1, m + 1)])
+            gamma = np.linalg.lstsq(dF, fs[-1].ravel(), rcond=None)[0]
+            u_k = g - (dG @ gamma).reshape(g.shape)
+        if np.max(np.abs(fs[-1])) <= cfg.picard_tol:
+            break
+    assert passes == rep.picard_iterations
+    assert passes < 11  # plain Picard takes 11 passes on this step
+    assert np.max(np.abs(st2.u.values - u_k)) <= 1e-13
+
+
+def test_non_finite_anderson_mix_raises(monkeypatch):
+    # a mix that is not finite is a solver failure (exit 3), not the ValueError of ScalarField
+    def nan_lstsq(a, b, rcond=None):
+        return np.full(a.shape[1], np.nan), None, a.shape[1], None
+
+    monkeypatch.setattr(np.linalg, "lstsq", nan_lstsq)
+    cfg = _cfg()
+    with pytest.raises(SolverError, match="Anderson mixing produced non-finite values on pass 2"):
+        picard_coupled_step(initial_state(cfg), cfg)
+
+
+def _stall_case(name):
+    if name == "amplitude-20":
+        return dataclasses.replace(reference_config(65), ic_params="amplitude=20,width=0.1")
+    if name == "checker":
+        return dataclasses.replace(
+            reference_config(33, a=0.05, b=0.5, m=0.01), ic="checker", ic_params="amplitude=5,kx=1,ky=1", dt=1.0 / 32
+        )
+    cfg = dataclasses.replace(
+        reference_config(33, m=0.05), ic_params="amplitude=100,width=0.1", dt=0.25 / 32, picard_max=60
+    )
+    return dataclasses.replace(cfg, t_end=8 * cfg.dt)
+
+
+@pytest.mark.parametrize("name", ["amplitude-20", "checker", "high-contrast"])
+def test_anderson_finishes_plain_picard_stalls(monkeypatch, name):
+    # convection-dominated steps where plain Picard stalls at picard_max;
+    # Anderson mixing runs each case to t_end
+    cfg = _stall_case(name)
+    tr = run(cfg)
+    assert len(tr.reports) == round(cfg.t_end / cfg.dt)
+    assert tr.final.t == pytest.approx(cfg.t_end)
+    assert all(r.picard_gap <= cfg.picard_tol and r.picard_iterations < cfg.picard_max for r in tr.reports)
+    assert all(abs(r.mass_drift) <= 1e-12 for r in tr.diagnostics)
+
+    monkeypatch.setattr(transport, "_ANDERSON_DEPTH", 0)
+    with pytest.raises(SolverError, match="fixed-point iteration stalled"):
+        run(cfg)
+
+
+def test_mass_drift_of_zero_mean_initial_condition():
+    # the integral of a cosine checker is a rounding-level number; dividing
+    # by it reported drifts of 4.5 to 45.5 for a conserved mass
+    cfg = dataclasses.replace(reference_config(17), ic="checker", ic_params="amplitude=1")
+    tr = run(dataclasses.replace(cfg, t_end=4 * cfg.dt))
+    assert len(tr.diagnostics) == 5
+    assert abs(tr.diagnostics[0].mass) < 1e-15
+    assert all(abs(r.mass_drift) <= 1e-12 for r in tr.diagnostics)
 
 
 def test_first_pass_uses_state_coefficients(monkeypatch):
