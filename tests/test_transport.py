@@ -203,7 +203,7 @@ def test_fv_advection_consistency_first_order():
 @st.composite
 def _fv_case(draw, cross=True):
     """Random grid with hx != hy and lx != ly, SPD tensor field, stream function and dt."""
-    nx, ny = draw(st.integers(4, 14)), draw(st.integers(4, 14))
+    nx, ny = draw(st.integers(3, 14)), draw(st.integers(3, 14))
     hx = draw(st.floats(0.05, 0.5))
     aspect = draw(st.floats(1.25, 4.0))
     hy = hx * aspect if draw(st.booleans()) else hx / aspect
@@ -353,6 +353,60 @@ def test_assembly_map_is_per_grid_not_per_shape():
         cases.append((g, SymTensorField(g, d11, d12, d22), rng.standard_normal(g.shape), 0.05))
     for case in (cases[0], cases[1], cases[1], cases[0]):
         _assert_matches_face_loop(*case)
+
+
+def test_assembly_pattern_does_not_depend_on_the_data():
+    # the CSR data is taken through a pattern cached per grid shape, so the pattern must not move
+    # with the values; on 3 nodes across, the one-sided closures of the first and last line overlap
+    for g in (GridSpec(7, 5, lx=1.2, ly=0.7), GridSpec(3, 4)):
+        rng = np.random.default_rng(5)
+        d11, d22 = rng.uniform(0.1, 2.0, g.shape), rng.uniform(0.1, 2.0, g.shape)
+        D = SymTensorField(g, d11, rng.uniform(-0.9, 0.9, g.shape) * np.sqrt(d11 * d22), d22)
+        zeros = np.zeros(g.shape)
+        stream = rng.standard_normal(g.shape)
+        cases = [(D, stream), (SymTensorField(g, zeros, zeros, zeros), zeros), (D, -stream)]
+        patterns = [_assemble(g, D_, s, 0.1)[0] for D_, s in cases]
+        for A in patterns[1:]:
+            assert np.array_equal(A.indptr, patterns[0].indptr)
+            assert np.array_equal(A.indices, patterns[0].indices)
+        A = patterns[0]
+        ny, nx = g.shape
+        assert A.nnz == (3 * nx - 2) * (3 * ny - 2) + 2 * (3 * nx - 2) + 2 * (3 * ny - 2)
+        # the cross-term closures of the edge lines reach two nodes in
+        row_cols = {r: set(A.indices[A.indptr[r]:A.indptr[r + 1]]) for r in range(ny * nx)}
+        for j in range(nx):
+            assert 2 * nx + j in row_cols[j]
+            assert (ny - 3) * nx + j in row_cols[(ny - 1) * nx + j]
+        for i in range(ny):
+            assert i * nx + 2 in row_cols[i * nx]
+            assert i * nx + nx - 3 in row_cols[i * nx + nx - 1]
+
+
+def test_assembly_caches_at_most_16_bytes_per_nonzero():
+    # what the assembly keeps between passes: the memory still allocated after one call that
+    # starts with every cache of the module emptied
+    import gc
+    import tracemalloc
+
+    g = GridSpec(65, 65, lx=0.9, ly=1.1)
+    rng = np.random.default_rng(3)
+    d11, d22 = rng.uniform(0.1, 2.0, g.shape), rng.uniform(0.1, 2.0, g.shape)
+    D = SymTensorField(g, d11, 0.5 * np.sqrt(d11 * d22), d22)
+    fe, fn = transport._face_fluxes_from_stream(rng.standard_normal(g.shape), g)
+    for obj in vars(transport).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        A, w = transport._assemble_parabolic(g, D, fe, fn, 0.01)
+        nnz = A.nnz
+        del A, w
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept <= 16 * nnz
 
 
 # --- coupled stepping
