@@ -37,15 +37,18 @@ through one index array cached per shape.
 Each Picard pass makes one sine-transform solve for the stream function
 (see ``elliptic``), one coefficient build and one BiCGSTAB call for the
 transport step, asked for a relative residual of 1e-13
-(``_KRYLOV_RTOL``) and preconditioned by the exact inverse of the step
-matrix for the constant tensor c I (c the mean of (d11 + d22)/2) without
+(``_KRYLOV_RTOL``) and preconditioned by the inverse of the step matrix
+for the constant tensor c I (c the mean of (d11 + d22)/2) without
 advection: two type-I cosine transforms and a division (Concus & Golub,
-SIAM J. Numer. Anal. 10(6), 1973).  A pass whose call stops short of
+SIAM J. Numer. Anal. 10(6), 1973), run in single precision after a
+power-of-two range scaling, inside the float64 BiCGSTAB (Carson & Higham,
+SIAM J. Sci. Comput. 40(2), 2018).  A pass whose call stops short of
 1e-13 within ``_FAST_ITERATIONS`` iterations (strong tensor contrast) or
 misses ``lin_tol`` factors a CSC copy of its own matrix exactly (SuperLU,
 minimum-degree ordering on A^T A + A) and solves with the factor
-directly.  The true residual is recomputed and checked against
-``lin_tol``, so solver error stays far below the conservation
+directly.  The true residual is recomputed in float64 and checked
+against ``lin_tol``, so the single-precision preconditioner never
+certifies a pass and solver error stays far below the conservation
 diagnostics.
 
 Passes after the first are Anderson-mixed (Walker & Ni type II, depth
@@ -137,7 +140,7 @@ class RunConfig:
             raise ValueError(f"picard_max must be at least 1, got {self.picard_max}")
         if self.output_every < 0:
             raise ValueError(f"output_every must be nonnegative, got {self.output_every}")
-        _parse_params(self.ic_params)
+        _preset_params(self.ic, self.ic_params, self.grid)
         # the mollifier radius is bounded by the domain, which RegParams does not know
         if self.reg.moll_radius > 0.5 * min(self.grid.lx, self.grid.ly):
             raise ValueError(f"moll_radius {self.reg.moll_radius} exceeds half the domain size")
@@ -199,41 +202,58 @@ def _parse_params(text: str) -> dict[str, float]:
     return out
 
 
+_PRESET_ALIASES = {"gaussian-bump": "gaussian", "cosine-checker": "checker"}
+
+
+def _preset_params(ic: str, ic_params: str, grid: GridSpec) -> tuple[str, dict[str, float]] | None:
+    """The preset that ``ic`` names and its parameters, defaults filled in; None for a snapshot path.
+
+    Names the preset does not take, a width that is not positive, and any
+    parameter given with a snapshot are errors; like those of
+    ``_parse_params``, each message names ``ic_params`` first.
+    """
+    params = _parse_params(ic_params)
+    name = ic.strip().lower()
+    name = _PRESET_ALIASES.get(name, name)
+    defaults = {
+        "constant": {"value": 1.0},
+        "gaussian": {"amplitude": 1.0, "cx": grid.lx / 2.0, "cy": grid.ly / 2.0, "width": 0.1},
+        "stripe": {"amplitude": 1.0, "cx": grid.lx / 2.0, "width": 0.1},
+        "checker": {"amplitude": 1.0, "kx": 1.0, "ky": 1.0},
+    }.get(name)
+    if defaults is None:
+        if params:
+            raise ValueError(f"ic_params: a snapshot initial condition takes no parameters, got {sorted(params)}")
+        return None
+    unknown = set(params) - set(defaults)
+    if unknown:
+        raise ValueError(f"ic_params: unknown ic parameters for {name!r}: {sorted(unknown)}")
+    merged = {**defaults, **params}
+    if "width" in merged and not merged["width"] > 0:
+        raise ValueError(f"ic_params: width must be positive, got {merged['width']}")
+    return name, merged
+
+
 def initial_condition(ic: str, ic_params: str, grid: GridSpec) -> ScalarField:
     """Evaluate a smooth preset, or load a snapshot CSV validated against the grid."""
-    name = ic.strip().lower()
-    params = _parse_params(ic_params)
+    preset = _preset_params(ic, ic_params, grid)
+    if preset is None:
+        path = Path(ic)
+        if not path.exists():
+            raise ValueError(f"unknown ic preset or missing file: {ic!r}")
+        return read_snapshot(path, grid)
+    name, p = preset
     x1, x2 = grid.nodes()
-
-    def take(defaults: dict[str, float]) -> dict[str, float]:
-        unknown = set(params) - set(defaults)
-        if unknown:
-            raise ValueError(f"unknown ic parameters for {name!r}: {sorted(unknown)}")
-        merged = dict(defaults)
-        merged.update(params)
-        return merged
-
     if name == "constant":
-        p = take({"value": 1.0})
         return ScalarField.full(grid, p["value"])
-    if name in ("gaussian", "gaussian-bump"):
-        p = take({"amplitude": 1.0, "cx": grid.lx / 2.0, "cy": grid.ly / 2.0, "width": 0.1})
+    if name == "gaussian":
         r2 = (x1 - p["cx"]) ** 2 + (x2 - p["cy"]) ** 2
         return ScalarField(grid, p["amplitude"] * np.exp(-r2 / (2.0 * p["width"] ** 2)))
     if name == "stripe":
-        p = take({"amplitude": 1.0, "cx": grid.lx / 2.0, "width": 0.1})
         return ScalarField(grid, p["amplitude"] * np.exp(-((x1 - p["cx"]) ** 2) / (2.0 * p["width"] ** 2)))
-    if name in ("checker", "cosine-checker"):
-        p = take({"amplitude": 1.0, "kx": 1.0, "ky": 1.0})
-        return ScalarField(
-            grid,
-            p["amplitude"] * np.cos(p["kx"] * np.pi * x1 / grid.lx) * np.cos(p["ky"] * np.pi * x2 / grid.ly),
-        )
-    # anything else is a snapshot path
-    path = Path(ic)
-    if not path.exists():
-        raise ValueError(f"unknown ic preset or missing file: {ic!r}")
-    return read_snapshot(path, grid)
+    return ScalarField(
+        grid, p["amplitude"] * np.cos(p["kx"] * np.pi * x1 / grid.lx) * np.cos(p["ky"] * np.pi * x2 / grid.ly)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +379,12 @@ def _assemble_parabolic(
 
 
 # BiCGSTAB iterations the cosine-preconditioned solve may take before an
-# exact LU is cheaper.  On a 2-core x86-64 host one splu of a reference step
-# matrix costs about 20, 38 and 55 of them at n = 65, 129 and 257, and the
-# lagged-tensor runs reference_config(n, a=4, b=12, m=0.2), dt = 4/(n-1),
-# need at most 43-44.  A fixed count, not a timing rule, keeps reruns
-# byte-identical.
+# exact LU is cheaper.  On a 2-core x86-64 host with one BLAS thread, one
+# splu (and its solve) of a first-step reference matrix costs about 25-29,
+# 48-50 and 78-83 iterations with the single-precision preconditioner at
+# n = 65, 129 and 257, and the lagged-tensor runs
+# reference_config(n, a=4, b=12, m=0.2), dt = 4/(n-1), need at most 43-44.
+# A fixed count, not a timing rule, keeps reruns byte-identical.
 _FAST_ITERATIONS = 60
 
 # The relative residual each BiCGSTAB call is asked for.  The Picard gap
@@ -378,16 +399,29 @@ _ANDERSON_DEPTH = 3
 
 
 def _cosine_preconditioner(grid: GridSpec, w: np.ndarray, dt: float, c: float) -> spla.LinearOperator:
-    """The exact inverse of the step matrix for the tensor c I and zero fluxes.
+    """The inverse of the step matrix for the tensor c I and zero fluxes, in single precision.
 
     That matrix is diag(w)/dt + c L, and diag(w)^-1 L is the 5-point
     Laplacian with reflecting ends on each axis, which DCT-I diagonalizes.
+    The two transforms and the division run in float32, which halves their
+    cost; BiCGSTAB keeps its vectors and residuals in float64, and the pass
+    still checks its recomputed float64 residual against ``lin_tol``.  Each
+    application scales r/w by the power of two that brings its largest entry
+    into [0.5, 1) and undoes it on the float64 result, so every finite
+    residual stays inside float32 range and the scaling is exact.  A zero
+    input gives zeros; a non-finite one gives a non-finite result, on which
+    BiCGSTAB breaks down and the pass takes the LU fallback.
     """
     shape = grid.shape
-    denom = 1.0 / dt + c * laplacian_eigenvalues(grid, reflecting=True)
+    inv_w = 1.0 / w
+    denom = (1.0 / dt + c * laplacian_eigenvalues(grid, reflecting=True)).astype(np.float32)
 
     def solve(r: np.ndarray) -> np.ndarray:
-        return idctn(dctn(r.reshape(shape) / w, type=1) / denom, type=1).ravel()
+        s = r.reshape(shape) * inv_w
+        e = math.frexp(float(np.max(np.abs(s))))[1]  # 0 for zero, nan or inf
+        z = dctn(np.ldexp(s, -e, out=s).astype(np.float32), type=1, overwrite_x=True)
+        z /= denom
+        return np.ldexp(idctn(z, type=1, overwrite_x=True), e, dtype=float).ravel()
 
     return spla.LinearOperator((w.size, w.size), solve, dtype=float)
 

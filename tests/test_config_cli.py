@@ -8,7 +8,7 @@ from dispersim import config, transport
 from dispersim.cli import main
 from dispersim.config import ConfigError, parse_config, serialize_config
 from dispersim.elliptic import SolverError
-from dispersim.grid import GridSpec, ScalarField, SymTensorField, read_snapshot
+from dispersim.grid import GridSpec, ScalarField, SymTensorField, read_snapshot, write_snapshot
 
 MINIMAL = """
 # minimal valid configuration
@@ -111,12 +111,28 @@ def test_cli_run_non_finite_value_exit_2_at_its_line(tmp_path, capsys, key, bad)
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("params", ["width=nan", "amplitude=inf", "width=abc", "width"])
+# a width that is not positive and a name the preset does not take are caught at the ic_params
+# line, before the run evaluates the initial condition
+@pytest.mark.parametrize(
+    "params", ["width=nan", "amplitude=inf", "width=abc", "width", "width=-0.1", "width=0", "widht=0.2"]
+)
 def test_cli_run_bad_ic_params_exit_2_at_its_line(tmp_path, capsys, params):
     path = _write_cfg(tmp_path, f"ic_params = {params}\n")
     lineno = len(MINIMAL.splitlines()) + 1
     assert main(["run", "--config", str(path), "--outdir", str(tmp_path / "out")]) == 2
     assert f"configuration error: line {lineno}: ic_params: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_ic_params_with_snapshot_exit_2_at_its_line(tmp_path, capsys):
+    # a snapshot takes no parameters, so any given are an error, not ignored
+    write_snapshot(ScalarField.full(GridSpec(17, 17), 1.0), tmp_path / "ic.csv")
+    path = tmp_path / "run.cfg"
+    path.write_text(MINIMAL.replace("ic = gaussian", f"ic = {tmp_path / 'ic.csv'}") + "ic_params = amplitude=2\n")
+    lineno = len(MINIMAL.splitlines()) + 1
+    assert main(["run", "--config", str(path), "--outdir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: line {lineno}: ic_params: a snapshot initial condition takes no parameters" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -571,17 +571,89 @@ def test_linear_residual_is_worst_pass(monkeypatch):
     assert start == len(rels)
 
 
-@pytest.mark.parametrize("grid", [GridSpec(33, 21, lx=1.0, ly=0.6), GridSpec(17, 41, lx=0.5, ly=2.0)])
-def test_cosine_preconditioner_inverts_constant_tensor_step(grid):
-    # non-square cells with hx != hy: swapped spacings leave a relative residual above 1e-2
+_ANISOTROPIC_GRIDS = [GridSpec(33, 21, lx=1.0, ly=0.6), GridSpec(17, 41, lx=0.5, ly=2.0)]
+
+
+def _constant_tensor_step_residual(grid: GridSpec, scale: float) -> float:
+    """The relative residual of the cosine preconditioner's result for a random right side times ``scale``."""
     c, dt = 0.7, 0.01
     ones = np.ones(grid.shape)
     D = SymTensorField(grid, c * ones, 0.0 * ones, c * ones)
     zeros_e, zeros_n = np.zeros((grid.ny, grid.nx - 1)), np.zeros((grid.ny - 1, grid.nx))
     A, w = transport._assemble_parabolic(grid, D, zeros_e, zeros_n, dt)
     M = transport._cosine_preconditioner(grid, w, dt, c)
-    b = np.random.default_rng(5).standard_normal(grid.ny * grid.nx)
-    assert np.linalg.norm(A @ M.matvec(b) - b) <= 1e-13 * np.linalg.norm(b)
+    assert np.array_equal(M.matvec(np.zeros(w.size)), np.zeros(w.size))
+    b = np.random.default_rng(5).standard_normal(w.size)
+    x = M.matvec(scale * b)
+    assert x.dtype == np.float64
+    return float(np.linalg.norm((A @ x - scale * b) / scale) / np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("grid", _ANISOTROPIC_GRIDS)
+def test_cosine_preconditioner_inverts_constant_tensor_step(grid):
+    # non-square cells with hx != hy: swapped spacings leave a relative residual above 1e-2;
+    # the transforms run in float32, so the inverse holds to 1e-5, not to float64 rounding
+    assert _constant_tensor_step_residual(grid, 1.0) <= 1e-5
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-30, 1e30, 1e200])
+@pytest.mark.parametrize("grid", _ANISOTROPIC_GRIDS)
+def test_cosine_preconditioner_rescales_into_float32_range(grid, scale):
+    # 1e-200 and 1e200 lie outside float32 range, so only the power-of-two rescaling passes them
+    assert _constant_tensor_step_residual(grid, scale) <= 1e-5
+
+
+def test_cosine_preconditioner_passes_non_finite_input_on():
+    # BiCGSTAB then breaks down and the pass takes the LU fallback
+    grid = GridSpec(9, 9)
+    M = transport._cosine_preconditioner(grid, grid.cell_weights(), 0.01, 1.0)
+    for bad in (np.nan, np.inf):
+        b = np.ones(grid.ny * grid.nx)
+        b[40] = bad
+        assert not np.all(np.isfinite(M.matvec(b)))
+
+
+def _float64_cosine_preconditioner(grid, w, dt, c):
+    """The cosine preconditioner with its transforms in float64: the oracle for the float32 one."""
+    from scipy.fft import dctn, idctn
+
+    from dispersim.elliptic import laplacian_eigenvalues
+
+    denom = 1.0 / dt + c * laplacian_eigenvalues(grid, reflecting=True)
+
+    def solve(r):
+        return idctn(dctn(r.reshape(grid.shape) / w, type=1) / denom, type=1).ravel()
+
+    return transport.spla.LinearOperator((w.size, w.size), solve, dtype=float)
+
+
+def test_float32_preconditioner_matches_float64_on_convection_dominated_steps(monkeypatch):
+    # the checker case: weak dispersion, 11-12 passes per step, about 200 BiCGSTAB iterations a step
+    cfg = dataclasses.replace(
+        reference_config(33, a=0.05, b=0.5, m=0.01),
+        ic="checker", ic_params="amplitude=5,kx=1,ky=1", dt=1.0 / 128, t_end=8.0 / 128,
+    )
+    iterations = [0]
+    bicgstab = transport.spla.bicgstab
+
+    def counted_bicgstab(*args, **kwargs):
+        def count(xk):
+            iterations[0] += 1
+
+        return bicgstab(*args, callback=count, **kwargs)
+
+    monkeypatch.setattr(transport.spla, "bicgstab", counted_bicgstab)
+    factorizations = _counting(monkeypatch, transport.spla, "splu")
+
+    with monkeypatch.context() as m:
+        m.setattr(transport, "_cosine_preconditioner", _float64_cosine_preconditioner)
+        oracle = run(cfg)
+    oracle_iterations, iterations[0] = iterations[0], 0
+    tr = run(cfg)
+    assert [r.picard_iterations for r in tr.reports] == [r.picard_iterations for r in oracle.reports]
+    assert factorizations == []
+    assert np.max(np.abs(tr.final.u.values - oracle.final.u.values)) <= 1e-12
+    assert iterations[0] <= 1.02 * oracle_iterations
 
 
 def test_step_matches_standalone_passes(monkeypatch):
