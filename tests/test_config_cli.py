@@ -136,6 +136,19 @@ def test_cli_run_ic_params_with_snapshot_exit_2_at_its_line(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("target", ["missing.csv", "a-directory"])
+def test_cli_run_ic_that_is_no_snapshot_file_exit_2_at_its_line(tmp_path, capsys, target):
+    # neither a preset nor an existing file: caught at the ic line, before the run starts
+    (tmp_path / "a-directory").mkdir()
+    path = tmp_path / "run.cfg"
+    path.write_text(MINIMAL.replace("ic = gaussian", f"ic = {tmp_path / target}"))
+    lineno = MINIMAL.splitlines().index("ic = gaussian") + 1
+    assert main(["run", "--config", str(path), "--outdir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: line {lineno}: ic: unknown ic preset or missing file" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_malformed_line():
     with pytest.raises(ConfigError, match="line 2"):
         parse_config("nx = 9\nny 9\n")
