@@ -18,10 +18,8 @@ from .grid import (
     SymTensorField,
     VectorField,
     diff_x1,
-    diff_x2,
-    gradient,
-    hessian,
     integrate,
+    quad_form,
     read_snapshot,
     write_snapshot,
 )

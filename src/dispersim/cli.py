@@ -20,6 +20,13 @@ from .config import ConfigError, read_config
 from .elliptic import SolverError
 
 
+def _seed(text: str) -> int:
+    """A random seed: numpy takes nonnegative integers only."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dispersim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -30,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run a verification suite and emit a pass/fail table")
     p_ver.add_argument("--suite", default="all", choices=("identities", "appendix", "solver", "all"))
-    p_ver.add_argument("--seed", type=int, default=None, help="override the suite's fixed random seed")
+    p_ver.add_argument("--seed", type=_seed, default=None, help="override the suite's fixed random seed")
 
     p_mms = sub.add_parser("mms", help="convergence-order study on manufactured/self-refined solutions")
     p_mms.add_argument("--case", required=True, choices=("poisson", "coupled"))

@@ -1,13 +1,15 @@
-"""Uniform rectangular grid, field containers, and second-order difference operators.
+"""Uniform rectangular grid, field containers, first derivatives and the quadratic form D w.w.
 
 All fields live on the nodes of a uniform nx-by-ny grid covering
 [0, lx] x [0, ly].  Values are stored as (ny, nx) arrays so that
 ``values.ravel()`` enumerates nodes in row-major order, flat index
-j*nx + i, node (i, j) sitting at (i*hx, j*hy).  First and second
-derivatives use central stencils at interior nodes and second-order
-one-sided stencils on the boundary, so every operator is second-order
-accurate up to the edge of the domain (affine fields are differentiated
-exactly, quadratics exactly at interior nodes).
+j*nx + i, node (i, j) sitting at (i*hx, j*hy).  ``deriv1`` takes first
+derivatives only: central stencils at interior nodes and second-order
+one-sided stencils on the boundary, so it is second-order accurate up to
+the edge of the domain (affine fields are differentiated exactly,
+quadratics exactly at interior nodes).  ``quad_form`` is the package's
+one D w.w, the dissipation density phi = D grad(u).grad(u) when w is a
+gradient.
 
 Snapshot files are CSV with header ``x1,x2,value`` in the same row-major
 node order, written with 17 significant digits, bit-exact round trip.
@@ -109,9 +111,6 @@ class ScalarField:
         x1, x2 = grid.nodes()
         return cls(grid, np.broadcast_to(np.asarray(fn(x1, x2), dtype=float), grid.shape).copy())
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
-
 
 @dataclass
 class VectorField:
@@ -139,10 +138,6 @@ class SymTensorField:
         self.d12 = _grid_array(self.d12, self.grid, "SymTensorField.d12")
         self.d22 = _grid_array(self.d22, self.grid, "SymTensorField.d22")
 
-    def quad_form(self, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-        """Node-wise quadratic form D w . w."""
-        return self.d11 * w1 * w1 + 2.0 * self.d12 * w1 * w2 + self.d22 * w2 * w2
-
 
 def deriv1(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Second-order first derivative along an axis; one-sided at the ends."""
@@ -156,38 +151,13 @@ def deriv1(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     return out
 
 
-def deriv2(values: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Second-order second derivative along an axis; one-sided at the ends."""
-    if axis == 0:
-        return deriv2(values.T, h, 1).T
-    v = values
-    h2 = h * h
-    out = np.empty_like(v)
-    out[:, 1:-1] = (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / h2
-    out[:, 0] = (2.0 * v[:, 0] - 5.0 * v[:, 1] + 4.0 * v[:, 2] - v[:, 3]) / h2
-    out[:, -1] = (2.0 * v[:, -1] - 5.0 * v[:, -2] + 4.0 * v[:, -3] - v[:, -4]) / h2
-    return out
-
-
 def diff_x1(f: ScalarField) -> ScalarField:
     return ScalarField(f.grid, deriv1(f.values, f.grid.hx, axis=1))
 
 
-def diff_x2(f: ScalarField) -> ScalarField:
-    return ScalarField(f.grid, deriv1(f.values, f.grid.hy, axis=0))
-
-
-def gradient(f: ScalarField) -> VectorField:
-    return VectorField(f.grid, deriv1(f.values, f.grid.hx, 1), deriv1(f.values, f.grid.hy, 0))
-
-
-def hessian(f: ScalarField) -> SymTensorField:
-    """Second-difference Hessian; the cross term composes the two first-derivative stencils."""
-    g = f.grid
-    d11 = deriv2(f.values, g.hx, axis=1)
-    d22 = deriv2(f.values, g.hy, axis=0)
-    d12 = deriv1(deriv1(f.values, g.hy, axis=0), g.hx, axis=1)
-    return SymTensorField(g, d11, d12, d22)
+def quad_form(a11, a12, a22, w1, w2):
+    """a11 w1^2 + 2 a12 w1 w2 + a22 w2^2: the symmetric matrix (a11, a12, a22) applied to w twice, node-wise."""
+    return a11 * w1 * w1 + 2.0 * a12 * w1 * w2 + a22 * w2 * w2
 
 
 def integrate(f: ScalarField) -> float:
@@ -265,4 +235,4 @@ def read_snapshot(path, grid: GridSpec | None = None) -> ScalarField:
         and np.allclose(x2s, gx2.ravel(), rtol=1e-12, atol=1e-14)
     ):
         raise ValueError(f"{path}: node coordinates do not match the {grid.nx}x{grid.ny} grid")
-    return ScalarField(grid, vals)
+    return ScalarField(grid, _grid_array(vals, grid, str(path)))

@@ -18,7 +18,8 @@ analysis rests on:
 
   where (e1, e2) = D grad(u) and w = u_t - D:hess(u); the system matrix
   has determinant det(D) * phi, and Cramer's rule gives the closed forms
-  implemented in ``reconstruct_hessian``;
+  implemented in ``reconstruct_hessian`` (the acceptance check builds the
+  matrix itself, for its dense-solve oracle and its determinant);
 * the parabolic equation satisfied by the j-th power psi = phi^j of the
   dissipation density wherever grad(u) does not vanish:
 
@@ -40,10 +41,12 @@ Stencils here are fourth-order in space (one-sided closures at the
 boundary keep the order uniform) so identity residuals decay fast enough
 to be separated from rounding at desk-scale grids.  ``grad_4``, ``div_4``
 and ``hess_4`` are the one way this module and ``mapped_domain``
-differentiate a node array, ``contract`` is the one A:S, and
-``windowed_residual`` the one windowed max-norm; ``deriv1_4`` and
-``deriv2_4`` are their one-axis building blocks.  Time derivatives of
-manufactured fields use second-order central differences.
+differentiate a node array, and ``hess_4`` is the package's only Hessian;
+``contract`` is the one A:S, and ``windowed_residual`` the one windowed
+max-norm; ``deriv1_4`` and ``deriv2_4`` are their one-axis building
+blocks.  Every D w.w, phi among them, comes from ``grid.quad_form``.
+Time derivatives of manufactured fields use second-order central
+differences.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from functools import lru_cache
 import numpy as np
 
 from .coefficients import PhysParams, dispersion_entries
-from .grid import GridSpec, LatticeConvolution, ScalarField
+from .grid import GridSpec, LatticeConvolution, ScalarField, quad_form
 
 # ---------------------------------------------------------------------------
 # fourth-order finite differences with one-sided boundary closures
@@ -134,11 +137,6 @@ def windowed_residual(arr: np.ndarray, rect: tuple[float, float, float, float]) 
 # pointwise 2x2 matrix identities
 
 
-def _quad_form(a11, a12, a22, w1, w2):
-    """a11 w1^2 + 2 a12 w1 w2 + a22 w2^2: the symmetric matrix (a11, a12, a22) applied to w twice."""
-    return a11 * w1**2 + 2.0 * a12 * w1 * w2 + a22 * w2**2
-
-
 def square_decomposition_residuals(a11, a12, a22) -> np.ndarray:
     """Entrywise residual of A^2 - tr(A) A + det(A) I, vectorized over entries."""
     tr = a11 + a22
@@ -211,7 +209,7 @@ class IdentityWorkspace:
 
     @property
     def phi(self):
-        return _quad_form(self.d11, self.d12, self.d22, self.ux1, self.ux2)
+        return quad_form(self.d11, self.d12, self.d22, self.ux1, self.ux2)
 
     @property
     def e1(self):
@@ -242,9 +240,16 @@ class IdentityWorkspace:
     def g(self):
         """Relative-gradient vector of D along grad(u): G = (D_xk grad u . grad u)/phi."""
         phi = self.phi
-        g1 = _quad_form(self.d11_x1, self.d12_x1, self.d22_x1, self.ux1, self.ux2) / phi
-        g2 = _quad_form(self.d11_x2, self.d12_x2, self.d22_x2, self.ux1, self.ux2) / phi
+        g1 = quad_form(self.d11_x1, self.d12_x1, self.d22_x1, self.ux1, self.ux2) / phi
+        g2 = quad_form(self.d11_x2, self.d12_x2, self.d22_x2, self.ux1, self.ux2) / phi
         return g1, g2
+
+    def _positive_phi_det_d(self, what: str):
+        """(phi, det(D)), or ValueError naming ``what`` unless both are positive, as the identities need."""
+        phi, det_d = self.phi, self.det_d
+        if np.any(np.asarray(phi) <= 0) or np.any(np.asarray(det_d) <= 0):
+            raise ValueError(f"{what} needs phi > 0 and det(D) > 0")
+        return phi, det_d
 
     def _aux_matrices(self):
         """The three matrices entering the adjugate representation of hess(u).
@@ -265,42 +270,21 @@ class IdentityWorkspace:
 
 
 def reconstruct_hessian(ws: IdentityWorkspace):
-    """Closed-form Hessian of u from first-order data, plus the system determinant.
-
-    Returns ((u11, u12, u22), det_e) where det_e is the determinant of the
-    assembled 3x3 system matrix, computed independently so callers can check
-    it against det(D) * phi.
-    """
-    phi = np.asarray(ws.phi, dtype=float)
-    if np.any(phi <= 0):
-        raise ValueError("dissipation density phi must be positive for the reconstruction")
-    det_d = np.asarray(ws.det_d, dtype=float)
-    if np.any(det_d <= 0):
-        raise ValueError("tensor must be positive-definite (det(D) > 0)")
+    """Closed-form Hessian (u11, u12, u22) of u from first-order data, by Cramer's rule on the 3x3 system."""
+    phi, det_d = ws._positive_phi_det_d("the Hessian reconstruction")
     if ws.phi_x1 is None or ws.phi_x2 is None:
         raise ValueError("reconstruction needs the gradient of phi (phi_x1, phi_x2)")
     g1, g2 = ws.g
     p1 = ws.phi_x1 - phi * g1
     p2 = ws.phi_x2 - phi * g2
     r3 = ws.u_t - ws.w
-    d11, d12, d22 = ws.d11, ws.d12, ws.d22
     e1, e2 = ws.e1, ws.e2
     m1, m2, _ = ws._aux_matrices()
     denom = det_d * phi
     u11 = -(m2[1][0] * p1 + m2[1][1] * p2) / (2.0 * denom) + r3 * e2**2 / denom
     u12 = (m2[0][0] * p1 + m2[0][1] * p2) / (2.0 * denom) - r3 * e1 * e2 / denom
     u22 = -(m1[0][0] * p1 + m1[0][1] * p2) / (2.0 * denom) + r3 * e1**2 / denom
-
-    e_mat = np.zeros(np.broadcast(e1, d22).shape + (3, 3))
-    e_mat[..., 0, 0] = e1
-    e_mat[..., 0, 1] = e2
-    e_mat[..., 1, 1] = e1
-    e_mat[..., 1, 2] = e2
-    e_mat[..., 2, 0] = d11
-    e_mat[..., 2, 1] = 2.0 * d12
-    e_mat[..., 2, 2] = d22
-    det_e = np.linalg.det(e_mat)
-    return (u11, u12, u22), det_e
+    return u11, u12, u22
 
 
 @dataclass
@@ -323,10 +307,7 @@ def forcing_coefficients(ws: IdentityWorkspace) -> ForcingCoefficients:
 
     The scalar source keeps its two sign-definite terms; nothing is dropped.
     """
-    phi = ws.phi
-    det_d = ws.det_d
-    if np.any(np.asarray(phi) <= 0) or np.any(np.asarray(det_d) <= 0):
-        raise ValueError("forcing coefficients need phi > 0 and det(D) > 0")
+    phi, det_d = ws._positive_phi_det_d("the forcing assembly")
     g1, g2 = ws.g
     dg1 = ws.d11 * g1 + ws.d12 * g2
     dg2 = ws.d12 * g1 + ws.d22 * g2
@@ -355,7 +336,7 @@ def forcing_coefficients(ws: IdentityWorkspace) -> ForcingCoefficients:
     m3u1 = m3[0] * ws.ux1 + m3[1] * ws.ux2
     m3u2 = m3[1] * ws.ux1 + m3[2] * ws.ux2
     div_d1, div_d2 = ws.div_d
-    dt_quad = _quad_form(ws.d11_t, ws.d12_t, ws.d22_t, ws.ux1, ws.ux2)
+    dt_quad = quad_form(ws.d11_t, ws.d12_t, ws.d22_t, ws.ux1, ws.ux2)
     r3 = ws.u_t - ws.w
     source = (
         (dd1 * mg1 + dd2 * mg2) / denom
@@ -408,7 +389,7 @@ def power_equation_residual(u_fn, v_fn, params: PhysParams, j: int, grid: GridSp
         v1, v2 = grad_4(v, hx, hy)
         d11, d12, d22 = dispersion_entries(-v2, v1, params, _POWER_REG_EPS)
         ux1, ux2 = grad_4(u, hx, hy)
-        phi = _quad_form(d11, d12, d22, ux1, ux2)
+        phi = quad_form(d11, d12, d22, ux1, ux2)
         slices[tag] = dict(u=u, d11=d11, d12=d12, d22=d22, ux1=ux1, ux2=ux2, phi=phi, psi=phi**j)
 
     s0, sm, sp = slices["0"], slices["-"], slices["+"]

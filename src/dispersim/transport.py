@@ -87,6 +87,7 @@ from .grid import (
     deriv1,
     diff_x1,
     integrate,
+    quad_form,
     read_snapshot,
     write_snapshot,
 )
@@ -193,6 +194,8 @@ def _parse_params(text: str) -> dict[str, float]:
             raise ValueError(f"ic_params: malformed parameter {part!r}, expected name=value")
         key, val = part.split("=", 1)
         key = key.strip()
+        if key in out:
+            raise ValueError(f"ic_params: duplicate parameter {key!r}")
         try:
             out[key] = float(val)
         except ValueError as exc:
@@ -574,7 +577,7 @@ def _diag_row(state: SimState, report: StepReport | None, prev_u: ScalarField | 
     u = state.u
     g1 = deriv1(u.values, u.grid.hx, axis=1)
     g2 = deriv1(u.values, u.grid.hy, axis=0)
-    phi = state.D_eps.quad_form(g1, g2)
+    phi = quad_form(state.D_eps.d11, state.D_eps.d12, state.D_eps.d22, g1, g2)
     mass = integrate(u)
     ut_sup = 0.0
     energy_dissip = dissip_before

@@ -111,10 +111,11 @@ def test_cli_run_non_finite_value_exit_2_at_its_line(tmp_path, capsys, key, bad)
     assert not (tmp_path / "out").exists()
 
 
-# a width that is not positive and a name the preset does not take are caught at the ic_params
+# a width that is not positive, a name the preset does not take and a name given twice are caught at the ic_params
 # line, before the run evaluates the initial condition
 @pytest.mark.parametrize(
-    "params", ["width=nan", "amplitude=inf", "width=abc", "width", "width=-0.1", "width=0", "widht=0.2"]
+    "params", ["width=nan", "amplitude=inf", "width=abc", "width", "width=-0.1", "width=0", "widht=0.2",
+               "amplitude=1,amplitude=5"]
 )
 def test_cli_run_bad_ic_params_exit_2_at_its_line(tmp_path, capsys, params):
     path = _write_cfg(tmp_path, f"ic_params = {params}\n")
@@ -303,6 +304,16 @@ def test_cli_verify_appendix_seeded(tmp_path, monkeypatch):
     assert main(["verify", "--suite", "appendix", "--seed", "7"]) == 0
     text = (tmp_path / "verify_results.csv").read_text()
     assert ",7," in text
+
+
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_cli_verify_bad_seed_exit_2_naming_the_flag(tmp_path, monkeypatch, capsys, seed):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "identities", "--seed", seed])
+    assert exc.value.code == 2
+    assert f"argument --seed: expected a nonnegative integer, got '{seed}'" in capsys.readouterr().err
+    assert not (tmp_path / "verify_results.csv").exists()
 
 
 def test_verify_unknown_suite():

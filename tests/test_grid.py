@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -11,9 +12,8 @@ from dispersim.grid import (
     GridSpec,
     ScalarField,
     _snapshot_template,
+    deriv1,
     diff_x1,
-    diff_x2,
-    hessian,
     integrate,
     read_snapshot,
     write_snapshot,
@@ -46,13 +46,13 @@ def test_diff_affine_exact():
     g = GridSpec(9, 9)
     f = ScalarField.from_function(g, lambda x1, x2: 3.0 * x1 + 5.0)
     assert np.max(np.abs(diff_x1(f).values - 3.0)) == 0.0
-    assert np.max(np.abs(diff_x2(f).values)) == 0.0
+    assert np.max(np.abs(deriv1(f.values, g.hy, axis=0))) == 0.0
 
 
 def test_diff_quadratic_central_exact_at_half():
     g = GridSpec(5, 5)  # x2 = 0.5 is the center row
     f = ScalarField.from_function(g, lambda x1, x2: x2**2)
-    d = diff_x2(f).values
+    d = deriv1(f.values, g.hy, axis=0)
     assert d[2, 2] == 1.0
 
 
@@ -65,34 +65,6 @@ def test_diff_second_order_convergence():
         errs.append(np.max(np.abs(diff_x1(f).values - exact)))
     ratio = errs[0] / errs[1]
     assert 3.6 <= ratio <= 4.4
-
-
-def test_hessian_quadratic_exact():
-    g = GridSpec(9, 9)
-    f = ScalarField.from_function(g, lambda x1, x2: x1**2 + x2**2)
-    h = hessian(f)
-    assert np.allclose(h.d11, 2.0, atol=1e-12)
-    assert np.allclose(h.d22, 2.0, atol=1e-12)
-    assert np.allclose(h.d12, 0.0, atol=1e-12)
-    f2 = ScalarField.from_function(g, lambda x1, x2: x1 * x2)
-    assert np.allclose(hessian(f2).d12, 1.0, atol=1e-12)
-
-
-def test_hessian_convergence():
-    errs = []
-    for n in (65, 129):
-        g = GridSpec(n, n)
-        x1, x2 = g.nodes()
-        f = ScalarField(g, np.sin(x1) * np.cos(x2))
-        h = hessian(f)
-        interior = (slice(1, -1), slice(1, -1))
-        err = max(
-            np.max(np.abs(h.d11 + np.sin(x1) * np.cos(x2))[interior]),
-            np.max(np.abs(h.d12 + np.cos(x1) * np.sin(x2))[interior]),
-            np.max(np.abs(h.d22 + np.sin(x1) * np.cos(x2))[interior]),
-        )
-        errs.append(err)
-    assert 3.5 <= errs[0] / errs[1] <= 4.5
 
 
 def test_integrate_exact_cases():
@@ -124,8 +96,8 @@ def test_diff_commutation_interior():
     g = GridSpec(21, 23)
     rng = np.random.default_rng(4)
     f = ScalarField(g, rng.uniform(-1, 1, g.shape))
-    ab = diff_x1(diff_x2(f)).values[1:-1, 1:-1]
-    ba = diff_x2(diff_x1(f)).values[1:-1, 1:-1]
+    ab = deriv1(deriv1(f.values, g.hy, axis=0), g.hx, axis=1)[1:-1, 1:-1]
+    ba = deriv1(deriv1(f.values, g.hx, axis=1), g.hy, axis=0)[1:-1, 1:-1]
     scale = max(1.0, np.max(np.abs(ab)))
     assert np.max(np.abs(ab - ba)) <= 1e-12 * scale
 
@@ -187,6 +159,18 @@ def test_snapshot_rows_out_of_order_rejected(tmp_path):
     path.write_text("".join(lines))
     for grid in (None, g):
         with pytest.raises(ValueError, match="node coordinates do not match the 5x4 grid"):
+            read_snapshot(path, grid)
+
+
+def test_snapshot_nonfinite_value_rejected(tmp_path):
+    g = GridSpec(5, 4)
+    path = tmp_path / "field.csv"
+    write_snapshot(ScalarField(g, np.arange(20.0)), path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[8] = lines[8].rsplit(",", 1)[0] + ",nan\n"
+    path.write_text("".join(lines))
+    for grid in (None, g):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: non-finite values$"):
             read_snapshot(path, grid)
 
 

@@ -109,11 +109,11 @@ def test_reconstruct_hessian_isotropic_quadratic():
         ux1=ux1, ux2=ux2, u_t=0.0, w=-4.0, d11=1.0, d12=0.0, d22=1.0,
         phi_x1=2 * (2.0 * ux1), phi_x2=2 * (2.0 * ux2),
     )
-    (h11, h12, h22), det_e = reconstruct_hessian(ws)
+    h11, h12, h22 = reconstruct_hessian(ws)
     assert h11 == pytest.approx(2.0, abs=1e-12)
     assert h12 == pytest.approx(0.0, abs=1e-12)
     assert h22 == pytest.approx(2.0, abs=1e-12)
-    assert det_e == pytest.approx(phi, rel=1e-12)  # det(D) = 1
+    assert ws.det_d * ws.phi == pytest.approx(phi, rel=1e-12)  # det(D) = 1
 
 
 def test_reconstruct_hessian_det_worked():
@@ -122,8 +122,9 @@ def test_reconstruct_hessian_det_worked():
         ux1=1.0, ux2=0.0, u_t=0.0, w=0.0, d11=7.8, d12=2.4, d22=9.2,
         phi_x1=0.0, phi_x2=0.0,
     )
-    _, det_e = reconstruct_hessian(ws)
-    assert det_e == pytest.approx(66.0 * 7.8, rel=1e-10)
+    assert ws.det_d * ws.phi == pytest.approx(66.0 * 7.8, rel=1e-10)
+    # no first-order data and w = u_t: the Hessian is zero
+    assert reconstruct_hessian(ws) == pytest.approx((0.0, 0.0, 0.0), abs=1e-15)
 
 
 def test_reconstruct_hessian_vs_linear_solve():
@@ -152,7 +153,7 @@ def test_reconstruct_hessian_vs_linear_solve():
         d11_x1=phi * g1 / ux1**2, d11_x2=phi * g2 / ux1**2,
         phi_x1=phi_x1, phi_x2=phi_x2,
     )
-    (h11, h12, h22), det_e = reconstruct_hessian(ws)
+    h11, h12, h22 = reconstruct_hessian(ws)
     sref = np.maximum(1.0, np.abs(s11) + np.abs(s12) + np.abs(s22))
     assert np.max(np.abs(h11 - s11) / sref) < 1e-12
     assert np.max(np.abs(h12 - s12) / sref) < 1e-12
@@ -164,7 +165,7 @@ def test_reconstruct_hessian_vs_linear_solve():
     rhs = np.stack([(phi_x1 - phi * g1) / 2, (phi_x2 - phi * g2) / 2, u_t - w], axis=1)
     sol = np.linalg.solve(E, rhs[..., None])[..., 0]
     assert np.max(np.abs(sol[:, 0] - h11) / sref) < 1e-12
-    assert np.max(np.abs(det_e - (d11 * d22 - d12**2) * phi) / ((d11 * d22 - d12**2) * phi)) < 1e-10
+    assert np.max(np.abs(np.linalg.det(E) - (d11 * d22 - d12**2) * phi) / ((d11 * d22 - d12**2) * phi)) < 1e-10
 
 
 def test_reconstruct_hessian_requires_positive_phi():

@@ -797,6 +797,27 @@ def test_mass_drift_of_zero_mean_initial_condition():
     assert all(abs(r.mass_drift) <= 1e-12 for r in tr.diagnostics)
 
 
+def test_diagnostics_phi_columns_match_an_independent_evaluation():
+    # grad u by numpy's second-order differences and phi by einsum over D_eps,
+    # against the phi_max, grad_sup and energy_dissip columns of every stored state
+    cfg = dataclasses.replace(reference_config(17), output_every=1)
+    tr = run(cfg)
+    hx, hy = cfg.grid.hx, cfg.grid.hy
+    assert [s.step for s in tr.states] == [r.step for r in tr.diagnostics]
+    for k, (state, row) in enumerate(zip(tr.states, tr.diagnostics)):
+        g2, g1 = np.gradient(state.u.values, hy, hx, edge_order=2)
+        grad = np.stack([g1, g2])
+        D = state.D_eps
+        tensor = np.array([[D.d11, D.d12], [D.d12, D.d22]])
+        phi = np.einsum("i...,ij...,j...->...", grad, tensor, grad)
+        assert row.phi_max == pytest.approx(np.max(phi), rel=1e-12)
+        assert row.grad_sup == pytest.approx(np.max(np.hypot(g1, g2)), rel=1e-12)
+        if k:
+            increment = row.energy_dissip - tr.diagnostics[k - 1].energy_dissip
+            expected = cfg.dt * np.trapezoid(np.trapezoid(phi, dx=hx, axis=1), dx=hy)
+            assert increment == pytest.approx(expected, rel=1e-12)
+
+
 def test_first_pass_uses_state_coefficients(monkeypatch):
     cfg = _cfg()
     st = initial_state(cfg)
