@@ -31,7 +31,10 @@ from .grid import GridSpec, ScalarField, VectorField, quad_form
 from .identities import (
     IdentityWorkspace,
     RecursionParams,
+    contract,
+    det2,
     log_kernel_average,
+    matvec,
     power_equation_residual,
     reconstruct_hessian,
     recursion_threshold,
@@ -164,9 +167,9 @@ def check_sandwich_identity(seed: int = DEFAULT_SEED) -> CheckRow:
     d11, d12, d22 = _random_spd(rng, n)
     s11, s12, s22 = rng.uniform(-10.0, 10.0, size=(3, n))
     res = sandwich_identity_residuals(d11, d12, d22, s11, s12, s22)
-    dnorm = np.sqrt(d11**2 + 2 * d12**2 + d22**2)
-    snorm2 = s11**2 + 2 * s12**2 + s22**2
-    det_s = np.abs(s11 * s22 - s12**2)
+    d, s = (d11, d12, d22), (s11, s12, s22)
+    dnorm, snorm2 = np.sqrt(contract(d, d)), contract(s, s)
+    det_s = np.abs(det2(((s11, s12), (s12, s22))))
     scale = 1.0 + dnorm * (snorm2 + det_s)
     return _row("sandwich-identity", n, np.max(res / scale), 1e-10, "<=", seed, t0)
 
@@ -185,7 +188,7 @@ def check_tensor_structure(seed: int = DEFAULT_SEED) -> CheckRow:
         half_tr = 0.5 * (D.d11 + D.d22)
         disc = np.sqrt(0.25 * (D.d11 - D.d22) ** 2 + D.d12**2)
         eig_lo, eig_hi = half_tr - disc, half_tr + disc
-        det = D.d11 * D.d22 - D.d12**2
+        det = det2(((D.d11, D.d12), (D.d12, D.d22)))
         worst = max(
             worst,
             float(np.max(np.abs(eig_lo - lo.values) / lo.values)),
@@ -293,14 +296,15 @@ def check_hessian_reconstruction(seed: int = DEFAULT_SEED) -> CheckRow:
     ux2 = rng.uniform(0.3, 2.0, n) * rng.choice([-1.0, 1.0], n)
     s11, s12, s22 = rng.uniform(-2, 2, size=(3, n))
     g1, g2 = rng.uniform(-1, 1, size=(2, n))
+    d_rows = ((d11, d12), (d12, d22))
     phi = quad_form(d11, d12, d22, ux1, ux2)
-    e1 = d11 * ux1 + d12 * ux2
-    e2 = d12 * ux1 + d22 * ux2
+    e1, e2 = matvec(d_rows, ux1, ux2)
     # consistent first-order data: grad(phi) = 2 S (D grad u) + phi G, w = u_t - D:S
-    phi_x1 = 2.0 * (s11 * e1 + s12 * e2) + phi * g1
-    phi_x2 = 2.0 * (s12 * e1 + s22 * e2) + phi * g2
+    se1, se2 = matvec(((s11, s12), (s12, s22)), e1, e2)
+    phi_x1 = 2.0 * se1 + phi * g1
+    phi_x2 = 2.0 * se2 + phi * g2
     u_t = rng.uniform(-1, 1, n)
-    w = u_t - (d11 * s11 + 2 * d12 * s12 + d22 * s22)
+    w = u_t - contract((d11, d12, d22), (s11, s12, s22))
     # G is consistent with tensor derivatives (D_xk grad u . grad u) = phi g_k;
     # pick derivative entries that realize it: spread the value over d11_xk
     ws = IdentityWorkspace(
@@ -319,7 +323,7 @@ def check_hessian_reconstruction(seed: int = DEFAULT_SEED) -> CheckRow:
     sscale = np.maximum(1.0, np.abs(s11) + np.abs(s12) + np.abs(s22))[:, None]
     exact = np.stack([s11, s12, s22], axis=1)
     worst = float(max(np.max(np.abs(h - exact) / sscale), np.max(np.abs(sol - h) / sscale)))
-    det_d_phi = (d11 * d22 - d12**2) * phi
+    det_d_phi = det2(d_rows) * phi
     det_rel = float(np.max(np.abs(np.linalg.det(E) - det_d_phi) / np.abs(det_d_phi)))
     row = _row("hessian-reconstruction", n, worst, 1e-12, "<=", seed, t0,
                note=f"detE rel dev {det_rel:.2e}")

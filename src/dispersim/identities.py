@@ -44,7 +44,10 @@ and ``hess_4`` are the one way this module and ``mapped_domain``
 differentiate a node array, and ``hess_4`` is the package's only Hessian;
 ``contract`` is the one A:S, and ``windowed_residual`` the one windowed
 max-norm; ``deriv1_4`` and ``deriv2_4`` are their one-axis building
-blocks.  Every D w.w, phi among them, comes from ``grid.quad_form``.
+blocks.  ``matvec``, ``det2`` and ``congruence`` are the one pointwise 2x2
+mat-vec, determinant and congruence J^T A J of this module, ``acceptance``
+and ``mapped_domain``.  Every D w.w, phi among them, comes from
+``grid.quad_form``.
 Time derivatives of manufactured fields use second-order central
 differences.
 """
@@ -119,6 +122,28 @@ def contract(a, s):
     return a[0] * s[0] + 2.0 * a[1] * s[1] + a[2] * s[2]
 
 
+def matvec(m, w1, w2):
+    """m @ (w1, w2) for a 2x2 matrix given as rows ((m11, m12), (m21, m22))."""
+    return m[0][0] * w1 + m[0][1] * w2, m[1][0] * w1 + m[1][1] * w2
+
+
+def det2(m):
+    """det(m) = m11 m22 - m12 m21 for a 2x2 matrix given as rows."""
+    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+
+
+def congruence(j, a):
+    """J^T A J as (11, 12, 22) entries, for J given as rows and symmetric A as (11, 12, 22) entries.
+
+    Entry (i, k) is A applied to the i-th column of J, then dotted with the k-th.
+    """
+    rows = ((a[0], a[1]), (a[1], a[2]))
+    a1, a2 = matvec(rows, j[0][0], j[1][0]), matvec(rows, j[0][1], j[1][1])
+    return (a1[0] * j[0][0] + a1[1] * j[1][0],
+            a1[0] * j[0][1] + a1[1] * j[1][1],
+            a2[0] * j[0][1] + a2[1] * j[1][1])
+
+
 def sub_box(arr: np.ndarray, rect: tuple[float, float, float, float]) -> np.ndarray:
     """Nodes of ``arr`` inside ``rect`` = (x1_lo, x1_hi, x2_lo, x2_hi), given as fractions of each axis."""
     n2, n1 = arr.shape
@@ -139,11 +164,12 @@ def windowed_residual(arr: np.ndarray, rect: tuple[float, float, float, float]) 
 
 def square_decomposition_residuals(a11, a12, a22) -> np.ndarray:
     """Entrywise residual of A^2 - tr(A) A + det(A) I, vectorized over entries."""
-    tr = a11 + a22
-    det = a11 * a22 - a12 * a12
-    r11 = a11 * a11 + a12 * a12 - tr * a11 + det
-    r12 = a12 * (a11 + a22) - tr * a12
-    r22 = a12 * a12 + a22 * a22 - tr * a22 + det
+    a = ((a11, a12), (a12, a22))
+    tr, det = a11 + a22, det2(a)
+    (sq11, _), (sq12, sq22) = matvec(a, a11, a12), matvec(a, a12, a22)  # the columns of A^2
+    r11 = sq11 - tr * a11 + det
+    r12 = sq12 - tr * a12
+    r22 = sq22 - tr * a22 + det
     return np.maximum(np.abs(r11), np.maximum(np.abs(r12), np.abs(r22)))
 
 
@@ -154,20 +180,16 @@ def sandwich_identity_residuals(d11, d12, d22, s11, s12, s22) -> np.ndarray:
     by det(D) occurs; D must still be positive-definite at every entry,
     which for a symmetric 2x2 matrix is d11 > 0 and det(D) > 0.
     """
-    det_d = d11 * d22 - d12 * d12
+    d = (d11, d12, d22)
+    det_d = det2(((d11, d12), (d12, d22)))
     if not (np.all(d11 > 0) and np.all(det_d > 0)):
         raise ValueError(
             f"D must be symmetric positive-definite, got min d11 = {np.min(d11)}, min det(D) = {np.min(det_d)}"
         )
-    t11 = s11 * d11 + s12 * d12
-    t12 = s11 * d12 + s12 * d22
-    t21 = s12 * d11 + s22 * d12
-    t22 = s12 * d12 + s22 * d22
-    m11 = t11 * s11 + t12 * s12
-    m12 = t11 * s12 + t12 * s22
-    m22 = t21 * s12 + t22 * s22
-    c = contract((d11, d12, d22), (s11, s12, s22))
-    det_s = s11 * s22 - s12 * s12
+    s_rows = ((s11, s12), (s12, s22))
+    m11, m12, m22 = congruence(s_rows, d)  # S D S, as S is symmetric
+    c = contract(d, (s11, s12, s22))
+    det_s = det2(s_rows)
     r11 = m11 - c * s11 + det_s * d22
     r12 = m12 - c * s12 - det_s * d12
     r22 = m22 - c * s22 + det_s * d11
@@ -212,16 +234,18 @@ class IdentityWorkspace:
         return quad_form(self.d11, self.d12, self.d22, self.ux1, self.ux2)
 
     @property
-    def e1(self):
-        return self.d11 * self.ux1 + self.d12 * self.ux2
+    def d(self):
+        """D as rows ((d11, d12), (d12, d22))."""
+        return (self.d11, self.d12), (self.d12, self.d22)
 
     @property
-    def e2(self):
-        return self.d12 * self.ux1 + self.d22 * self.ux2
+    def e(self):
+        """(e1, e2) = D grad(u)."""
+        return matvec(self.d, self.ux1, self.ux2)
 
     @property
     def det_d(self):
-        return self.d11 * self.d22 - self.d12**2
+        return det2(self.d)
 
     @property
     def det_d_x1(self):
@@ -259,13 +283,13 @@ class IdentityWorkspace:
         """
         d11, d12, d22 = self.d11, self.d12, self.d22
         ux1, ux2 = self.ux1, self.ux2
-        e1, e2 = self.e1, self.e2
+        e1, e2 = self.e
         cross = d22 * d11 - 2.0 * d12**2
         m1 = ((d11 * e1, d12 * d11 * ux1 - cross * ux2),
               (d11 * e2, d22 * e1))
         m2 = ((d11 * e2, d22 * e1),
               (-cross * ux1 + d12 * d22 * ux2, d22 * e2))
-        m3 = (-e1 * e1, -e1 * e2, -e2 * e2)
+        m3 = ((-e1 * e1, -e1 * e2), (-e1 * e2, -e2 * e2))
         return m1, m2, m3
 
 
@@ -278,12 +302,13 @@ def reconstruct_hessian(ws: IdentityWorkspace):
     p1 = ws.phi_x1 - phi * g1
     p2 = ws.phi_x2 - phi * g2
     r3 = ws.u_t - ws.w
-    e1, e2 = ws.e1, ws.e2
+    e1, e2 = ws.e
     m1, m2, _ = ws._aux_matrices()
+    m1p, m2p = matvec(m1, p1, p2), matvec(m2, p1, p2)
     denom = det_d * phi
-    u11 = -(m2[1][0] * p1 + m2[1][1] * p2) / (2.0 * denom) + r3 * e2**2 / denom
-    u12 = (m2[0][0] * p1 + m2[0][1] * p2) / (2.0 * denom) - r3 * e1 * e2 / denom
-    u22 = -(m1[0][0] * p1 + m1[0][1] * p2) / (2.0 * denom) + r3 * e1**2 / denom
+    u11 = -m2p[1] / (2.0 * denom) + r3 * e2**2 / denom
+    u12 = m2p[0] / (2.0 * denom) - r3 * e1 * e2 / denom
+    u22 = -m1p[0] / (2.0 * denom) + r3 * e1**2 / denom
     return u11, u12, u22
 
 
@@ -309,32 +334,24 @@ def forcing_coefficients(ws: IdentityWorkspace) -> ForcingCoefficients:
     """
     phi, det_d = ws._positive_phi_det_d("the forcing assembly")
     g1, g2 = ws.g
-    dg1 = ws.d11 * g1 + ws.d12 * g2
-    dg2 = ws.d12 * g1 + ws.d22 * g2
-    e1, e2 = ws.e1, ws.e2
+    dg1, dg2 = matvec(ws.d, g1, g2)
+    e1, e2 = ws.e
     dd1, dd2 = ws.det_d_x1, ws.det_d_x2
     m1, m2, m3 = ws._aux_matrices()
 
-    # drift = D G + (2 u_t / phi) D grad u - (1/(det(D) phi)) [M1^T dd, M2^T dd] grad u
-    c1_1 = m1[0][0] * dd1 + m1[1][0] * dd2
-    c1_2 = m1[0][1] * dd1 + m1[1][1] * dd2
-    c2_1 = m2[0][0] * dd1 + m2[1][0] * dd2
-    c2_2 = m2[0][1] * dd1 + m2[1][1] * dd2
+    # drift = D G + (2 u_t / phi) D grad u - (1/(det(D) phi)) [M1^T dd, M2^T dd] grad u;
+    # tuple(zip(*m)) is the transpose of m given as rows, tuple(zip(a, b)) the matrix with columns a, b
+    c1, c2 = matvec(tuple(zip(*m1)), dd1, dd2), matvec(tuple(zip(*m2)), dd1, dd2)
+    cu1, cu2 = matvec(tuple(zip(c1, c2)), ws.ux1, ws.ux2)
     denom = det_d * phi
-    drift1 = dg1 + 2.0 * ws.u_t * e1 / phi - (ws.ux1 * c1_1 + ws.ux2 * c2_1) / denom
-    drift2 = dg2 + 2.0 * ws.u_t * e2 / phi - (ws.ux1 * c1_2 + ws.ux2 * c2_2) / denom
+    drift1 = dg1 + 2.0 * ws.u_t * e1 / phi - cu1 / denom
+    drift2 = dg2 + 2.0 * ws.u_t * e2 / phi - cu2 / denom
 
     flux1 = -dg1 + 2.0 * ws.w * e1 / phi
     flux2 = -dg2 + 2.0 * ws.w * e2 / phi
 
-    m1g1 = m1[0][0] * g1 + m1[0][1] * g2
-    m1g2 = m1[1][0] * g1 + m1[1][1] * g2
-    m2g1 = m2[0][0] * g1 + m2[0][1] * g2
-    m2g2 = m2[1][0] * g1 + m2[1][1] * g2
-    mg1 = ws.ux1 * m1g1 + ws.ux2 * m2g1
-    mg2 = ws.ux1 * m1g2 + ws.ux2 * m2g2
-    m3u1 = m3[0] * ws.ux1 + m3[1] * ws.ux2
-    m3u2 = m3[1] * ws.ux1 + m3[2] * ws.ux2
+    mg1, mg2 = matvec(tuple(zip(matvec(m1, g1, g2), matvec(m2, g1, g2))), ws.ux1, ws.ux2)
+    m3u1, m3u2 = matvec(m3, ws.ux1, ws.ux2)
     div_d1, div_d2 = ws.div_d
     dt_quad = quad_form(ws.d11_t, ws.d12_t, ws.d22_t, ws.ux1, ws.ux2)
     r3 = ws.u_t - ws.w
@@ -414,9 +431,8 @@ def power_equation_residual(u_fn, v_fn, params: PhysParams, j: int, grid: GridSp
     psi = s0["psi"]
     psi_t = (sp["psi"] - sm["psi"]) * inv2dt
     psi_x1, psi_x2 = grad_4(psi, hx, hy)
-    p1 = (s0["d11"] * psi_x1 + s0["d12"] * psi_x2) / psi
-    p2 = (s0["d12"] * psi_x1 + s0["d22"] * psi_x2) / psi
-    lhs = psi_t / psi - div_4(p1, p2, hx, hy)
+    dpsi1, dpsi2 = matvec(ws.d, psi_x1, psi_x2)
+    lhs = psi_t / psi - div_4(dpsi1 / psi, dpsi2 / psi, hx, hy)
     div_flux = div_4(fc.flux1, fc.flux2, hx, hy)
     rhs = (fc.drift1 * psi_x1 + fc.drift2 * psi_x2) / psi + j * fc.source + j * div_flux
 
@@ -473,36 +489,40 @@ def vector_calc_residuals(grid: GridSpec, seed: int = 0) -> dict[str, float]:
 
     # grad(F.G) = grad(F) G + grad(G) F, with grad(F)_{ij} = d_i F_j
     dot_1, dot_2 = grad_4(f1 * g1 + f2 * g2, hx, hy)
-    r1 = dot_1 - (f1_1 * g1 + f2_1 * g2 + g1_1 * f1 + g2_1 * f2)
-    r2 = dot_2 - (f1_2 * g1 + f2_2 * g2 + g1_2 * f1 + g2_2 * f2)
+    fg, gf = matvec(((f1_1, f2_1), (f1_2, f2_2)), g1, g2), matvec(((g1_1, g2_1), (g1_2, g2_2)), f1, f2)
+    r1 = dot_1 - (fg[0] + gf[0])
+    r2 = dot_2 - (fg[1] + gf[1])
     out["grad-of-dot"] = _max_abs(r1, r2)
 
     # div(A F) = A : grad(F) + div(A) . F
-    af1 = a11 * f1 + a12 * f2
-    af2 = a12 * f1 + a22 * f2
+    a = ((a11, a12), (a12, a22))
+    af1, af2 = matvec(a, f1, f2)
     contr = a11 * f1_1 + a12 * f2_1 + a12 * f1_2 + a22 * f2_2
     out["div-of-matvec"] = _max_abs(div_4(af1, af2, hx, hy) - (contr + diva1 * f1 + diva2 * f2))
 
     # grad(A F) = grad(F) A^T + (A_x1 F, A_x2 F)^T, entry (i, j) = d_i (A F)_j
     af1_1, af1_2 = grad_4(af1, hx, hy)
     af2_1, af2_2 = grad_4(af2, hx, hy)
-    r11 = af1_1 - (a11 * f1_1 + a12 * f2_1 + (a11_1 * f1 + a12_1 * f2))
-    r12 = af2_1 - (a12 * f1_1 + a22 * f2_1 + (a12_1 * f1 + a22_1 * f2))
-    r21 = af1_2 - (a11 * f1_2 + a12 * f2_2 + (a11_2 * f1 + a12_2 * f2))
-    r22 = af2_2 - (a12 * f1_2 + a22 * f2_2 + (a12_2 * f1 + a22_2 * f2))
+    a_f1, a1_f = matvec(a, f1_1, f2_1), matvec(((a11_1, a12_1), (a12_1, a22_1)), f1, f2)
+    a_f2, a2_f = matvec(a, f1_2, f2_2), matvec(((a11_2, a12_2), (a12_2, a22_2)), f1, f2)
+    r11 = af1_1 - (a_f1[0] + a1_f[0])
+    r12 = af2_1 - (a_f1[1] + a1_f[1])
+    r21 = af1_2 - (a_f2[0] + a2_f[0])
+    r22 = af2_2 - (a_f2[1] + a2_f[1])
     out["grad-of-matvec"] = _max_abs(r11, r12, r21, r22)
 
     # div(u A) = u div(A) + grad(u)^T A  (row-vector identity)
-    ua12 = u * a12
-    r1 = div_4(u * a11, ua12, hx, hy) - (u * diva1 + u_1 * a11 + u_2 * a12)
-    r2 = div_4(ua12, u * a22, hx, hy) - (u * diva2 + u_1 * a12 + u_2 * a22)
+    ua12, au = u * a12, matvec(a, u_1, u_2)
+    r1 = div_4(u * a11, ua12, hx, hy) - (u * diva1 + au[0])
+    r2 = div_4(ua12, u * a22, hx, hy) - (u * diva2 + au[1])
     out["div-of-scaled-matrix"] = _max_abs(r1, r2)
 
     # grad(|grad u|^2) = 2 hess(u) grad(u)
     sq_1, sq_2 = grad_4(u_1 * u_1 + u_2 * u_2, hx, hy)
     h11, h12, h22 = hess_4(u, hx, hy)
-    r1 = sq_1 - 2.0 * (h11 * u_1 + h12 * u_2)
-    r2 = sq_2 - 2.0 * (h12 * u_1 + h22 * u_2)
+    hu1, hu2 = matvec(((h11, h12), (h12, h22)), u_1, u_2)
+    r1 = sq_1 - 2.0 * hu1
+    r2 = sq_2 - 2.0 * hu2
     out["grad-of-grad-square"] = _max_abs(r1, r2)
     return out
 
@@ -521,6 +541,9 @@ class RecursionParams:
     y0: float
 
     def __post_init__(self):
+        for name in ("c", "b", "alpha", "y0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.c > 0 and self.alpha > 0):
             raise ValueError("c and alpha must be positive")
         if not self.b > 1:

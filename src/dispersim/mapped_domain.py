@@ -31,6 +31,11 @@ The scalars h1, h2 absorb the second derivatives of the chart:
 expanded through the chain rule against grad_inv; they vanish for affine
 charts.  ``reflect_extend`` doubles a field across the flattening line by
 even or odd reflection.
+
+Chart matrices are rows of arrays; their products, determinants and the
+congruences K = J^T J and M = J^T D J come from ``identities.matvec``,
+``det2`` and ``congruence``.  The pointwise checks draw their samples and
+Jacobians from one ``_sampled_jacobians``.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ import numpy as np
 
 from .coefficients import PhysParams, dispersion_entries
 from .grid import GridSpec, ScalarField
-from .identities import contract, div_4, grad_4, hess_4, windowed_residual
+from .identities import congruence, contract, det2, div_4, grad_4, hess_4, matvec, windowed_residual
 
 # eta-rectangle (lo1, hi1, lo2, hi2) every chart is sampled and meshed on; the plain
 # transport residual uses it in x, so the identity chart reproduces it bit for bit
@@ -121,38 +126,27 @@ def builtin_charts() -> tuple[Chart, Chart, Chart]:
     return identity_chart(), shear_chart(), exponential_chart()
 
 
-def _sample_points(seed: int) -> tuple[np.ndarray, np.ndarray]:
+def _sampled_jacobians(chart: Chart, seed: int):
+    """x = f(eta), grad_inv(eta) and grad_fwd(x) at ``_N_SAMPLES`` random eta in ``ETA_RECT`` and its four corners."""
     lo1, hi1, lo2, hi2 = ETA_RECT
     rng = np.random.default_rng(seed)
-    e1 = rng.uniform(lo1, hi1, size=_N_SAMPLES)
-    e2 = rng.uniform(lo2, hi2, size=_N_SAMPLES)
-    corners = np.array([[lo1, lo2], [lo1, hi2], [hi1, lo2], [hi1, hi2]])
-    return np.concatenate([e1, corners[:, 0]]), np.concatenate([e2, corners[:, 1]])
+    e1 = np.concatenate([rng.uniform(lo1, hi1, size=_N_SAMPLES), [lo1, lo1, hi1, hi1]])
+    e2 = np.concatenate([rng.uniform(lo2, hi2, size=_N_SAMPLES), [lo2, hi2, lo2, hi2]])
+    x1, x2 = chart.inv(e1, e2)
+    return x1, x2, chart.grad_inv(e1, e2), chart.grad_fwd(x1, x2)
 
 
 def jacobian_identity_residual(chart: Chart, seed: int = 0) -> float:
     """max-norm of grad_inv(eta) @ grad_fwd(f(eta)) - I over sampled chart points."""
-    e1, e2 = _sample_points(seed)
-    x1, x2 = chart.inv(e1, e2)
-    jf = chart.grad_inv(e1, e2)
-    jg = chart.grad_fwd(x1, x2)
-    res = 0.0
-    for i in range(2):
-        for j in range(2):
-            prod = jf[i][0] * jg[0][j] + jf[i][1] * jg[1][j]
-            res = max(res, float(np.max(np.abs(prod - (1.0 if i == j else 0.0)))))
-    return res
+    _, _, jf, jg = _sampled_jacobians(chart, seed)
+    cols = [matvec(jf, jg[0][k], jg[1][k]) for k in range(2)]  # the columns of the product
+    return max(float(np.max(np.abs(cols[k][i] - float(i == k)))) for i in range(2) for k in range(2))
 
 
 def det_product_residual(chart: Chart, seed: int = 0) -> float:
     """max-norm of det(grad_inv)(eta) * det(grad_fwd)(f(eta)) - 1."""
-    e1, e2 = _sample_points(seed)
-    x1, x2 = chart.inv(e1, e2)
-    jf = chart.grad_inv(e1, e2)
-    jg = chart.grad_fwd(x1, x2)
-    det_f = jf[0][0] * jf[1][1] - jf[0][1] * jf[1][0]
-    det_g = jg[0][0] * jg[1][1] - jg[0][1] * jg[1][0]
-    return float(np.max(np.abs(det_f * det_g - 1.0)))
+    _, _, jf, jg = _sampled_jacobians(chart, seed)
+    return float(np.max(np.abs(det2(jf) * det2(jg) - 1.0)))
 
 
 def pushforward_gradient_residual(chart: Chart, grad_u: Callable, seed: int = 0) -> float:
@@ -161,22 +155,14 @@ def pushforward_gradient_residual(chart: Chart, grad_u: Callable, seed: int = 0)
     grad(u o f) is expanded through the chain rule with grad_inv, so the
     residual reduces to (I - grad_fwd grad_inv) grad(u) at mapped points.
     """
-    e1, e2 = _sample_points(seed)
-    x1, x2 = chart.inv(e1, e2)
+    x1, x2, jf, jg = _sampled_jacobians(chart, seed)
     gu1, gu2 = grad_u(x1, x2)
-    jf = chart.grad_inv(e1, e2)
-    jg = chart.grad_fwd(x1, x2)
     # grad(u o f)(eta) = grad_inv(eta) @ grad(u)(f(eta))
-    t1, t2 = _matvec(jf, gu1, gu2)
-    jt1, jt2 = _matvec(jg, t1, t2)
+    t1, t2 = matvec(jf, gu1, gu2)
+    jt1, jt2 = matvec(jg, t1, t2)
     r1 = gu1 - jt1
     r2 = gu2 - jt2
     return float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
-
-
-def _matvec(m, w1, w2):
-    """m @ (w1, w2) for a 2x2 matrix given as rows ((m11, m12), (m21, m22))."""
-    return m[0][0] * w1 + m[0][1] * w2, m[1][0] * w1 + m[1][1] * w2
 
 
 def _rect_mesh(rect: tuple[float, float, float, float], n: int):
@@ -210,15 +196,13 @@ def transformed_poisson_residual(chart: Chart, v_fn: Callable, u_fn: Callable, n
     ut = np.asarray(u_fn(x1, x2), dtype=float)
     vt_1, vt_2 = grad_4(vt, h1m, h2m)
     ut_1, ut_2 = grad_4(ut, h1m, h2m)
-    # K = (grad_fwd)^T (grad_fwd) composed with f; K_ij = sum_k J_ki J_kj
-    k11 = jg[0][0] ** 2 + jg[1][0] ** 2
-    k12 = jg[0][0] * jg[0][1] + jg[1][0] * jg[1][1]
-    k22 = jg[0][1] ** 2 + jg[1][1] ** 2
-    p1, p2 = _matvec(((k11, k12), (k12, k22)), vt_1, vt_2)
+    # K = (grad_fwd)^T (grad_fwd) composed with f
+    k11, k12, k22 = congruence(jg, (1.0, 0.0, 1.0))
+    p1, p2 = matvec(((k11, k12), (k12, k22)), vt_1, vt_2)
     div_p = div_4(p1, p2, h1m, h2m)
-    beta1, beta2 = _matvec(jg, vt_1, vt_2)
+    beta1, beta2 = matvec(jg, vt_1, vt_2)
     qt1, qt2 = -beta2, beta1
-    rhs = ut_1 * jg[0][0] + ut_2 * jg[0][1]
+    rhs = matvec(jg, ut_1, ut_2)[0]
     return windowed_residual(div_p + h1 * qt1 + h2 * qt2 - rhs, _CENTRAL_BOX)
 
 
@@ -303,21 +287,14 @@ def transport_expression_eta(chart: Chart, fix: TransportFields, n: int) -> np.n
     vt = np.asarray(fix.v(x1, x2), dtype=float)
     ut_1, ut_2 = grad_4(ut, h1m, h2m)
     vt_1, vt_2 = grad_4(vt, h1m, h2m)
-    beta1, beta2 = _matvec(jg, vt_1, vt_2)
+    beta1, beta2 = matvec(jg, vt_1, vt_2)
     qt1, qt2 = -beta2, beta1
     d11, d12, d22 = dispersion_entries(qt1, qt2, p)
-    # T = D J (rows k), M = J^T T
-    t11 = d11 * jg[0][0] + d12 * jg[1][0]
-    t12 = d11 * jg[0][1] + d12 * jg[1][1]
-    t21 = d12 * jg[0][0] + d22 * jg[1][0]
-    t22 = d12 * jg[0][1] + d22 * jg[1][1]
-    m11 = jg[0][0] * t11 + jg[1][0] * t21
-    m12 = jg[0][0] * t12 + jg[1][0] * t22
-    m22 = jg[0][1] * t12 + jg[1][1] * t22
+    m11, m12, m22 = congruence(jg, (d11, d12, d22))  # M = J^T D J
     div_m1 = div_4(m11, m12, h1m, h2m)
     div_m2 = div_4(m12, m22, h1m, h2m)
-    jgu1, jgu2 = _matvec(jg, ut_1, ut_2)
-    y1, y2 = _matvec(((d11, d12), (d12, d22)), jgu1, jgu2)
+    jgu1, jgu2 = matvec(jg, ut_1, ut_2)
+    y1, y2 = matvec(((d11, d12), (d12, d22)), jgu1, jgu2)
     return (
         np.asarray(fix.u_t(x1, x2, t), dtype=float)
         - contract((m11, m12, m22), hess_4(ut, h1m, h2m))

@@ -459,6 +459,8 @@ def parabolic_step(
     """
     if not lin_tol > 0:
         raise ValueError(f"lin_tol must be positive, got {lin_tol}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     grid = u_old.grid
     fe, fn = _face_fluxes_from_stream(stream.values, grid)
     A, w = _assemble_parabolic(grid, D, fe, fn, dt)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dispersim import acceptance as ac
+from dispersim import verify
 
 
 def _report(tag: str, row, budget: float | None = None):
@@ -82,3 +83,11 @@ def test_ac15_boundedness_monitoring(run_cache):
     tr = run_cache.reference()
     assert np.all(np.isfinite([r.grad_sup for r in tr.diagnostics]))
     assert np.all(np.isfinite([r.phi_max for r in tr.diagnostics]))
+
+
+@pytest.mark.parametrize("suite", ["identities", "appendix"])
+def test_suite_repeats_identically_in_one_process(suite):
+    # the benchmark's certify workload runs these suites round after round in
+    # one process, next to the per-grid caches of the log kernel and the FFTs
+    first, second = ([(r.name, r.value, r.note, r.passed) for r in verify.run_suite(suite)] for _ in range(2))
+    assert first == second

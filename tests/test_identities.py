@@ -4,14 +4,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dispersim.coefficients import PhysParams
-from dispersim.grid import GridSpec, ScalarField
+from dispersim.grid import GridSpec, ScalarField, quad_form
 from dispersim.identities import (
     IdentityWorkspace,
     RecursionParams,
     _log_cell_integral,
     _log_kernel_convolution,
+    congruence,
+    det2,
     forcing_coefficients,
     log_kernel_average,
+    matvec,
     power_equation_residual,
     reconstruct_hessian,
     recursion_threshold,
@@ -20,6 +23,51 @@ from dispersim.identities import (
     superlinear_recursion,
     vector_calc_residuals,
 )
+
+
+# --- pointwise 2x2 helpers against numpy's dense algebra
+
+
+def _rows(m):
+    """A stack of shape (n, 2, 2) as the rows ((m11, m12), (m21, m22)) the helpers take."""
+    return (m[:, 0, 0], m[:, 0, 1]), (m[:, 1, 0], m[:, 1, 1])
+
+
+_STACKS = dict(n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_STACKS)
+def test_matvec_and_det2_match_numpy(n, seed, scale):
+    rng = np.random.default_rng(seed)
+    m = scale * rng.standard_normal((n, 2, 2))
+    w = rng.standard_normal((n, 2))
+    got = np.stack(matvec(_rows(m), w[:, 0], w[:, 1]), axis=1)
+    ref = np.einsum("nij,nj->ni", m, w)
+    assert np.all(np.abs(got - ref) <= 1e-15 * np.einsum("nij,nj->ni", np.abs(m), np.abs(w)))
+    det_ref = np.linalg.det(m)
+    assert np.all(np.abs(det2(_rows(m)) - det_ref) <= 1e-14 * (np.abs(m[:, 0, 0] * m[:, 1, 1]) + np.abs(m[:, 0, 1] * m[:, 1, 0])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_STACKS)
+def test_congruence_and_quad_form_match_numpy(n, seed, scale):
+    rng = np.random.default_rng(seed)
+    j = rng.standard_normal((n, 2, 2))
+    a = scale * rng.standard_normal((n, 2, 2))
+    a = a + a.transpose(0, 2, 1)
+    sym = (a[:, 0, 0], a[:, 0, 1], a[:, 1, 1])
+    got = congruence(_rows(j), sym)
+    ref = j.transpose(0, 2, 1) @ a @ j
+    bound = 1e-14 * (np.abs(j).transpose(0, 2, 1) @ np.abs(a) @ np.abs(j))
+    for k, (r, c) in enumerate(((0, 0), (0, 1), (1, 1))):
+        assert np.all(np.abs(got[k] - ref[:, r, c]) <= bound[:, r, c])
+    # D w.w is w . (D w)
+    w = rng.standard_normal((n, 2))
+    aw = matvec(_rows(a), w[:, 0], w[:, 1])
+    qf = quad_form(*sym, w[:, 0], w[:, 1])
+    scale_qf = np.einsum("ni,nij,nj->n", np.abs(w), np.abs(a), np.abs(w))
+    assert np.all(np.abs(qf - (w[:, 0] * aw[0] + w[:, 1] * aw[1])) <= 1e-14 * scale_qf)
 
 
 # --- matrix square decomposition
@@ -363,6 +411,16 @@ def test_recursion_param_validation():
         RecursionParams(1.0, 1.0, 1.0, 0.1)  # b must exceed 1
     with pytest.raises(ValueError):
         RecursionParams(-1.0, 2.0, 1.0, 0.1)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("field", ["c", "b", "alpha", "y0"])
+def test_recursion_params_reject_non_finite(field, bad):
+    # b = inf would report y1 = 0 and "converged" where y1 = c y0^(1+alpha) = 0.01
+    kw = dict(c=1.0, b=2.0, alpha=1.0, y0=0.1)
+    kw[field] = bad
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        RecursionParams(**kw)
 
 
 # --- log-kernel averages

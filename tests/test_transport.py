@@ -549,6 +549,26 @@ def test_lu_fallback_solves_directly(monkeypatch):
     assert len(calls) == sum(r.picard_iterations for r in tr.reports)
 
 
+_BAD_DT = [-0.1, 0.0, float("inf"), float("nan")]
+
+
+@pytest.mark.parametrize("dt", _BAD_DT)
+def test_parabolic_step_rejects_bad_dt(dt):
+    # a negative dt stepped backward, inf returned a zero field, 0 divided by zero
+    g = _grid(9)
+    v, _, D = _stream_setup(g)
+    u_old = initial_condition("gaussian", "", g)
+    with pytest.raises(ValueError, match="dt must be positive and finite, got"):
+        parabolic_step(u_old, D, v, dt)
+
+
+@pytest.mark.parametrize("dt", _BAD_DT)
+def test_picard_coupled_step_rejects_bad_dt(dt):
+    cfg = _cfg()
+    with pytest.raises(ValueError, match="dt must be positive and finite, got"):
+        picard_coupled_step(initial_state(cfg), cfg, dt=dt)
+
+
 def test_nan_lin_tol_rejected():
     # with lin_tol = nan every pass would take the LU fallback and no residual check could fail
     g = _grid(9)
