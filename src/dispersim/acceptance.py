@@ -73,8 +73,9 @@ class CheckRow:
     note: str = ""
 
 
-def _row(name, trials, value, threshold, cmp, seed, t0, note="") -> CheckRow:
-    passed = value <= threshold if cmp == "<=" else value >= threshold
+def _row(name, trials, value, threshold, cmp, seed, t0, note="", extra=True) -> CheckRow:
+    """A row that passes when ``value cmp threshold`` holds and the check's ``extra`` condition is true."""
+    passed = (value <= threshold if cmp == "<=" else value >= threshold) and extra
     return CheckRow(name, trials, float(value), float(threshold), cmp, bool(passed), seed, time.perf_counter() - t0, note)
 
 
@@ -237,10 +238,9 @@ def check_max_principle(cache: RunCache) -> CheckRow:
     iso = _overshoot(cache.isotropic())
     o65 = _overshoot(cache.reference())
     o129 = _overshoot(cache.aniso_fine())
-    row = _row("weak-maximum-principle", 3, iso, 1e-10, "<=", 0, t0,
-               note=f"iso={iso:.2e} aniso65={o65:.2e} aniso129={o129:.2e}")
     # refinement must not grow the anisotropic overshoot (1e-14 rounding floor)
-    row.passed = row.passed and o129 <= o65 + 1e-14
+    row = _row("weak-maximum-principle", 3, iso, 1e-10, "<=", 0, t0,
+               note=f"iso={iso:.2e} aniso65={o65:.2e} aniso129={o129:.2e}", extra=o129 <= o65 + 1e-14)
     row.elapsed = cache.durations.get("aniso129", 0.0) + cache.durations.get("ref1", 0.0)
     return row
 
@@ -325,10 +325,8 @@ def check_hessian_reconstruction(seed: int = DEFAULT_SEED) -> CheckRow:
     worst = float(max(np.max(np.abs(h - exact) / sscale), np.max(np.abs(sol - h) / sscale)))
     det_d_phi = det2(d_rows) * phi
     det_rel = float(np.max(np.abs(np.linalg.det(E) - det_d_phi) / np.abs(det_d_phi)))
-    row = _row("hessian-reconstruction", n, worst, 1e-12, "<=", seed, t0,
-               note=f"detE rel dev {det_rel:.2e}")
-    row.passed = row.passed and det_rel <= 1e-10
-    return row
+    return _row("hessian-reconstruction", n, worst, 1e-12, "<=", seed, t0,
+                note=f"detE rel dev {det_rel:.2e}", extra=det_rel <= 1e-10)
 
 
 def check_recursion(seed: int = DEFAULT_SEED) -> CheckRow:
@@ -353,10 +351,8 @@ def check_recursion(seed: int = DEFAULT_SEED) -> CheckRow:
     worst = float(np.max(np.exp(np.minimum(ly, 700.0))))
     seq, converged = superlinear_recursion(RecursionParams(1.0, 2.0, 1.0, 0.5), 60)
     ok_worked = converged and seq[-1] < 1e-12 and abs(seq[1] - 0.25) < 1e-15 and abs(seq[3] - 0.0625) < 1e-15
-    row = _row("level-set-recursion", n + 1, worst, 1e-12, "<=", seed, t0,
-               note=f"worked case reaches {seq[-1]:.2e} in 60 steps")
-    row.passed = row.passed and ok_worked
-    return row
+    return _row("level-set-recursion", n + 1, worst, 1e-12, "<=", seed, t0,
+                note=f"worked case reaches {seq[-1]:.2e} in 60 steps", extra=ok_worked)
 
 
 def check_log_kernel() -> CheckRow:
@@ -367,10 +363,8 @@ def check_log_kernel() -> CheckRow:
     etas = [log_kernel_average(f, r, (0.5, 0.5)) for r in radii]
     decreasing = all(etas[k + 1] < etas[k] for k in range(len(etas) - 1))
     ratios = [eta / r**1.9 for eta, r in zip(etas, radii)]
-    row = _row("log-kernel-average", len(radii), max(ratios), 20.0, "<=", 0, t0,
-               note="eta=" + " ".join(f"{e:.4f}" for e in etas))
-    row.passed = row.passed and decreasing
-    return row
+    return _row("log-kernel-average", len(radii), max(ratios), 20.0, "<=", 0, t0,
+                note="eta=" + " ".join(f"{e:.4f}" for e in etas), extra=decreasing)
 
 
 def check_appendix(seed: int = DEFAULT_SEED) -> CheckRow:
@@ -410,10 +404,8 @@ def check_appendix(seed: int = DEFAULT_SEED) -> CheckRow:
     )
 
     value = max(jac, detp)
-    row = _row("flattening-identities", 3, value, 1e-12, "<=", seed, t0,
-               note=f"minratio={min(ratios):.2f} reflections_exact={exact}")
-    row.passed = row.passed and min(ratios) >= 3.0 and exact
-    return row
+    return _row("flattening-identities", 3, value, 1e-12, "<=", seed, t0,
+                note=f"minratio={min(ratios):.2f} reflections_exact={exact}", extra=min(ratios) >= 3.0 and exact)
 
 
 def check_determinism(cache: RunCache) -> CheckRow:

@@ -17,9 +17,10 @@ analysis rests on:
       d11 u_11 + 2 d12 u_12 + d22 u_22 = u_t - w,
 
   where (e1, e2) = D grad(u) and w = u_t - D:hess(u); the system matrix
-  has determinant det(D) * phi, and Cramer's rule gives the closed forms
-  implemented in ``reconstruct_hessian`` (the acceptance check builds the
-  matrix itself, for its dense-solve oracle and its determinant);
+  E has determinant det(D) * phi, and ``reconstruct_hessian`` applies
+  Cramer's rule as hess(u) = adj(E) b / (det(D) phi), b the right-hand
+  side above and adj(E)'s entries written in e and D (the acceptance check
+  builds E itself, for its dense-solve oracle and its determinant);
 * the parabolic equation satisfied by the j-th power psi = phi^j of the
   dissipation density wherever grad(u) does not vanish:
 
@@ -27,7 +28,8 @@ analysis rests on:
           = drift . grad(psi) / psi + j * source + j * div(flux_source),
 
   with the drift/source/flux_source coefficients assembled by
-  ``forcing_coefficients`` from D, its derivatives, grad(u), u_t and w;
+  ``forcing_coefficients`` from D, e = D grad(u), phi, grad(det(D)) and G,
+  together with div(D), D_t, u_t and w;
 * elementary vector-calculus product rules on matching stencils;
 * the geometric-decay recursion y_{n+1} = c b^n y_n^{1+alpha}, which
   drives every level-set truncation argument, with its smallness
@@ -248,12 +250,10 @@ class IdentityWorkspace:
         return det2(self.d)
 
     @property
-    def det_d_x1(self):
-        return self.d11_x1 * self.d22 + self.d11 * self.d22_x1 - 2.0 * self.d12 * self.d12_x1
-
-    @property
-    def det_d_x2(self):
-        return self.d11_x2 * self.d22 + self.d11 * self.d22_x2 - 2.0 * self.d12 * self.d12_x2
+    def grad_det_d(self):
+        """grad(det(D)) by the product rule, from the entries of D and their x-derivatives."""
+        return (self.d11_x1 * self.d22 + self.d11 * self.d22_x1 - 2.0 * self.d12 * self.d12_x1,
+                self.d11_x2 * self.d22 + self.d11 * self.d22_x2 - 2.0 * self.d12 * self.d12_x2)
 
     @property
     def div_d(self):
@@ -275,40 +275,27 @@ class IdentityWorkspace:
             raise ValueError(f"{what} needs phi > 0 and det(D) > 0")
         return phi, det_d
 
-    def _aux_matrices(self):
-        """The three matrices entering the adjugate representation of hess(u).
-
-        M1 and M2 collect products of D-entries with grad(u); M3 is the
-        negative outer product of D grad(u) with itself.
-        """
-        d11, d12, d22 = self.d11, self.d12, self.d22
-        ux1, ux2 = self.ux1, self.ux2
-        e1, e2 = self.e
-        cross = d22 * d11 - 2.0 * d12**2
-        m1 = ((d11 * e1, d12 * d11 * ux1 - cross * ux2),
-              (d11 * e2, d22 * e1))
-        m2 = ((d11 * e2, d22 * e1),
-              (-cross * ux1 + d12 * d22 * ux2, d22 * e2))
-        m3 = ((-e1 * e1, -e1 * e2), (-e1 * e2, -e2 * e2))
-        return m1, m2, m3
-
 
 def reconstruct_hessian(ws: IdentityWorkspace):
-    """Closed-form Hessian (u11, u12, u22) of u from first-order data, by Cramer's rule on the 3x3 system."""
+    """Closed-form Hessian (u11, u12, u22) of u from first-order data, by Cramer's rule on the 3x3 system.
+
+    The system matrix is E = [[e1, e2, 0], [0, e1, e2], [d11, 2 d12, d22]]
+    with (e1, e2) = D grad(u), and det(E) = det(D) phi, so
+    hess(u) = adj(E) b / (det(D) phi) with b = ((phi_x1 - phi g1)/2, (phi_x2 - phi g2)/2, u_t - w).
+    """
     phi, det_d = ws._positive_phi_det_d("the Hessian reconstruction")
     if ws.phi_x1 is None or ws.phi_x2 is None:
         raise ValueError("reconstruction needs the gradient of phi (phi_x1, phi_x2)")
     g1, g2 = ws.g
-    p1 = ws.phi_x1 - phi * g1
-    p2 = ws.phi_x2 - phi * g2
+    b1 = 0.5 * (ws.phi_x1 - phi * g1)
+    b2 = 0.5 * (ws.phi_x2 - phi * g2)
     r3 = ws.u_t - ws.w
     e1, e2 = ws.e
-    m1, m2, _ = ws._aux_matrices()
-    m1p, m2p = matvec(m1, p1, p2), matvec(m2, p1, p2)
+    d11, d12, d22 = ws.d11, ws.d12, ws.d22
     denom = det_d * phi
-    u11 = -m2p[1] / (2.0 * denom) + r3 * e2**2 / denom
-    u12 = m2p[0] / (2.0 * denom) - r3 * e1 * e2 / denom
-    u22 = -m1p[0] / (2.0 * denom) + r3 * e1**2 / denom
+    u11 = ((e1 * d22 - 2.0 * d12 * e2) * b1 - d22 * e2 * b2 + e2 * e2 * r3) / denom
+    u12 = (d11 * e2 * b1 + d22 * e1 * b2 - e1 * e2 * r3) / denom
+    u22 = (-d11 * e1 * b1 + (d11 * e2 - 2.0 * d12 * e1) * b2 + e1 * e1 * r3) / denom
     return u11, u12, u22
 
 
@@ -330,34 +317,28 @@ class ForcingCoefficients:
 def forcing_coefficients(ws: IdentityWorkspace) -> ForcingCoefficients:
     """Assemble the drift vector, flux-source vector and scalar source.
 
-    The scalar source keeps its two sign-definite terms; nothing is dropped.
+    The terms are built from D, e = D grad(u), phi, grad(det(D)) and G.  The
+    scalar source keeps its two sign-definite terms; nothing is dropped.
     """
     phi, det_d = ws._positive_phi_det_d("the forcing assembly")
     g1, g2 = ws.g
     dg1, dg2 = matvec(ws.d, g1, g2)
     e1, e2 = ws.e
-    dd1, dd2 = ws.det_d_x1, ws.det_d_x2
-    m1, m2, m3 = ws._aux_matrices()
+    dd1, dd2 = ws.grad_det_d
+    d_dd1, d_dd2 = matvec(ws.d, dd1, dd2)  # D grad(det(D))
 
-    # drift = D G + (2 u_t / phi) D grad u - (1/(det(D) phi)) [M1^T dd, M2^T dd] grad u;
-    # tuple(zip(*m)) is the transpose of m given as rows, tuple(zip(a, b)) the matrix with columns a, b
-    c1, c2 = matvec(tuple(zip(*m1)), dd1, dd2), matvec(tuple(zip(*m2)), dd1, dd2)
-    cu1, cu2 = matvec(tuple(zip(c1, c2)), ws.ux1, ws.ux2)
-    denom = det_d * phi
-    drift1 = dg1 + 2.0 * ws.u_t * e1 / phi - cu1 / denom
-    drift2 = dg2 + 2.0 * ws.u_t * e2 / phi - cu2 / denom
+    drift1 = dg1 + 2.0 * ws.u_t * e1 / phi - d_dd1 / det_d
+    drift2 = dg2 + 2.0 * ws.u_t * e2 / phi - d_dd2 / det_d
 
     flux1 = -dg1 + 2.0 * ws.w * e1 / phi
     flux2 = -dg2 + 2.0 * ws.w * e2 / phi
 
-    mg1, mg2 = matvec(tuple(zip(matvec(m1, g1, g2), matvec(m2, g1, g2))), ws.ux1, ws.ux2)
-    m3u1, m3u2 = matvec(m3, ws.ux1, ws.ux2)
     div_d1, div_d2 = ws.div_d
     dt_quad = quad_form(ws.d11_t, ws.d12_t, ws.d22_t, ws.ux1, ws.ux2)
     r3 = ws.u_t - ws.w
     source = (
-        (dd1 * mg1 + dd2 * mg2) / denom
-        - 2.0 * r3 * (dd1 * m3u1 + dd2 * m3u2) / (denom * phi)
+        (dd1 * dg1 + dd2 * dg2) / det_d
+        + 2.0 * r3 * (dd1 * e1 + dd2 * e2) / (det_d * phi)
         - 2.0 * ws.u_t * (ws.u_t + div_d1 * ws.ux1 + div_d2 * ws.ux2 - ws.w) / phi
         + dt_quad / phi
         - 2.0 * r3 * (e1 * g1 + e2 * g2) / phi

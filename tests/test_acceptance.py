@@ -5,6 +5,9 @@ lines and timing.  The heavy reference trajectories are shared through the
 session-scoped ``run_cache`` fixture.
 """
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -91,3 +94,10 @@ def test_suite_repeats_identically_in_one_process(suite):
     # one process, next to the per-grid caches of the log kernel and the FFTs
     first, second = ([(r.name, r.value, r.note, r.passed) for r in verify.run_suite(suite)] for _ in range(2))
     assert first == second
+
+
+@pytest.mark.parametrize("suite", ["identities", "appendix"])
+def test_suite_rows_are_json_serializable(suite):
+    for row in verify.run_suite(suite):
+        assert type(row.passed) is bool, row.name
+        json.dumps(dataclasses.asdict(row))

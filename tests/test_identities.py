@@ -263,6 +263,70 @@ def test_forcing_condition_under_perturbation():
         assert np.all(np.isfinite(out))
 
 
+def _forcing_oracle(ws):
+    """The forcing in its adjugate form through the auxiliary matrices M1, M2, M3, in dense numpy.
+
+    M1 and M2 hold products of D with grad(u), cross = d11 d22 - 2 d12^2, and
+    M3 = -(D grad u)(D grad u)^T; drift, flux and source are written out term by term.
+    """
+    d11, d12, d22, ux1, ux2 = ws.d11, ws.d12, ws.d22, ws.ux1, ws.ux2
+    D = np.stack([np.stack([d11, d12], -1), np.stack([d12, d22], -1)], -2)
+    gu = np.stack([ux1, ux2], -1)
+    e = np.einsum("nij,nj->ni", D, gu)
+    phi = np.einsum("ni,ni->n", e, gu)
+    det = d11 * d22 - d12**2
+    cross = d22 * d11 - 2.0 * d12**2
+    m1 = np.stack([np.stack([d11 * e[:, 0], d12 * d11 * ux1 - cross * ux2], -1),
+                   np.stack([d11 * e[:, 1], d22 * e[:, 0]], -1)], -2)
+    m2 = np.stack([np.stack([d11 * e[:, 1], d22 * e[:, 0]], -1),
+                   np.stack([-cross * ux1 + d12 * d22 * ux2, d22 * e[:, 1]], -1)], -2)
+    m3 = -np.einsum("ni,nj->nij", e, e)
+
+    def quad(a11, a12, a22):
+        return a11 * ux1**2 + 2.0 * a12 * ux1 * ux2 + a22 * ux2**2
+
+    g = np.stack([quad(ws.d11_x1, ws.d12_x1, ws.d22_x1), quad(ws.d11_x2, ws.d12_x2, ws.d22_x2)], -1) / phi[:, None]
+    dg = np.einsum("nij,nj->ni", D, g)
+    dd = np.stack([ws.d11_x1 * d22 + d11 * ws.d22_x1 - 2.0 * d12 * ws.d12_x1,
+                   ws.d11_x2 * d22 + d11 * ws.d22_x2 - 2.0 * d12 * ws.d12_x2], -1)
+    cu = ux1[:, None] * np.einsum("nji,nj->ni", m1, dd) + ux2[:, None] * np.einsum("nji,nj->ni", m2, dd)
+    denom = det * phi
+    drift = dg + 2.0 * ws.u_t[:, None] * e / phi[:, None] - cu / denom[:, None]
+    flux = -dg + 2.0 * ws.w[:, None] * e / phi[:, None]
+    mg = ux1[:, None] * np.einsum("nij,nj->ni", m1, g) + ux2[:, None] * np.einsum("nij,nj->ni", m2, g)
+    m3u = np.einsum("nij,nj->ni", m3, gu)
+    div_d = np.stack([ws.d11_x1 + ws.d12_x2, ws.d12_x1 + ws.d22_x2], -1)
+    r3 = ws.u_t - ws.w
+    source = (
+        np.einsum("ni,ni->n", dd, mg) / denom
+        - 2.0 * r3 * np.einsum("ni,ni->n", dd, m3u) / (denom * phi)
+        - 2.0 * ws.u_t * (ws.u_t + np.einsum("ni,ni->n", div_d, gu) - ws.w) / phi
+        + quad(ws.d11_t, ws.d12_t, ws.d22_t) / phi
+        - 2.0 * r3 * np.einsum("ni,ni->n", e, g) / phi
+        - np.einsum("ni,ni->n", dg, g)
+    )
+    return drift[:, 0], drift[:, 1], flux[:, 0], flux[:, 1], source
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+def test_forcing_matches_auxiliary_matrix_form(n, seed):
+    # D = R diag(lam) R^T with lam in [0.1, 10], |grad u| in [0.5, 2], every other entry in [-1, 1]
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(0.0, np.pi, n)
+    lam1, lam2 = rng.uniform(0.1, 10.0, (2, n))
+    c, s = np.cos(theta), np.sin(theta)
+    r, ang = rng.uniform(0.5, 2.0, n), rng.uniform(0.0, 2.0 * np.pi, n)
+    names = ("d11_x1", "d12_x1", "d22_x1", "d11_x2", "d12_x2", "d22_x2", "d11_t", "d12_t", "d22_t", "u_t", "w")
+    ws = IdentityWorkspace(
+        ux1=r * np.cos(ang), ux2=r * np.sin(ang),
+        d11=c**2 * lam1 + s**2 * lam2, d12=c * s * (lam1 - lam2), d22=s**2 * lam1 + c**2 * lam2,
+        **dict(zip(names, rng.uniform(-1.0, 1.0, (len(names), n)))),
+    )
+    fc = forcing_coefficients(ws)
+    for got, ref in zip((fc.drift1, fc.drift2, fc.flux1, fc.flux2, fc.source), _forcing_oracle(ws)):
+        assert np.all(np.abs(got - ref) <= 1e-10 * (1.0 + np.abs(ref)))
+
 # --- dissipation-power equation on manufactured fields
 
 
