@@ -161,8 +161,15 @@ def quad_form(a11, a12, a22, w1, w2):
 
 
 def integrate(f: ScalarField) -> float:
-    """Trapezoidal quadrature over the rectangle; exact for affine integrands."""
-    return float(np.sum(f.grid.cell_weights() * f.values))
+    """Trapezoidal quadrature over the rectangle; exact for affine integrands.
+
+    A field is checked to be finite only when built, so a value written into
+    it afterwards is caught here: a non-finite sum raises ValueError.
+    """
+    total = float(np.sum(f.grid.cell_weights() * f.values))
+    if not math.isfinite(total):
+        raise ValueError(f"integral is not finite: {total}")
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,9 @@ analysis rests on:
   threshold y_0 <= c^{-1/alpha} b^{-1/alpha^2};
 * log-kernel averages eta(f; r) = sup_x integral over a ball of
   |f(y)| |ln|x-y|| dy, the quantity controlling local boundedness,
-  evaluated as one zero-padded FFT convolution over the node lattice with
-  the kernel's spectrum cached per grid.
+  evaluated as one zero-padded FFT convolution over the box of nodes
+  within twice the radius of the center, with the kernel's spectrum cached
+  per box shape and spacing.
 
 Stencils here are fourth-order in space (one-sided closures at the
 boundary keep the order uniform) so identity residuals decay fast enough
@@ -358,8 +359,8 @@ _POWER_BOX = (0.25, 0.75, 0.25, 0.75)
 _POWER_GRAD_FLOOR = 0.5
 
 
-def power_equation_residual(u_fn, v_fn, params: PhysParams, j: int, grid: GridSpec) -> tuple[np.ndarray, float]:
-    """Residual of the parabolic equation for psi = phi^j on manufactured fields.
+def power_equation_residual(u_fn, v_fn, params: PhysParams, js, grid: GridSpec) -> list[tuple[np.ndarray, float]]:
+    """Residuals of the parabolic equation for psi = phi^j on manufactured fields, one per power j in ``js``.
 
     ``u_fn(x1, x2, t)`` and ``v_fn(x1, x2, t)`` are smooth manufactured
     fields; nothing is solved.  The velocity is the rotated gradient of v,
@@ -367,15 +368,23 @@ def power_equation_residual(u_fn, v_fn, params: PhysParams, j: int, grid: GridSp
     identity holds for arbitrary manufactured v, including fields whose
     velocity vanishes somewhere), and w is defined as u_t - D:hess(u) so
     the identity is exact in the continuum.  Time derivatives are central
-    differences at t = 0.25 with step ``grid.hx``.  The returned residual
+    differences at t = 0.25 with step ``grid.hx``.  Each returned residual
     over the evaluation sub-rectangle is therefore pure discretization
     error: fourth order in space, second order in the time differences.
 
-    Raises ValueError if |grad u| falls below 0.5 anywhere on the
-    sub-rectangle (the identity only holds away from critical points).
+    Everything but psi is shared by the powers: the three time slices, the
+    workspace, the forcing coefficients and div(flux_source) are built once
+    per call, and only psi, psi_t, grad(psi) and the two sides of the
+    equation once per power.  Returns ``(residual, max-norm)`` for each j,
+    in the order of ``js``, each bit-identical to a call with that j alone.
+
+    Raises ValueError if ``js`` is empty or holds a power below 1, or if
+    |grad u| falls below 0.5 anywhere on the sub-rectangle (the identity
+    only holds away from critical points).
     """
-    if j < 1:
-        raise ValueError("power j must be >= 1")
+    js = tuple(js)
+    if not js or min(js) < 1:
+        raise ValueError(f"powers j must be >= 1, got {js}")
     hx, hy = grid.hx, grid.hy
     dt_fd = hx
     x1m, x2m = grid.nodes()
@@ -388,9 +397,14 @@ def power_equation_residual(u_fn, v_fn, params: PhysParams, j: int, grid: GridSp
         d11, d12, d22 = dispersion_entries(-v2, v1, params, _POWER_REG_EPS)
         ux1, ux2 = grad_4(u, hx, hy)
         phi = quad_form(d11, d12, d22, ux1, ux2)
-        slices[tag] = dict(u=u, d11=d11, d12=d12, d22=d22, ux1=ux1, ux2=ux2, phi=phi, psi=phi**j)
+        slices[tag] = dict(u=u, d11=d11, d12=d12, d22=d22, ux1=ux1, ux2=ux2, phi=phi)
 
     s0, sm, sp = slices["0"], slices["-"], slices["+"]
+    grad_mag = sub_box(np.hypot(s0["ux1"], s0["ux2"]), _POWER_BOX)
+    if grad_mag.min() < _POWER_GRAD_FLOOR:
+        raise ValueError(
+            f"|grad u| dips to {grad_mag.min():.3g} < {_POWER_GRAD_FLOOR} on the evaluation sub-rectangle"
+        )
     inv2dt = 1.0 / (2.0 * dt_fd)
     u_t = (sp["u"] - sm["u"]) * inv2dt
     w = u_t - contract((s0["d11"], s0["d12"], s0["d22"]), hess_4(s0["u"], hx, hy))
@@ -408,21 +422,18 @@ def power_equation_residual(u_fn, v_fn, params: PhysParams, j: int, grid: GridSp
         d22_t=(sp["d22"] - sm["d22"]) * inv2dt,
     )
     fc = forcing_coefficients(ws)
-
-    psi = s0["psi"]
-    psi_t = (sp["psi"] - sm["psi"]) * inv2dt
-    psi_x1, psi_x2 = grad_4(psi, hx, hy)
-    dpsi1, dpsi2 = matvec(ws.d, psi_x1, psi_x2)
-    lhs = psi_t / psi - div_4(dpsi1 / psi, dpsi2 / psi, hx, hy)
     div_flux = div_4(fc.flux1, fc.flux2, hx, hy)
-    rhs = (fc.drift1 * psi_x1 + fc.drift2 * psi_x2) / psi + j * fc.source + j * div_flux
 
-    grad_mag = sub_box(np.hypot(s0["ux1"], s0["ux2"]), _POWER_BOX)
-    if grad_mag.min() < _POWER_GRAD_FLOOR:
-        raise ValueError(
-            f"|grad u| dips to {grad_mag.min():.3g} < {_POWER_GRAD_FLOOR} on the evaluation sub-rectangle"
-        )
-    return windowed_residual(lhs - rhs, _POWER_BOX)
+    out = []
+    for j in js:
+        psi = s0["phi"] ** j
+        psi_t = (sp["phi"] ** j - sm["phi"] ** j) * inv2dt
+        psi_x1, psi_x2 = grad_4(psi, hx, hy)
+        dpsi1, dpsi2 = matvec(ws.d, psi_x1, psi_x2)
+        lhs = psi_t / psi - div_4(dpsi1 / psi, dpsi2 / psi, hx, hy)
+        rhs = (fc.drift1 * psi_x1 + fc.drift2 * psi_x2) / psi + j * fc.source + j * div_flux
+        out.append(windowed_residual(lhs - rhs, _POWER_BOX))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -582,20 +593,29 @@ def _log_cell_integral(hx: float, hy: float) -> float:
 
 
 @lru_cache(maxsize=8)
-def _log_kernel_convolution(grid: GridSpec) -> LatticeConvolution:
-    """The convolution with the log-kernel offset table, whose spectrum is taken once per grid.
+def _log_kernel_convolution(shape: tuple[int, int], hx: float, hy: float) -> LatticeConvolution:
+    """The convolution of a (ny, nx) box of nodes with the log-kernel offset table, its spectrum taken once.
 
     Entry (ny - 1 + dj, nx - 1 + di) of the table is |ln|d|| hx hy at the
     offset d = (di hx, dj hy), |di| <= nx - 1, |dj| <= ny - 1; the zero offset
     holds the analytic integral over the singular cell.  The table reaches
-    across the whole grid, so each axis is padded to at least 3n - 2.
+    across the whole box, so each axis is padded to at least 3n - 2.  It
+    depends only on the box shape and the spacing, so one table serves every
+    box of that shape on any grid of that spacing; the key is not a
+    ``GridSpec``, because a box may have fewer than 3 nodes per axis.
     """
-    ny, nx = grid.shape
-    d = np.hypot(np.arange(1 - ny, ny)[:, None] * grid.hy, np.arange(1 - nx, nx)[None, :] * grid.hx)
+    ny, nx = shape
+    d = np.hypot(np.arange(1 - ny, ny)[:, None] * hy, np.arange(1 - nx, nx)[None, :] * hx)
     d[ny - 1, nx - 1] = 1.0
-    table = np.abs(np.log(d)) * (grid.hx * grid.hy)
-    table[ny - 1, nx - 1] = _log_cell_integral(grid.hx, grid.hy)
-    return LatticeConvolution(table, grid.shape)
+    table = np.abs(np.log(d)) * (hx * hy)
+    table[ny - 1, nx - 1] = _log_cell_integral(hx, hy)
+    return LatticeConvolution(table, shape)
+
+
+def _true_span(mask: np.ndarray) -> slice:
+    """The slice from the first to the last True entry of a 1-D mask that holds at least one."""
+    idx = np.flatnonzero(mask)
+    return slice(idx[0], idx[-1] + 1)
 
 
 def log_kernel_average(f: ScalarField, radius: float, center: tuple[float, float]) -> float:
@@ -605,11 +625,13 @@ def log_kernel_average(f: ScalarField, radius: float, center: tuple[float, float
     integrated analytically over its own cell.  On the uniform lattice that
     sum is one linear convolution of |f| restricted to the ball with a table
     of |ln|d|| over the node offsets d, evaluated with zero-padded FFTs
-    against the table's spectrum, which is cached per grid.  The sup is taken
-    over grid nodes within twice the radius of the ball center, so the
-    result is a lower bound for the true supremum over the plane.  A
-    non-finite radius, center or value of f inside the ball raises; values
-    outside the ball are never read.
+    against the table's spectrum.  The sup is taken over grid nodes within
+    twice the radius of the ball center, so the result is a lower bound for
+    the true supremum over the plane.  Those nodes span a box that holds the
+    ball, so the convolution runs on that box alone, with the table of the
+    box's shape, cached per shape and spacing.  A non-finite radius, center
+    or value of f inside the ball raises; values outside the ball are never
+    read.
     """
     g = f.grid
     cx, cy = center
@@ -617,12 +639,15 @@ def log_kernel_average(f: ScalarField, radius: float, center: tuple[float, float
         raise ValueError("radius must be positive")
     if not (cx - radius >= 0 and cx + radius <= g.lx and cy - radius >= 0 and cy + radius <= g.ly):
         raise ValueError("ball exits the domain")
-    x1m, x2m = g.nodes()
-    dist2 = (x1m - cx) ** 2 + (x2m - cy) ** 2
-    fv = np.where(dist2 <= radius**2, np.abs(f.values), 0.0)
+    dx2, dy2 = (g.x1 - cx) ** 2, (g.x2 - cy) ** 2
+    # a column (row) holds a near node iff its node closest to the center in the other axis is near
+    reach2 = (2.0 * radius) ** 2
+    if not dx2.min() + dy2.min() <= reach2:
+        return 0.0
+    rows, cols = _true_span(dy2 + dx2.min() <= reach2), _true_span(dx2 + dy2.min() <= reach2)
+    dist2 = dx2[cols][None, :] + dy2[rows][:, None]
+    fv = np.where(dist2 <= radius**2, np.abs(f.values[rows, cols]), 0.0)
     if not np.isfinite(fv).all():
         raise ValueError("f is not finite inside the ball")
-    near = dist2 <= (2.0 * radius) ** 2
-    if not near.any():
-        return 0.0
-    return max(0.0, float(_log_kernel_convolution(g)(fv)[near].max()))
+    conv = _log_kernel_convolution(fv.shape, g.hx, g.hy)
+    return max(0.0, float(conv(fv)[dist2 <= reach2].max()))

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from dispersim import acceptance as ac
-from dispersim import verify
+from dispersim import identities, verify
+from dispersim.identities import forcing_coefficients
 
 
 def _report(tag: str, row, budget: float | None = None):
@@ -58,6 +59,19 @@ def test_ac08_poisson_manufactured_order():
 
 def test_ac09_power_equation_refinement():
     _report("AC09", ac.check_power_equation(), budget=60.0)
+
+
+def test_power_equation_check_builds_each_level_once(monkeypatch):
+    # both powers j share one forcing build per grid level: 3 levels, 3 builds
+    calls = []
+
+    def counted(ws):
+        calls.append(ws)
+        return forcing_coefficients(ws)
+
+    monkeypatch.setattr(identities, "forcing_coefficients", counted)
+    assert ac.check_power_equation().passed
+    assert len(calls) == 3
 
 
 def test_ac10_hessian_reconstruction():

@@ -74,6 +74,15 @@ def test_integrate_exact_cases():
     assert integrate(f) == pytest.approx(0.5, abs=1e-14)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_integrate_rejects_non_finite_values(bad):
+    # ScalarField checks its values only when built, so write the bad value afterwards
+    f = ScalarField.full(GridSpec(9, 9), 1.0)
+    f.values[4, 4] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        integrate(f)
+
+
 def test_integrate_sine_product():
     g = GridSpec(129, 129)
     f = ScalarField.from_function(g, lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2))

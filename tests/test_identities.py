@@ -340,7 +340,7 @@ def test_power_equation_trivial():
     u = lambda x1, x2, t: 2 * x1 + x2 + 0 * t
     v = lambda x1, x2, t: np.zeros_like(x1)
     g = GridSpec(33, 33)
-    _, norm = power_equation_residual(u, v, PhysParams(1, 2, 1), 1, g)
+    _, norm = power_equation_residual(u, v, PhysParams(1, 2, 1), (1,), g)[0]
     assert norm <= 1e-12
 
 
@@ -350,7 +350,7 @@ def test_power_equation_refinement(j):
     norms = []
     for n in (33, 65):
         g = GridSpec(n, n)
-        _, norm = power_equation_residual(u, v, PhysParams(1, 2, 1), j, g)
+        _, norm = power_equation_residual(u, v, PhysParams(1, 2, 1), (j,), g)[0]
         norms.append(norm)
     assert norms[0] / norms[1] >= 3.0
 
@@ -361,7 +361,7 @@ def test_power_equation_time_dependent_tensor():
     norms = []
     for n in (33, 65):
         g = GridSpec(n, n)
-        _, norm = power_equation_residual(u, v, PhysParams(1, 2, 1), 1, g)
+        _, norm = power_equation_residual(u, v, PhysParams(1, 2, 1), (1,), g)[0]
         norms.append(norm)
     assert norms[0] / norms[1] >= 3.0
 
@@ -371,7 +371,26 @@ def test_power_equation_rejects_flat_gradient():
     v = lambda x1, x2, t: np.zeros_like(x1)
     g = GridSpec(33, 33)
     with pytest.raises(ValueError, match="grad"):
-        power_equation_residual(u, v, PhysParams(1, 2, 1), 1, g)
+        power_equation_residual(u, v, PhysParams(1, 2, 1), (1,), g)
+
+
+@pytest.mark.parametrize("js", [(), (0,), (1, 0), [2, -1]])
+def test_power_equation_rejects_bad_powers(js):
+    u, v = _main_pair()
+    with pytest.raises(ValueError, match="powers"):
+        power_equation_residual(u, v, PhysParams(1, 2, 1), js, GridSpec(33, 33))
+
+
+@pytest.mark.parametrize("n", [33, 65])
+def test_power_equation_shared_build_matches_single_powers(n):
+    u, v = _main_pair()
+    g, p = GridSpec(n, n), PhysParams(1, 2, 1)
+    both = power_equation_residual(u, v, p, (1, 2), g)
+    assert len(both) == 2
+    for j, (res, norm) in zip((1, 2), both):
+        single_res, single_norm = power_equation_residual(u, v, p, (j,), g)[0]
+        assert np.array_equal(res, single_res)
+        assert norm == single_norm
 
 
 # --- vector calculus product rules
@@ -587,11 +606,44 @@ def test_log_kernel_rejects_nan_inside_ball():
         log_kernel_average(f, 0.1, (0.5, 0.5))
 
 
-def test_log_kernel_spectrum_cached_per_grid():
-    conv = _log_kernel_convolution(GridSpec(33, 21, 1.3, 0.7))
-    assert _log_kernel_convolution(GridSpec(33, 21, 1.3, 0.7)) is conv
-    assert conv.padded[0] >= 3 * 21 - 2 and conv.padded[1] >= 3 * 33 - 2
-    assert not conv.spectrum.flags.writeable
+def test_log_kernel_spectrum_cached_per_box():
+    # keyed by box shape and spacing, so boxes below GridSpec's 3-node minimum have a table too
+    hx, hy = 1.3 / 32, 0.7 / 20
+    for shape in ((21, 33), (1, 1), (2, 5)):
+        conv = _log_kernel_convolution(shape, hx, hy)
+        assert _log_kernel_convolution(shape, hx, hy) is conv
+        assert conv.padded[0] >= 3 * shape[0] - 2 and conv.padded[1] >= 3 * shape[1] - 2
+        assert not conv.spectrum.flags.writeable
+
+
+def _assert_matches_pairwise(f, radius, center):
+    got = log_kernel_average(f, radius, center)
+    ref = _pairwise_log_kernel_average(f, radius, center)
+    assert ref > 0.0
+    assert abs(got - ref) <= 1e-13 * ref
+
+
+def test_log_kernel_single_near_node():
+    # h = 0.125 and 2r = 0.1: the ball centre is the only node within 2r, a 1x1 box
+    g = GridSpec(9, 9)
+    f = ScalarField(g, np.random.default_rng(11).uniform(0.5, 2.0, g.shape))
+    eta = log_kernel_average(f, 0.05, (0.5, 0.5))
+    assert eta == pytest.approx(f.values[4, 4] * _log_cell_integral(g.hx, g.hy), rel=1e-14)
+    _assert_matches_pairwise(f, 0.05, (0.5, 0.5))
+
+
+def test_log_kernel_near_box_clipped_by_two_edges():
+    # the ball fits, but its 2r neighbourhood runs past the left and bottom edges
+    g = GridSpec(41, 41)
+    f = ScalarField(g, np.random.default_rng(12).standard_normal(g.shape))
+    _assert_matches_pairwise(f, 0.12, (0.15, 0.13))
+
+
+def test_log_kernel_anisotropic_spacing():
+    g = GridSpec(33, 21, 1.3, 0.7)
+    assert g.hx != g.hy
+    f = ScalarField(g, np.random.default_rng(13).standard_normal(g.shape))
+    _assert_matches_pairwise(f, 0.2, (0.6, 0.35))
 
 
 def test_log_kernel_zero_field():
