@@ -29,7 +29,6 @@ from .coefficients import (
 )
 from .grid import GridSpec, ScalarField, VectorField, quad_form
 from .identities import (
-    IdentityWorkspace,
     RecursionParams,
     contract,
     det2,
@@ -45,6 +44,7 @@ from .identities import (
 )
 from .mapped_domain import (
     builtin_charts,
+    chart_mesh,
     default_transport_fields,
     det_product_residual,
     exponential_chart,
@@ -306,14 +306,7 @@ def check_hessian_reconstruction(seed: int = DEFAULT_SEED) -> CheckRow:
     phi_x2 = 2.0 * se2 + phi * g2
     u_t = rng.uniform(-1, 1, n)
     w = u_t - contract((d11, d12, d22), (s11, s12, s22))
-    # G is consistent with tensor derivatives (D_xk grad u . grad u) = phi g_k;
-    # pick derivative entries that realize it: spread the value over d11_xk
-    ws = IdentityWorkspace(
-        ux1=ux1, ux2=ux2, u_t=u_t, w=w, d11=d11, d12=d12, d22=d22,
-        d11_x1=phi * g1 / ux1**2, d11_x2=phi * g2 / ux1**2,
-        phi_x1=phi_x1, phi_x2=phi_x2,
-    )
-    h = np.stack(reconstruct_hessian(ws), axis=1)
+    h = np.stack(reconstruct_hessian((d11, d12, d22), (ux1, ux2), (phi_x1, phi_x2), (g1, g2), u_t, w), axis=1)
     # independent oracle: dense 3x3 solves with E, whose determinant must be det(D) phi
     E = np.zeros((n, 3, 3))
     E[:, 0, 0], E[:, 0, 1] = e1, e2
@@ -379,10 +372,12 @@ def check_appendix(seed: int = DEFAULT_SEED) -> CheckRow:
     def u_fn(x1, x2):
         return 2.0 * np.cos(x1) * np.cos(x2)
 
-    chart = exponential_chart()
-    pois = [transformed_poisson_residual(chart, v_fn, u_fn, n)[1] for n in (33, 65, 129)]
-    fix = default_transport_fields()
-    tran = [transformed_transport_residual(chart, fix, n)[1] for n in (33, 65, 129)]
+    chart, fix = exponential_chart(), default_transport_fields()
+    pois, tran = [], []
+    for n in (33, 65, 129):
+        mesh = chart_mesh(chart, n)
+        pois.append(transformed_poisson_residual(mesh, v_fn, u_fn)[1])
+        tran.append(transformed_transport_residual(mesh, fix)[1])
     ratios = [pois[k] / pois[k + 1] for k in range(2)] + [tran[k] / tran[k + 1] for k in range(2)]
 
     rng = np.random.default_rng(seed)

@@ -200,99 +200,36 @@ def sandwich_identity_residuals(d11, d12, d22, s11, s12, s22) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# per-node workspace for the dissipation-density machinery
+# Hessian reconstruction and the phi^j forcing, pointwise over broadcasting entries
+#
+# A symmetric tensor and each of its derivatives are (11, 12, 22) entry
+# triples, a vector an (x1, x2) pair; ``w`` must equal u_t - D:hess(u)
+# for the identities to close.
 
 
-@dataclass
-class IdentityWorkspace:
-    """Per-node values feeding the Hessian reconstruction and forcing assembly.
-
-    Every field is a float or an ndarray; all entries broadcast together.
-    Spatial/temporal derivative entries describe the same tensor D whose
-    entries are (d11, d12, d22); ``w`` must equal u_t - D:hess(u) for the
-    identities to close.
-    """
-
-    ux1: np.ndarray
-    ux2: np.ndarray
-    u_t: np.ndarray
-    w: np.ndarray
-    d11: np.ndarray
-    d12: np.ndarray
-    d22: np.ndarray
-    d11_x1: np.ndarray = 0.0
-    d12_x1: np.ndarray = 0.0
-    d22_x1: np.ndarray = 0.0
-    d11_x2: np.ndarray = 0.0
-    d12_x2: np.ndarray = 0.0
-    d22_x2: np.ndarray = 0.0
-    d11_t: np.ndarray = 0.0
-    d12_t: np.ndarray = 0.0
-    d22_t: np.ndarray = 0.0
-    phi_x1: np.ndarray | None = None
-    phi_x2: np.ndarray | None = None
-
-    @property
-    def phi(self):
-        return quad_form(self.d11, self.d12, self.d22, self.ux1, self.ux2)
-
-    @property
-    def d(self):
-        """D as rows ((d11, d12), (d12, d22))."""
-        return (self.d11, self.d12), (self.d12, self.d22)
-
-    @property
-    def e(self):
-        """(e1, e2) = D grad(u)."""
-        return matvec(self.d, self.ux1, self.ux2)
-
-    @property
-    def det_d(self):
-        return det2(self.d)
-
-    @property
-    def grad_det_d(self):
-        """grad(det(D)) by the product rule, from the entries of D and their x-derivatives."""
-        return (self.d11_x1 * self.d22 + self.d11 * self.d22_x1 - 2.0 * self.d12 * self.d12_x1,
-                self.d11_x2 * self.d22 + self.d11 * self.d22_x2 - 2.0 * self.d12 * self.d12_x2)
-
-    @property
-    def div_d(self):
-        """Row vector of column divergences of D."""
-        return (self.d11_x1 + self.d12_x2, self.d12_x1 + self.d22_x2)
-
-    @property
-    def g(self):
-        """Relative-gradient vector of D along grad(u): G = (D_xk grad u . grad u)/phi."""
-        phi = self.phi
-        g1 = quad_form(self.d11_x1, self.d12_x1, self.d22_x1, self.ux1, self.ux2) / phi
-        g2 = quad_form(self.d11_x2, self.d12_x2, self.d22_x2, self.ux1, self.ux2) / phi
-        return g1, g2
-
-    def _positive_phi_det_d(self, what: str):
-        """(phi, det(D)), or ValueError naming ``what`` unless both are positive, as the identities need."""
-        phi, det_d = self.phi, self.det_d
-        if np.any(np.asarray(phi) <= 0) or np.any(np.asarray(det_d) <= 0):
-            raise ValueError(f"{what} needs phi > 0 and det(D) > 0")
-        return phi, det_d
+def _phi_det_d(d, ux1, ux2, what: str):
+    """(phi, det(D)), or ValueError naming ``what`` unless both are positive, as the identities need."""
+    phi, det_d = quad_form(*d, ux1, ux2), det2(((d[0], d[1]), (d[1], d[2])))
+    if np.any(np.asarray(phi) <= 0) or np.any(np.asarray(det_d) <= 0):
+        raise ValueError(f"{what} needs phi > 0 and det(D) > 0")
+    return phi, det_d
 
 
-def reconstruct_hessian(ws: IdentityWorkspace):
+def reconstruct_hessian(d, grad_u, grad_phi, g, u_t, w):
     """Closed-form Hessian (u11, u12, u22) of u from first-order data, by Cramer's rule on the 3x3 system.
 
-    The system matrix is E = [[e1, e2, 0], [0, e1, e2], [d11, 2 d12, d22]]
+    ``g`` is G = (D_x1 grad u . grad u, D_x2 grad u . grad u) / phi.  The
+    system matrix is E = [[e1, e2, 0], [0, e1, e2], [d11, 2 d12, d22]]
     with (e1, e2) = D grad(u), and det(E) = det(D) phi, so
     hess(u) = adj(E) b / (det(D) phi) with b = ((phi_x1 - phi g1)/2, (phi_x2 - phi g2)/2, u_t - w).
     """
-    phi, det_d = ws._positive_phi_det_d("the Hessian reconstruction")
-    if ws.phi_x1 is None or ws.phi_x2 is None:
-        raise ValueError("reconstruction needs the gradient of phi (phi_x1, phi_x2)")
-    g1, g2 = ws.g
-    b1 = 0.5 * (ws.phi_x1 - phi * g1)
-    b2 = 0.5 * (ws.phi_x2 - phi * g2)
-    r3 = ws.u_t - ws.w
-    e1, e2 = ws.e
-    d11, d12, d22 = ws.d11, ws.d12, ws.d22
+    ux1, ux2 = grad_u
+    phi, det_d = _phi_det_d(d, ux1, ux2, "the Hessian reconstruction")
+    d11, d12, d22 = d
+    b1 = 0.5 * (grad_phi[0] - phi * g[0])
+    b2 = 0.5 * (grad_phi[1] - phi * g[1])
+    r3 = u_t - w
+    e1, e2 = matvec(((d11, d12), (d12, d22)), ux1, ux2)
     denom = det_d * phi
     u11 = ((e1 * d22 - 2.0 * d12 * e2) * b1 - d22 * e2 * b2 + e2 * e2 * r3) / denom
     u12 = (d11 * e2 * b1 + d22 * e1 * b2 - e1 * e2 * r3) / denom
@@ -300,52 +237,42 @@ def reconstruct_hessian(ws: IdentityWorkspace):
     return u11, u12, u22
 
 
-@dataclass
-class ForcingCoefficients:
-    """Coefficients of the derived parabolic equation for psi = phi^j.
+def forcing_coefficients(d, d_x1, d_x2, d_t, grad_u, u_t, w):
+    """(drift, flux_source, source) of the derived parabolic equation for psi = phi^j.
 
-    ``drift`` multiplies grad(psi)/psi, ``source`` and ``flux_source``
-    enter scaled by j as  j*source + j*div(flux_source).
+    ``d_x1``, ``d_x2`` and ``d_t`` are the derivatives of D's entries.
+    ``drift`` multiplies grad(psi)/psi; ``source`` and ``flux_source``
+    enter scaled by j as j*source + j*div(flux_source).  The terms are
+    built from D, e = D grad(u), phi, grad(det(D)) and G.  The scalar
+    source keeps its two sign-definite terms; nothing is dropped.
     """
+    ux1, ux2 = grad_u
+    phi, det_d = _phi_det_d(d, ux1, ux2, "the forcing assembly")
+    d11, d12, d22 = d
+    rows = ((d11, d12), (d12, d22))
+    g1, g2 = quad_form(*d_x1, ux1, ux2) / phi, quad_form(*d_x2, ux1, ux2) / phi
+    dg1, dg2 = matvec(rows, g1, g2)
+    e1, e2 = matvec(rows, ux1, ux2)
+    # grad(det(D)) by the product rule
+    dd1, dd2 = (dk[0] * d22 + d11 * dk[2] - 2.0 * d12 * dk[1] for dk in (d_x1, d_x2))
+    d_dd1, d_dd2 = matvec(rows, dd1, dd2)  # D grad(det(D))
 
-    drift1: np.ndarray
-    drift2: np.ndarray
-    flux1: np.ndarray
-    flux2: np.ndarray
-    source: np.ndarray
+    drift = (dg1 + 2.0 * u_t * e1 / phi - d_dd1 / det_d,
+             dg2 + 2.0 * u_t * e2 / phi - d_dd2 / det_d)
+    flux = (-dg1 + 2.0 * w * e1 / phi,
+            -dg2 + 2.0 * w * e2 / phi)
 
-
-def forcing_coefficients(ws: IdentityWorkspace) -> ForcingCoefficients:
-    """Assemble the drift vector, flux-source vector and scalar source.
-
-    The terms are built from D, e = D grad(u), phi, grad(det(D)) and G.  The
-    scalar source keeps its two sign-definite terms; nothing is dropped.
-    """
-    phi, det_d = ws._positive_phi_det_d("the forcing assembly")
-    g1, g2 = ws.g
-    dg1, dg2 = matvec(ws.d, g1, g2)
-    e1, e2 = ws.e
-    dd1, dd2 = ws.grad_det_d
-    d_dd1, d_dd2 = matvec(ws.d, dd1, dd2)  # D grad(det(D))
-
-    drift1 = dg1 + 2.0 * ws.u_t * e1 / phi - d_dd1 / det_d
-    drift2 = dg2 + 2.0 * ws.u_t * e2 / phi - d_dd2 / det_d
-
-    flux1 = -dg1 + 2.0 * ws.w * e1 / phi
-    flux2 = -dg2 + 2.0 * ws.w * e2 / phi
-
-    div_d1, div_d2 = ws.div_d
-    dt_quad = quad_form(ws.d11_t, ws.d12_t, ws.d22_t, ws.ux1, ws.ux2)
-    r3 = ws.u_t - ws.w
+    div_d1, div_d2 = d_x1[0] + d_x2[1], d_x1[1] + d_x2[2]  # the column divergences of D
+    r3 = u_t - w
     source = (
         (dd1 * dg1 + dd2 * dg2) / det_d
         + 2.0 * r3 * (dd1 * e1 + dd2 * e2) / (det_d * phi)
-        - 2.0 * ws.u_t * (ws.u_t + div_d1 * ws.ux1 + div_d2 * ws.ux2 - ws.w) / phi
-        + dt_quad / phi
+        - 2.0 * u_t * (u_t + div_d1 * ux1 + div_d2 * ux2 - w) / phi
+        + quad_form(*d_t, ux1, ux2) / phi
         - 2.0 * r3 * (e1 * g1 + e2 * g2) / phi
         - (dg1 * g1 + dg2 * g2)
     )
-    return ForcingCoefficients(drift1, drift2, flux1, flux2, source)
+    return drift, flux, source
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +300,10 @@ def power_equation_residual(u_fn, v_fn, params: PhysParams, js, grid: GridSpec) 
     error: fourth order in space, second order in the time differences.
 
     Everything but psi is shared by the powers: the three time slices, the
-    workspace, the forcing coefficients and div(flux_source) are built once
-    per call, and only psi, psi_t, grad(psi) and the two sides of the
-    equation once per power.  Returns ``(residual, max-norm)`` for each j,
-    in the order of ``js``, each bit-identical to a call with that j alone.
+    forcing coefficients and div(flux_source) are built once per call, and
+    only psi, psi_t, grad(psi) and the two sides of the equation once per
+    power.  Returns ``(residual, max-norm)`` for each j, in the order of
+    ``js``, each bit-identical to a call with that j alone.
 
     Raises ValueError if ``js`` is empty or holds a power below 1, or if
     |grad u| falls below 0.5 anywhere on the sub-rectangle (the identity
@@ -389,49 +316,38 @@ def power_equation_residual(u_fn, v_fn, params: PhysParams, js, grid: GridSpec) 
     dt_fd = hx
     x1m, x2m = grid.nodes()
 
-    slices = {}
-    for tag, t in (("-", _POWER_T0 - dt_fd), ("0", _POWER_T0), ("+", _POWER_T0 + dt_fd)):
+    slices = []  # (u, D's entries, grad(u), phi) at t0 - dt, t0, t0 + dt
+    for t in (_POWER_T0 - dt_fd, _POWER_T0, _POWER_T0 + dt_fd):
         u = np.asarray(u_fn(x1m, x2m, t), dtype=float)
         v = np.asarray(v_fn(x1m, x2m, t), dtype=float)
         v1, v2 = grad_4(v, hx, hy)
-        d11, d12, d22 = dispersion_entries(-v2, v1, params, _POWER_REG_EPS)
-        ux1, ux2 = grad_4(u, hx, hy)
-        phi = quad_form(d11, d12, d22, ux1, ux2)
-        slices[tag] = dict(u=u, d11=d11, d12=d12, d22=d22, ux1=ux1, ux2=ux2, phi=phi)
+        d = dispersion_entries(-v2, v1, params, _POWER_REG_EPS)
+        grad_u = grad_4(u, hx, hy)
+        slices.append((u, d, grad_u, quad_form(*d, *grad_u)))
+    (u_m, d_m, _, phi_m), (u, d, grad_u, phi), (u_p, d_p, _, phi_p) = slices
 
-    s0, sm, sp = slices["0"], slices["-"], slices["+"]
-    grad_mag = sub_box(np.hypot(s0["ux1"], s0["ux2"]), _POWER_BOX)
+    grad_mag = sub_box(np.hypot(*grad_u), _POWER_BOX)
     if grad_mag.min() < _POWER_GRAD_FLOOR:
         raise ValueError(
             f"|grad u| dips to {grad_mag.min():.3g} < {_POWER_GRAD_FLOOR} on the evaluation sub-rectangle"
         )
     inv2dt = 1.0 / (2.0 * dt_fd)
-    u_t = (sp["u"] - sm["u"]) * inv2dt
-    w = u_t - contract((s0["d11"], s0["d12"], s0["d22"]), hess_4(s0["u"], hx, hy))
-    d11_x1, d11_x2 = grad_4(s0["d11"], hx, hy)
-    d12_x1, d12_x2 = grad_4(s0["d12"], hx, hy)
-    d22_x1, d22_x2 = grad_4(s0["d22"], hx, hy)
+    u_t = (u_p - u_m) * inv2dt
+    w = u_t - contract(d, hess_4(u, hx, hy))
+    d_x1, d_x2 = zip(*(grad_4(dk, hx, hy) for dk in d))
+    d_t = tuple((dk_p - dk_m) * inv2dt for dk_p, dk_m in zip(d_p, d_m))
+    (drift1, drift2), flux, source = forcing_coefficients(d, d_x1, d_x2, d_t, grad_u, u_t, w)
+    div_flux = div_4(*flux, hx, hy)
 
-    ws = IdentityWorkspace(
-        ux1=s0["ux1"], ux2=s0["ux2"], u_t=u_t, w=w,
-        d11=s0["d11"], d12=s0["d12"], d22=s0["d22"],
-        d11_x1=d11_x1, d12_x1=d12_x1, d22_x1=d22_x1,
-        d11_x2=d11_x2, d12_x2=d12_x2, d22_x2=d22_x2,
-        d11_t=(sp["d11"] - sm["d11"]) * inv2dt,
-        d12_t=(sp["d12"] - sm["d12"]) * inv2dt,
-        d22_t=(sp["d22"] - sm["d22"]) * inv2dt,
-    )
-    fc = forcing_coefficients(ws)
-    div_flux = div_4(fc.flux1, fc.flux2, hx, hy)
-
+    rows = ((d[0], d[1]), (d[1], d[2]))
     out = []
     for j in js:
-        psi = s0["phi"] ** j
-        psi_t = (sp["phi"] ** j - sm["phi"] ** j) * inv2dt
+        psi = phi ** j
+        psi_t = (phi_p ** j - phi_m ** j) * inv2dt
         psi_x1, psi_x2 = grad_4(psi, hx, hy)
-        dpsi1, dpsi2 = matvec(ws.d, psi_x1, psi_x2)
+        dpsi1, dpsi2 = matvec(rows, psi_x1, psi_x2)
         lhs = psi_t / psi - div_4(dpsi1 / psi, dpsi2 / psi, hx, hy)
-        rhs = (fc.drift1 * psi_x1 + fc.drift2 * psi_x2) / psi + j * fc.source + j * div_flux
+        rhs = (drift1 * psi_x1 + drift2 * psi_x2) / psi + j * source + j * div_flux
         out.append(windowed_residual(lhs - rhs, _POWER_BOX))
     return out
 

@@ -172,26 +172,31 @@ def _rect_mesh(rect: tuple[float, float, float, float], n: int):
     return X1, X2, (hi1 - lo1) / (n - 1), (hi2 - lo2) / (n - 1)
 
 
-def _chart_scalars(chart: Chart, E1, E2):
-    """x-points, forward gradient, and flattening scalars h1, h2 on an eta mesh."""
+def chart_mesh(chart: Chart, n: int):
+    """The n x n mesh of ``ETA_RECT`` under ``chart``, as ``(h1m, h2m, x1, x2, jg, h1, h2)``.
+
+    h1m, h2m are the eta spacings, (x1, x2) = f(eta) the preimages of the
+    nodes, jg = grad_fwd(x) and h1, h2 the flattening scalars; both
+    transformed residuals take it, so one build serves both at a level.
+    """
+    E1, E2, h1m, h2m = _rect_mesh(ETA_RECT, n)
     x1, x2 = chart.inv(E1, E2)
     jg = chart.grad_fwd(x1, x2)
     jf = chart.grad_inv(E1, E2)
     g1h, g2h = chart.hess_fwd(x1, x2)
     h1 = g1h[1] * jf[0][0] + g1h[2] * jf[0][1] + g2h[1] * jf[1][0] + g2h[2] * jf[1][1]
     h2 = -(g1h[0] * jf[0][0] + g1h[1] * jf[0][1] + g2h[0] * jf[1][0] + g2h[1] * jf[1][1])
-    return x1, x2, jg, h1, h2
+    return h1m, h2m, x1, x2, jg, h1, h2
 
 
-def transformed_poisson_residual(chart: Chart, v_fn: Callable, u_fn: Callable, n: int) -> tuple[np.ndarray, float]:
-    """Residual of the flattened Poisson relation on an analytic exact pair.
+def transformed_poisson_residual(mesh, v_fn: Callable, u_fn: Callable) -> tuple[np.ndarray, float]:
+    """Residual of the flattened Poisson relation on an analytic exact pair, on a ``chart_mesh``.
 
     ``v_fn(x1, x2)`` must satisfy lap(v) = d u/d x1 exactly for ``u_fn``;
     the returned residual over the central part of the eta mesh is then
     pure finite-difference error.
     """
-    E1, E2, h1m, h2m = _rect_mesh(ETA_RECT, n)
-    x1, x2, jg, h1, h2 = _chart_scalars(chart, E1, E2)
+    h1m, h2m, x1, x2, jg, h1, h2 = mesh
     vt = np.asarray(v_fn(x1, x2), dtype=float)
     ut = np.asarray(u_fn(x1, x2), dtype=float)
     vt_1, vt_2 = grad_4(vt, h1m, h2m)
@@ -278,15 +283,14 @@ def transport_expression_x(fix: TransportFields, x1, x2, t: float, p: PhysParams
     )
 
 
-def transformed_transport_residual(chart: Chart, fix: TransportFields, n: int) -> tuple[np.ndarray, float]:
-    """Flattened-minus-original transport expression; converges to zero under refinement.
+def transformed_transport_residual(mesh, fix: TransportFields) -> tuple[np.ndarray, float]:
+    """Flattened-minus-original transport expression on a ``chart_mesh``; converges to zero under refinement.
 
     The flattened expression is evaluated by finite differences on the eta
     mesh, the original one analytically at the chart's preimages of its nodes.
     """
     t, p = _TRANSPORT_T, _TRANSPORT_PHYS
-    E1, E2, h1m, h2m = _rect_mesh(ETA_RECT, n)
-    x1, x2, jg, h1, h2 = _chart_scalars(chart, E1, E2)
+    h1m, h2m, x1, x2, jg, h1, h2 = mesh
     ut = np.asarray(fix.u(x1, x2, t), dtype=float)
     vt = np.asarray(fix.v(x1, x2), dtype=float)
     ut_1, ut_2 = grad_4(ut, h1m, h2m)

@@ -137,6 +137,9 @@ class RunConfig:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.t_end < self.dt:
             raise ValueError(f"t_end must be at least dt, got t_end={self.t_end}, dt={self.dt}")
+        # run() counts its steps as round(t_end/dt), which overflows when dt is tiny against t_end
+        if not math.isfinite(self.t_end / self.dt):
+            raise ValueError(f"dt is too small for t_end: t_end/dt overflows, got dt={self.dt}, t_end={self.t_end}")
         if self.picard_max < 1:
             raise ValueError(f"picard_max must be at least 1, got {self.picard_max}")
         if self.output_every < 0:

@@ -65,9 +65,9 @@ def test_power_equation_check_builds_each_level_once(monkeypatch):
     # both powers j share one forcing build per grid level: 3 levels, 3 builds
     calls = []
 
-    def counted(ws):
-        calls.append(ws)
-        return forcing_coefficients(ws)
+    def counted(*args):
+        calls.append(args)
+        return forcing_coefficients(*args)
 
     monkeypatch.setattr(identities, "forcing_coefficients", counted)
     assert ac.check_power_equation().passed

@@ -71,6 +71,19 @@ def test_nonpositive_dt_rejected():
         parse_config(MINIMAL.replace("dt = 0.0625", "dt = -0.1"))
 
 
+def test_dt_too_small_for_t_end_rejected_at_dt_line(tmp_path, capsys):
+    # 0.125 / 1e-320 overflows, so the run could not count its steps
+    text = MINIMAL.replace("dt = 0.0625", "dt = 1e-320")
+    with pytest.raises(ConfigError, match=r"^line 8: dt is too small for t_end") as info:
+        parse_config(text)
+    assert info.value.line == 8
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    assert main(["run", "--config", str(path), "--outdir", str(tmp_path / "out")]) == 2
+    assert "configuration error: line 8: dt is too small" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "key, bad",
     [

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from dispersim.coefficients import PhysParams
 from dispersim.grid import GridSpec, ScalarField, quad_form
 from dispersim.identities import (
-    IdentityWorkspace,
     RecursionParams,
     _log_cell_integral,
     _log_kernel_convolution,
@@ -147,89 +146,89 @@ def test_sandwich_identity_rejects_negative_definite():
 # --- Hessian reconstruction
 
 
+def _spd(rng, n):
+    """Entries (d11, d12, d22) of D = R diag(lam) R^T, lam in [0.1, 10]."""
+    theta = rng.uniform(0.0, np.pi, n)
+    lam1, lam2 = rng.uniform(0.1, 10.0, (2, n))
+    c, s = np.cos(theta), np.sin(theta)
+    return c**2 * lam1 + s**2 * lam2, c * s * (lam1 - lam2), s**2 * lam1 + c**2 * lam2
+
+
+def _grad_u(rng, n):
+    """(ux1, ux2) with |grad u| in [0.5, 2]."""
+    r, ang = rng.uniform(0.5, 2.0, n), rng.uniform(0.0, 2.0 * np.pi, n)
+    return r * np.cos(ang), r * np.sin(ang)
+
+
+def _system_matrix(d11, d12, d22, e1, e2):
+    """The dense 3x3 matrices E = [[e1, e2, 0], [0, e1, e2], [d11, 2 d12, d22]], stacked along the first axis."""
+    e1, e2, d11, d12, d22 = np.broadcast_arrays(*np.atleast_1d(e1, e2, d11, d12, d22))
+    zero = np.zeros_like(e1)
+    return np.stack([np.stack(row, -1) for row in ((e1, e2, zero), (zero, e1, e2), (d11, 2 * d12, d22))], -2)
+
+
 def test_reconstruct_hessian_isotropic_quadratic():
     # D = I (zero velocity, m = 1), u = x1^2 + x2^2 at the point (0.3, 0.4)
     x1, x2 = 0.3, 0.4
     ux1, ux2 = 2 * x1, 2 * x2
     phi = ux1**2 + ux2**2
     # grad(phi) = 2 hess (D grad u) with hess = diag(2, 2), G = 0
-    ws = IdentityWorkspace(
-        ux1=ux1, ux2=ux2, u_t=0.0, w=-4.0, d11=1.0, d12=0.0, d22=1.0,
-        phi_x1=2 * (2.0 * ux1), phi_x2=2 * (2.0 * ux2),
-    )
-    h11, h12, h22 = reconstruct_hessian(ws)
+    grad_phi = (2 * (2.0 * ux1), 2 * (2.0 * ux2))
+    h11, h12, h22 = reconstruct_hessian((1.0, 0.0, 1.0), (ux1, ux2), grad_phi, (0.0, 0.0), 0.0, -4.0)
     assert h11 == pytest.approx(2.0, abs=1e-12)
     assert h12 == pytest.approx(0.0, abs=1e-12)
     assert h22 == pytest.approx(2.0, abs=1e-12)
-    assert ws.det_d * ws.phi == pytest.approx(phi, rel=1e-12)  # det(D) = 1
+    assert np.linalg.det(_system_matrix(1.0, 0.0, 1.0, ux1, ux2))[0] == pytest.approx(phi, rel=1e-12)  # det(D) = 1
 
 
 def test_reconstruct_hessian_det_worked():
-    # the (3,4)-velocity tensor with grad u = (1, 0): phi = d11 = 7.8
-    ws = IdentityWorkspace(
-        ux1=1.0, ux2=0.0, u_t=0.0, w=0.0, d11=7.8, d12=2.4, d22=9.2,
-        phi_x1=0.0, phi_x2=0.0,
-    )
-    assert ws.det_d * ws.phi == pytest.approx(66.0 * 7.8, rel=1e-10)
+    # the (3,4)-velocity tensor with grad u = (1, 0): phi = d11 = 7.8, D grad u = (7.8, 2.4)
+    d = (7.8, 2.4, 9.2)
+    assert np.linalg.det(_system_matrix(*d, 7.8, 2.4))[0] == pytest.approx(66.0 * 7.8, rel=1e-10)
     # no first-order data and w = u_t: the Hessian is zero
-    assert reconstruct_hessian(ws) == pytest.approx((0.0, 0.0, 0.0), abs=1e-15)
+    h = reconstruct_hessian(d, (1.0, 0.0), (0.0, 0.0), (0.0, 0.0), 0.0, 0.0)
+    assert h == pytest.approx((0.0, 0.0, 0.0), abs=1e-15)
 
 
-def test_reconstruct_hessian_vs_linear_solve():
-    rng = np.random.default_rng(22)
-    n = 1000
-    q1, q2 = rng.uniform(-3, 3, (2, n))
-    p = PhysParams(1.0, 2.0, 1.0)
-    qn = np.hypot(q1, q2)
-    scale = np.where(qn > 0, (p.b - p.a) / np.where(qn > 0, qn, 1.0), 0.0)
-    d11 = p.a * qn + p.m + scale * q1**2
-    d12 = scale * q1 * q2
-    d22 = p.a * qn + p.m + scale * q2**2
-    ux1 = rng.uniform(0.3, 2.0, n) * rng.choice([-1, 1], n)
-    ux2 = rng.uniform(0.3, 2.0, n) * rng.choice([-1, 1], n)
-    s11, s12, s22 = rng.uniform(-2, 2, (3, n))
-    g1, g2 = rng.uniform(-1, 1, (2, n))
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+def test_reconstruct_hessian_vs_linear_solve(n, seed):
+    # first-order data consistent with hess(u) = S: grad(phi) = 2 S (D grad u) + phi G, w = u_t - D:S
+    rng = np.random.default_rng(seed)
+    d11, d12, d22 = _spd(rng, n)
+    ux1, ux2 = _grad_u(rng, n)
+    s11, s12, s22 = rng.uniform(-2.0, 2.0, (3, n))
+    g1, g2, u_t = rng.uniform(-1.0, 1.0, (3, n))
     phi = d11 * ux1**2 + 2 * d12 * ux1 * ux2 + d22 * ux2**2
     e1 = d11 * ux1 + d12 * ux2
     e2 = d12 * ux1 + d22 * ux2
     phi_x1 = 2 * (s11 * e1 + s12 * e2) + phi * g1
     phi_x2 = 2 * (s12 * e1 + s22 * e2) + phi * g2
-    u_t = rng.uniform(-1, 1, n)
     w = u_t - (d11 * s11 + 2 * d12 * s12 + d22 * s22)
-    ws = IdentityWorkspace(
-        ux1=ux1, ux2=ux2, u_t=u_t, w=w, d11=d11, d12=d12, d22=d22,
-        d11_x1=phi * g1 / ux1**2, d11_x2=phi * g2 / ux1**2,
-        phi_x1=phi_x1, phi_x2=phi_x2,
-    )
-    h11, h12, h22 = reconstruct_hessian(ws)
-    sref = np.maximum(1.0, np.abs(s11) + np.abs(s12) + np.abs(s22))
-    assert np.max(np.abs(h11 - s11) / sref) < 1e-12
-    assert np.max(np.abs(h12 - s12) / sref) < 1e-12
-    assert np.max(np.abs(h22 - s22) / sref) < 1e-12
-    E = np.zeros((n, 3, 3))
-    E[:, 0, 0], E[:, 0, 1] = e1, e2
-    E[:, 1, 1], E[:, 1, 2] = e1, e2
-    E[:, 2, 0], E[:, 2, 1], E[:, 2, 2] = d11, 2 * d12, d22
+    h = np.stack(reconstruct_hessian((d11, d12, d22), (ux1, ux2), (phi_x1, phi_x2), (g1, g2), u_t, w), axis=1)
+    sref = np.maximum(1.0, np.abs(s11) + np.abs(s12) + np.abs(s22))[:, None]
+    assert np.all(np.abs(h - np.stack([s11, s12, s22], axis=1)) <= 1e-12 * sref)
+    E = _system_matrix(d11, d12, d22, e1, e2)
     rhs = np.stack([(phi_x1 - phi * g1) / 2, (phi_x2 - phi * g2) / 2, u_t - w], axis=1)
     sol = np.linalg.solve(E, rhs[..., None])[..., 0]
-    assert np.max(np.abs(sol[:, 0] - h11) / sref) < 1e-12
-    assert np.max(np.abs(np.linalg.det(E) - (d11 * d22 - d12**2) * phi) / ((d11 * d22 - d12**2) * phi)) < 1e-10
+    assert np.all(np.abs(sol - h) <= 1e-12 * sref)
+    det_d_phi = (d11 * d22 - d12**2) * phi
+    assert np.all(np.abs(np.linalg.det(E) - det_d_phi) <= 1e-10 * det_d_phi)
 
 
 def test_reconstruct_hessian_requires_positive_phi():
-    ws = IdentityWorkspace(ux1=0.0, ux2=0.0, u_t=0.0, w=0.0, d11=1.0, d12=0.0, d22=1.0,
-                           phi_x1=0.0, phi_x2=0.0)
     with pytest.raises(ValueError, match="phi"):
-        reconstruct_hessian(ws)
+        reconstruct_hessian((1.0, 0.0, 1.0), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0), 0.0, 0.0)
 
 
 # --- forcing coefficients
 
+_ZERO = (0.0, 0.0, 0.0)
+
 
 def test_forcing_vanishes_for_constant_tensor():
-    ws = IdentityWorkspace(ux1=1.0, ux2=0.5, u_t=0.0, w=0.0, d11=2.0, d12=0.3, d22=1.5)
-    fc = forcing_coefficients(ws)
-    for val in (fc.drift1, fc.drift2, fc.flux1, fc.flux2, fc.source):
+    drift, flux, source = forcing_coefficients((2.0, 0.3, 1.5), _ZERO, _ZERO, _ZERO, (1.0, 0.5), 0.0, 0.0)
+    for val in (*drift, *flux, source):
         assert val == pytest.approx(0.0, abs=1e-15)
 
 
@@ -237,39 +236,38 @@ def test_forcing_flux_isotropic_case():
     # constant D = m I: flux_source = 2 m w grad(u) / phi exactly
     m, w = 0.7, 1.3
     ux1, ux2 = 0.8, -0.4
-    ws = IdentityWorkspace(ux1=ux1, ux2=ux2, u_t=0.0, w=w, d11=m, d12=0.0, d22=m)
-    fc = forcing_coefficients(ws)
+    _, flux, _ = forcing_coefficients((m, 0.0, m), _ZERO, _ZERO, _ZERO, (ux1, ux2), 0.0, w)
     phi = m * (ux1**2 + ux2**2)
-    assert fc.flux1 == pytest.approx(2 * w * m * ux1 / phi, rel=1e-14)
-    assert fc.flux2 == pytest.approx(2 * w * m * ux2 / phi, rel=1e-14)
+    assert flux[0] == pytest.approx(2 * w * m * ux1 / phi, rel=1e-14)
+    assert flux[1] == pytest.approx(2 * w * m * ux2 / phi, rel=1e-14)
+
+
+def _forcing_args(v):
+    """(d, d_x1, d_x2, d_t, grad_u, u_t, w) of ``forcing_coefficients`` from 16 values in that order."""
+    return tuple(v[0:3]), tuple(v[3:6]), tuple(v[6:9]), tuple(v[9:12]), tuple(v[12:14]), v[14], v[15]
 
 
 def test_forcing_condition_under_perturbation():
     rng = np.random.default_rng(23)
-    base = dict(
-        ux1=1.1, ux2=-0.6, u_t=0.4, w=0.2, d11=2.0, d12=0.4, d22=1.6,
-        d11_x1=0.3, d12_x1=-0.1, d22_x1=0.2, d11_x2=0.1, d12_x2=0.05, d22_x2=-0.15,
-        d11_t=0.02, d12_t=-0.01, d22_t=0.03,
-    )
-    fc0 = forcing_coefficients(IdentityWorkspace(**base))
-    out0 = np.array([fc0.drift1, fc0.drift2, fc0.flux1, fc0.flux2, fc0.source])
+    base = np.array([2.0, 0.4, 1.6, 0.3, -0.1, 0.2, 0.1, 0.05, -0.15, 0.02, -0.01, 0.03, 1.1, -0.6, 0.4, 0.2])
+    drift, flux, source = forcing_coefficients(*_forcing_args(base))
+    out0 = np.array([*drift, *flux, source])
     delta = 1e-6
     for _ in range(10):
-        pert = {k: v * (1.0 + delta * rng.uniform(-1, 1)) for k, v in base.items()}
-        fc = forcing_coefficients(IdentityWorkspace(**pert))
-        out = np.array([fc.drift1, fc.drift2, fc.flux1, fc.flux2, fc.source])
+        drift, flux, source = forcing_coefficients(*_forcing_args(base * (1.0 + delta * rng.uniform(-1, 1, base.size))))
+        out = np.array([*drift, *flux, source])
         rel_change = np.max(np.abs(out - out0) / np.maximum(1.0, np.abs(out0)))
         assert rel_change <= 1e3 * delta
         assert np.all(np.isfinite(out))
 
 
-def _forcing_oracle(ws):
+def _forcing_oracle(d, d_x1, d_x2, d_t, grad_u, u_t, w):
     """The forcing in its adjugate form through the auxiliary matrices M1, M2, M3, in dense numpy.
 
     M1 and M2 hold products of D with grad(u), cross = d11 d22 - 2 d12^2, and
     M3 = -(D grad u)(D grad u)^T; drift, flux and source are written out term by term.
     """
-    d11, d12, d22, ux1, ux2 = ws.d11, ws.d12, ws.d22, ws.ux1, ws.ux2
+    (d11, d12, d22), (ux1, ux2) = d, grad_u
     D = np.stack([np.stack([d11, d12], -1), np.stack([d12, d22], -1)], -2)
     gu = np.stack([ux1, ux2], -1)
     e = np.einsum("nij,nj->ni", D, gu)
@@ -285,23 +283,23 @@ def _forcing_oracle(ws):
     def quad(a11, a12, a22):
         return a11 * ux1**2 + 2.0 * a12 * ux1 * ux2 + a22 * ux2**2
 
-    g = np.stack([quad(ws.d11_x1, ws.d12_x1, ws.d22_x1), quad(ws.d11_x2, ws.d12_x2, ws.d22_x2)], -1) / phi[:, None]
+    g = np.stack([quad(*d_x1), quad(*d_x2)], -1) / phi[:, None]
     dg = np.einsum("nij,nj->ni", D, g)
-    dd = np.stack([ws.d11_x1 * d22 + d11 * ws.d22_x1 - 2.0 * d12 * ws.d12_x1,
-                   ws.d11_x2 * d22 + d11 * ws.d22_x2 - 2.0 * d12 * ws.d12_x2], -1)
+    dd = np.stack([d_x1[0] * d22 + d11 * d_x1[2] - 2.0 * d12 * d_x1[1],
+                   d_x2[0] * d22 + d11 * d_x2[2] - 2.0 * d12 * d_x2[1]], -1)
     cu = ux1[:, None] * np.einsum("nji,nj->ni", m1, dd) + ux2[:, None] * np.einsum("nji,nj->ni", m2, dd)
     denom = det * phi
-    drift = dg + 2.0 * ws.u_t[:, None] * e / phi[:, None] - cu / denom[:, None]
-    flux = -dg + 2.0 * ws.w[:, None] * e / phi[:, None]
+    drift = dg + 2.0 * u_t[:, None] * e / phi[:, None] - cu / denom[:, None]
+    flux = -dg + 2.0 * w[:, None] * e / phi[:, None]
     mg = ux1[:, None] * np.einsum("nij,nj->ni", m1, g) + ux2[:, None] * np.einsum("nij,nj->ni", m2, g)
     m3u = np.einsum("nij,nj->ni", m3, gu)
-    div_d = np.stack([ws.d11_x1 + ws.d12_x2, ws.d12_x1 + ws.d22_x2], -1)
-    r3 = ws.u_t - ws.w
+    div_d = np.stack([d_x1[0] + d_x2[1], d_x1[1] + d_x2[2]], -1)
+    r3 = u_t - w
     source = (
         np.einsum("ni,ni->n", dd, mg) / denom
         - 2.0 * r3 * np.einsum("ni,ni->n", dd, m3u) / (denom * phi)
-        - 2.0 * ws.u_t * (ws.u_t + np.einsum("ni,ni->n", div_d, gu) - ws.w) / phi
-        + quad(ws.d11_t, ws.d12_t, ws.d22_t) / phi
+        - 2.0 * u_t * (u_t + np.einsum("ni,ni->n", div_d, gu) - w) / phi
+        + quad(*d_t) / phi
         - 2.0 * r3 * np.einsum("ni,ni->n", e, g) / phi
         - np.einsum("ni,ni->n", dg, g)
     )
@@ -313,18 +311,11 @@ def _forcing_oracle(ws):
 def test_forcing_matches_auxiliary_matrix_form(n, seed):
     # D = R diag(lam) R^T with lam in [0.1, 10], |grad u| in [0.5, 2], every other entry in [-1, 1]
     rng = np.random.default_rng(seed)
-    theta = rng.uniform(0.0, np.pi, n)
-    lam1, lam2 = rng.uniform(0.1, 10.0, (2, n))
-    c, s = np.cos(theta), np.sin(theta)
-    r, ang = rng.uniform(0.5, 2.0, n), rng.uniform(0.0, 2.0 * np.pi, n)
-    names = ("d11_x1", "d12_x1", "d22_x1", "d11_x2", "d12_x2", "d22_x2", "d11_t", "d12_t", "d22_t", "u_t", "w")
-    ws = IdentityWorkspace(
-        ux1=r * np.cos(ang), ux2=r * np.sin(ang),
-        d11=c**2 * lam1 + s**2 * lam2, d12=c * s * (lam1 - lam2), d22=s**2 * lam1 + c**2 * lam2,
-        **dict(zip(names, rng.uniform(-1.0, 1.0, (len(names), n)))),
-    )
-    fc = forcing_coefficients(ws)
-    for got, ref in zip((fc.drift1, fc.drift2, fc.flux1, fc.flux2, fc.source), _forcing_oracle(ws)):
+    d, grad_u = _spd(rng, n), _grad_u(rng, n)
+    v = rng.uniform(-1.0, 1.0, (11, n))  # the entries of D_x1, D_x2 and D_t, then u_t and w
+    args = (d, tuple(v[0:3]), tuple(v[3:6]), tuple(v[6:9]), grad_u, v[9], v[10])
+    drift, flux, source = forcing_coefficients(*args)
+    for got, ref in zip((*drift, *flux, source), _forcing_oracle(*args)):
         assert np.all(np.abs(got - ref) <= 1e-10 * (1.0 + np.abs(ref)))
 
 # --- dissipation-power equation on manufactured fields
