@@ -201,8 +201,11 @@ def check_tensor_structure(seed: int = DEFAULT_SEED) -> CheckRow:
 
 
 def _smooth_random_field(grid: GridSpec, rng) -> np.ndarray:
-    """Sum of three sine modes with random wavenumbers 1-3, phases and amplitudes in [-0.3, 0.3]."""
-    x1, x2 = grid.nodes()
+    """Sum of three sine modes with random wavenumbers 1-3, phases and amplitudes in [-0.3, 0.3].
+
+    Each mode is the product of a sine along x1 and one along x2, each evaluated on its own axis.
+    """
+    x1, x2 = grid.x1[None, :], grid.x2[:, None]
     v = np.zeros(grid.shape)
     for _ in range(3):
         kx, ky = rng.integers(1, 4, size=2)
@@ -323,6 +326,24 @@ def check_hessian_reconstruction(seed: int = DEFAULT_SEED) -> CheckRow:
                 note=f"detE rel dev {det_rel:.2e}", extra=det_rel <= 1e-10)
 
 
+def _log_recursion(c, b, alpha, y0, steps: int) -> np.ndarray:
+    """ln y_steps of y_{k+1} = c b^k y_k^{1+alpha}, elementwise, with ln y clamped below at -1e306.
+
+    Each step is max(ln c + k ln b + (1 + alpha) ln y, -1e306), its sums in that
+    order, computed in place; decaying tails clamp instead of overflowing.
+    """
+    ly = np.where(y0 > 0, np.log(np.where(y0 > 0, y0, 1.0)), -1e306)
+    logc, logb, power = np.log(c), np.log(b), 1.0 + alpha
+    step = np.empty_like(ly)
+    for k in range(steps):
+        np.multiply(k, logb, out=step)
+        step += logc  # IEEE sums and products commute, so these are the written order's bits
+        ly *= power
+        step += ly
+        np.maximum(step, -1e306, out=ly)
+    return ly
+
+
 def check_recursion(seed: int = DEFAULT_SEED) -> CheckRow:
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 5)
@@ -337,12 +358,7 @@ def check_recursion(seed: int = DEFAULT_SEED) -> CheckRow:
     frac = rng.uniform(0.0, 1.0, n)
     frac[0] = 1.0 - 1e-9
     y0 = frac * recursion_threshold(c, b, alpha)
-    # iterate in log space; decaying tails clamp instead of overflowing
-    ly = np.where(y0 > 0, np.log(np.where(y0 > 0, y0, 1.0)), -1e306)
-    logc, logb = np.log(c), np.log(b)
-    for k in range(600):
-        ly = np.maximum(logc + k * logb + (1.0 + alpha) * ly, -1e306)
-    worst = float(np.max(np.exp(np.minimum(ly, 700.0))))
+    worst = float(np.max(np.exp(np.minimum(_log_recursion(c, b, alpha, y0, 600), 700.0))))
     seq, converged = superlinear_recursion(RecursionParams(1.0, 2.0, 1.0, 0.5), 60)
     ok_worked = converged and seq[-1] < 1e-12 and abs(seq[1] - 0.25) < 1e-15 and abs(seq[3] - 0.0625) < 1e-15
     return _row("level-set-recursion", n + 1, worst, 1e-12, "<=", seed, t0,

@@ -225,7 +225,10 @@ def read_snapshot(path, grid: GridSpec | None = None) -> ScalarField:
     """Load a snapshot; its coordinates must match ``grid``, or the grid they imply when it is None."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # numpy's empty-input warning; raised below instead
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        try:
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as exc:  # a value that is no number, or a row of the wrong length
+            raise ValueError(f"{path}: {exc}") from exc
     if data.shape[0] == 0:
         raise ValueError(f"{path}: no data rows")
     if data.shape[1] != 3:

@@ -47,9 +47,12 @@ and ``hess_4`` are the one way this module and ``mapped_domain``
 differentiate a node array, and ``hess_4`` is the package's only Hessian;
 ``contract`` is the one A:S, and ``windowed_residual`` the one windowed
 max-norm; ``deriv1_4`` and ``deriv2_4`` are their one-axis building
-blocks.  ``matvec``, ``det2`` and ``congruence`` are the one pointwise 2x2
-mat-vec, determinant and congruence J^T A J of this module, ``acceptance``
-and ``mapped_domain``.  Every D w.w, phi among them, comes from
+blocks.  Both slice along ``axis`` itself (no transpose and back), build
+the interior from two temporaries written into the result in place, and
+keep each stencil's sums and products in its written order, so either
+axis gives the bits of the one-expression form.  ``matvec``, ``det2``
+and ``congruence`` are the one pointwise 2x2 mat-vec, determinant and
+congruence J^T A J of this module, ``acceptance`` and ``mapped_domain``.  Every D w.w, phi among them, comes from
 ``grid.quad_form``.
 Time derivatives of manufactured fields use second-order central
 differences.
@@ -70,37 +73,48 @@ from .grid import GridSpec, LatticeConvolution, ScalarField, quad_form
 # fourth-order finite differences with one-sided boundary closures
 
 
+def _axis_first(values: np.ndarray, axis: int, need: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(result, values and result viewed with ``axis`` first), once ``values`` has ``need`` nodes along ``axis``."""
+    if values.shape[axis] < need:
+        raise ValueError(f"need at least {need} nodes per axis for fourth-order stencils")
+    out = np.empty_like(values)
+    return out, values.swapaxes(0, axis), out.swapaxes(0, axis)
+
+
 def deriv1_4(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Fourth-order first derivative along an axis (5-point one-sided at edges)."""
-    if axis == 0:
-        return deriv1_4(values.T, h, 1).T
-    v = values
-    if v.shape[1] < 5:
-        raise ValueError("need at least 5 nodes per axis for fourth-order stencils")
+    out, v, o = _axis_first(values, axis, 5)
     s = 1.0 / (12.0 * h)
-    out = np.empty_like(v)
-    out[:, 2:-2] = (v[:, :-4] - 8.0 * v[:, 1:-3] + 8.0 * v[:, 3:-1] - v[:, 4:]) * s
-    out[:, 0] = (-25.0 * v[:, 0] + 48.0 * v[:, 1] - 36.0 * v[:, 2] + 16.0 * v[:, 3] - 3.0 * v[:, 4]) * s
-    out[:, 1] = (-3.0 * v[:, 0] - 10.0 * v[:, 1] + 18.0 * v[:, 2] - 6.0 * v[:, 3] + v[:, 4]) * s
-    out[:, -2] = (3.0 * v[:, -1] + 10.0 * v[:, -2] - 18.0 * v[:, -3] + 6.0 * v[:, -4] - v[:, -5]) * s
-    out[:, -1] = (25.0 * v[:, -1] - 48.0 * v[:, -2] + 36.0 * v[:, -3] - 16.0 * v[:, -4] + 3.0 * v[:, -5]) * s
+    # ((v0 - 8 v1) + 8 v3 - v4) s, the interior stencil in that order, with two temporaries
+    t = 8.0 * v[1:-3]
+    np.subtract(v[:-4], t, out=t)
+    t += 8.0 * v[3:-1]
+    t -= v[4:]
+    np.multiply(t, s, out=o[2:-2])
+    o[0] = (-25.0 * v[0] + 48.0 * v[1] - 36.0 * v[2] + 16.0 * v[3] - 3.0 * v[4]) * s
+    o[1] = (-3.0 * v[0] - 10.0 * v[1] + 18.0 * v[2] - 6.0 * v[3] + v[4]) * s
+    o[-2] = (3.0 * v[-1] + 10.0 * v[-2] - 18.0 * v[-3] + 6.0 * v[-4] - v[-5]) * s
+    o[-1] = (25.0 * v[-1] - 48.0 * v[-2] + 36.0 * v[-3] - 16.0 * v[-4] + 3.0 * v[-5]) * s
     return out
 
 
 def deriv2_4(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Fourth-order second derivative along an axis (6-point one-sided at edges)."""
-    if axis == 0:
-        return deriv2_4(values.T, h, 1).T
-    v = values
-    if v.shape[1] < 6:
-        raise ValueError("need at least 6 nodes per axis for fourth-order stencils")
+    out, v, o = _axis_first(values, axis, 6)
     s = 1.0 / (12.0 * h * h)
-    out = np.empty_like(v)
-    out[:, 2:-2] = (-v[:, :-4] + 16.0 * v[:, 1:-3] - 30.0 * v[:, 2:-2] + 16.0 * v[:, 3:-1] - v[:, 4:]) * s
-    out[:, 0] = (45.0 * v[:, 0] - 154.0 * v[:, 1] + 214.0 * v[:, 2] - 156.0 * v[:, 3] + 61.0 * v[:, 4] - 10.0 * v[:, 5]) * s
-    out[:, 1] = (10.0 * v[:, 0] - 15.0 * v[:, 1] - 4.0 * v[:, 2] + 14.0 * v[:, 3] - 6.0 * v[:, 4] + v[:, 5]) * s
-    out[:, -2] = (10.0 * v[:, -1] - 15.0 * v[:, -2] - 4.0 * v[:, -3] + 14.0 * v[:, -4] - 6.0 * v[:, -5] + v[:, -6]) * s
-    out[:, -1] = (45.0 * v[:, -1] - 154.0 * v[:, -2] + 214.0 * v[:, -3] - 156.0 * v[:, -4] + 61.0 * v[:, -5] - 10.0 * v[:, -6]) * s
+    # (-v0 + 16 v1 - 30 v2 + 16 v3 - v4) s in that order; 16 v1 - v0 is the same IEEE sum as -v0 + 16 v1
+    t = 16.0 * v[1:-3]
+    t -= v[:-4]
+    t2 = 30.0 * v[2:-2]
+    t -= t2
+    np.multiply(v[3:-1], 16.0, out=t2)
+    t += t2
+    t -= v[4:]
+    np.multiply(t, s, out=o[2:-2])
+    o[0] = (45.0 * v[0] - 154.0 * v[1] + 214.0 * v[2] - 156.0 * v[3] + 61.0 * v[4] - 10.0 * v[5]) * s
+    o[1] = (10.0 * v[0] - 15.0 * v[1] - 4.0 * v[2] + 14.0 * v[3] - 6.0 * v[4] + v[5]) * s
+    o[-2] = (10.0 * v[-1] - 15.0 * v[-2] - 4.0 * v[-3] + 14.0 * v[-4] - 6.0 * v[-5] + v[-6]) * s
+    o[-1] = (45.0 * v[-1] - 154.0 * v[-2] + 214.0 * v[-3] - 156.0 * v[-4] + 61.0 * v[-5] - 10.0 * v[-6]) * s
     return out
 
 
@@ -253,25 +267,23 @@ def forcing_coefficients(d, d_x1, d_x2, d_t, grad_u, u_t, w):
     g1, g2 = quad_form(*d_x1, ux1, ux2) / phi, quad_form(*d_x2, ux1, ux2) / phi
     dg1, dg2 = matvec(rows, g1, g2)
     e1, e2 = matvec(rows, ux1, ux2)
-    # grad(det(D)) by the product rule
+    # grad(det(D)) by the product rule; D grad(det(D)) lives only as long as the drift needs it
     dd1, dd2 = (dk[0] * d22 + d11 * dk[2] - 2.0 * d12 * dk[1] for dk in (d_x1, d_x2))
-    d_dd1, d_dd2 = matvec(rows, dd1, dd2)  # D grad(det(D))
+    drift = tuple(dg + 2.0 * u_t * e / phi - d_dd / det_d
+                  for dg, e, d_dd in zip((dg1, dg2), (e1, e2), matvec(rows, dd1, dd2)))
 
-    drift = (dg1 + 2.0 * u_t * e1 / phi - d_dd1 / det_d,
-             dg2 + 2.0 * u_t * e2 / phi - d_dd2 / det_d)
-    flux = (-dg1 + 2.0 * w * e1 / phi,
-            -dg2 + 2.0 * w * e2 / phi)
-
-    div_d1, div_d2 = d_x1[0] + d_x2[1], d_x1[1] + d_x2[2]  # the column divergences of D
     r3 = u_t - w
+    # the column divergences of D, (d_x1[0] + d_x2[1], d_x1[1] + d_x2[2]), dotted with grad(u) in the third term
     source = (
         (dd1 * dg1 + dd2 * dg2) / det_d
         + 2.0 * r3 * (dd1 * e1 + dd2 * e2) / (det_d * phi)
-        - 2.0 * u_t * (u_t + div_d1 * ux1 + div_d2 * ux2 - w) / phi
+        - 2.0 * u_t * (u_t + (d_x1[0] + d_x2[1]) * ux1 + (d_x1[1] + d_x2[2]) * ux2 - w) / phi
         + quad_form(*d_t, ux1, ux2) / phi
         - 2.0 * r3 * (e1 * g1 + e2 * g2) / phi
         - (dg1 * g1 + dg2 * g2)
     )
+    flux = (-dg1 + 2.0 * w * e1 / phi,
+            -dg2 + 2.0 * w * e2 / phi)
     return drift, flux, source
 
 
@@ -284,6 +296,45 @@ _POWER_T0 = 0.25
 _POWER_REG_EPS = 1e-2
 _POWER_BOX = (0.25, 0.75, 0.25, 0.75)
 _POWER_GRAD_FLOOR = 0.5
+
+
+def _power_slice(u_fn, v_fn, params: PhysParams, mesh, hx: float, hy: float, t: float):
+    """u, D's entries and grad(u) of the manufactured fields at time t."""
+    u = np.asarray(u_fn(*mesh, t), dtype=float)
+    v1, v2 = grad_4(np.asarray(v_fn(*mesh, t), dtype=float), hx, hy)
+    return u, dispersion_entries(-v2, v1, params, _POWER_REG_EPS), grad_4(u, hx, hy)
+
+
+def _power_side_differences(u_fn, v_fn, params: PhysParams, mesh, hx: float, hy: float):
+    """(u_t, D_t, phi at t0 - dt, phi at t0 + dt), central differences at t0 with dt = hx.
+
+    Nothing else of the two side slices outlives the call.
+    """
+    (u_m, d_m, grad_m), (u_p, d_p, grad_p) = (
+        _power_slice(u_fn, v_fn, params, mesh, hx, hy, t) for t in (_POWER_T0 - hx, _POWER_T0 + hx)
+    )
+    inv2dt = 1.0 / (2.0 * hx)
+    d_t = tuple((dk_p - dk_m) * inv2dt for dk_p, dk_m in zip(d_p, d_m))
+    return (u_p - u_m) * inv2dt, d_t, quad_form(*d_m, *grad_m), quad_form(*d_p, *grad_p)
+
+
+def _power_shared_terms(u_fn, v_fn, params: PhysParams, grid: GridSpec):
+    """(D, phi, phi at t0 -/+ dt, drift, source, div(flux_source)) at t0: all the powers j share.
+
+    The slices, u_t, w, D's derivatives and flux_source die on return, so the
+    per-power loop runs beside these arrays alone.
+    """
+    hx, hy = grid.hx, grid.hy
+    mesh = grid.nodes()
+    u, d, grad_u = _power_slice(u_fn, v_fn, params, mesh, hx, hy, _POWER_T0)
+    grad_min = sub_box(np.hypot(*grad_u), _POWER_BOX).min()
+    if grad_min < _POWER_GRAD_FLOOR:
+        raise ValueError(f"|grad u| dips to {grad_min:.3g} < {_POWER_GRAD_FLOOR} on the evaluation sub-rectangle")
+    u_t, d_t, phi_m, phi_p = _power_side_differences(u_fn, v_fn, params, mesh, hx, hy)
+    w = u_t - contract(d, hess_4(u, hx, hy))
+    d_x1, d_x2 = zip(*(grad_4(dk, hx, hy) for dk in d))
+    drift, flux, source = forcing_coefficients(d, d_x1, d_x2, d_t, grad_u, u_t, w)
+    return d, quad_form(*d, *grad_u), phi_m, phi_p, drift, source, div_4(*flux, hx, hy)
 
 
 def power_equation_residual(u_fn, v_fn, params: PhysParams, js, grid: GridSpec) -> list[tuple[np.ndarray, float]]:
@@ -313,31 +364,8 @@ def power_equation_residual(u_fn, v_fn, params: PhysParams, js, grid: GridSpec) 
     if not js or min(js) < 1:
         raise ValueError(f"powers j must be >= 1, got {js}")
     hx, hy = grid.hx, grid.hy
-    dt_fd = hx
-    x1m, x2m = grid.nodes()
-
-    slices = []  # (u, D's entries, grad(u), phi) at t0 - dt, t0, t0 + dt
-    for t in (_POWER_T0 - dt_fd, _POWER_T0, _POWER_T0 + dt_fd):
-        u = np.asarray(u_fn(x1m, x2m, t), dtype=float)
-        v = np.asarray(v_fn(x1m, x2m, t), dtype=float)
-        v1, v2 = grad_4(v, hx, hy)
-        d = dispersion_entries(-v2, v1, params, _POWER_REG_EPS)
-        grad_u = grad_4(u, hx, hy)
-        slices.append((u, d, grad_u, quad_form(*d, *grad_u)))
-    (u_m, d_m, _, phi_m), (u, d, grad_u, phi), (u_p, d_p, _, phi_p) = slices
-
-    grad_mag = sub_box(np.hypot(*grad_u), _POWER_BOX)
-    if grad_mag.min() < _POWER_GRAD_FLOOR:
-        raise ValueError(
-            f"|grad u| dips to {grad_mag.min():.3g} < {_POWER_GRAD_FLOOR} on the evaluation sub-rectangle"
-        )
-    inv2dt = 1.0 / (2.0 * dt_fd)
-    u_t = (u_p - u_m) * inv2dt
-    w = u_t - contract(d, hess_4(u, hx, hy))
-    d_x1, d_x2 = zip(*(grad_4(dk, hx, hy) for dk in d))
-    d_t = tuple((dk_p - dk_m) * inv2dt for dk_p, dk_m in zip(d_p, d_m))
-    (drift1, drift2), flux, source = forcing_coefficients(d, d_x1, d_x2, d_t, grad_u, u_t, w)
-    div_flux = div_4(*flux, hx, hy)
+    inv2dt = 1.0 / (2.0 * hx)
+    d, phi, phi_m, phi_p, (drift1, drift2), source, div_flux = _power_shared_terms(u_fn, v_fn, params, grid)
 
     rows = ((d[0], d[1]), (d[1], d[2]))
     out = []
@@ -357,13 +385,14 @@ def power_equation_residual(u_fn, v_fn, params: PhysParams, js, grid: GridSpec) 
 
 
 def _random_smooth(grid: GridSpec, rng: np.random.Generator) -> np.ndarray:
-    x1m, x2m = grid.nodes()
+    """Sum of three separable modes c sin(a1 pi x1 / lx + ph1) cos(a2 pi x2 / ly + ph2), each factor on its own axis."""
+    x1, x2 = grid.x1[None, :], grid.x2[:, None]
     out = np.zeros(grid.shape)
     for _ in range(3):
         a1, a2 = rng.uniform(0.5, 2.0, size=2)
         ph1, ph2 = rng.uniform(0.0, 2.0 * np.pi, size=2)
         c = rng.uniform(-1.0, 1.0)
-        out += c * np.sin(a1 * np.pi * x1m / grid.lx + ph1) * np.cos(a2 * np.pi * x2m / grid.ly + ph2)
+        out += c * np.sin(a1 * np.pi * x1 / grid.lx + ph1) * np.cos(a2 * np.pi * x2 / grid.ly + ph2)
     return out
 
 

@@ -41,9 +41,14 @@ def _fitted_order(rows: list[ConvergenceLevel]) -> float:
     return float(np.polyfit(np.log([r.h for r in rows]), np.log([r.error for r in rows]), 1)[0])
 
 
+# the most levels a study may ask for: the Poisson ladder's finest grid is then 2049^2 (34 MB per array),
+# and the coupled study's eight runs take 2,040 steps together at n = 33
+_MAX_LEVELS = 8
+
+
 def _check_levels(levels: int) -> None:
-    if levels < 2:
-        raise ValueError(f"levels must be at least 2, got {levels}")
+    if not 2 <= levels <= _MAX_LEVELS:
+        raise ValueError(f"levels must be from 2 to {_MAX_LEVELS}, got {levels}")
 
 
 def poisson_convergence(levels: int = 4) -> tuple[list[ConvergenceLevel], float]:

@@ -13,7 +13,8 @@ import pytest
 
 from dispersim import acceptance as ac
 from dispersim import identities, verify
-from dispersim.identities import forcing_coefficients
+from dispersim.grid import GridSpec
+from dispersim.identities import RecursionParams, forcing_coefficients, recursion_threshold, superlinear_recursion
 
 
 def _report(tag: str, row, budget: float | None = None):
@@ -100,6 +101,66 @@ def test_ac15_boundedness_monitoring(run_cache):
     tr = run_cache.reference()
     assert np.all(np.isfinite([r.grad_sup for r in tr.diagnostics]))
     assert np.all(np.isfinite([r.phi_max for r in tr.diagnostics]))
+
+
+def _smooth_random_field_on_meshgrid(grid, rng):
+    """_smooth_random_field with both factors of each mode evaluated on the full node mesh."""
+    x1, x2 = grid.nodes()
+    v = np.zeros(grid.shape)
+    for _ in range(3):
+        kx, ky = rng.integers(1, 4, size=2)
+        px, py = rng.uniform(0, 2 * np.pi, size=2)
+        v += rng.uniform(-0.3, 0.3) * np.sin(kx * np.pi * x1 + px) * np.sin(ky * np.pi * x2 + py)
+    return v
+
+
+@pytest.mark.parametrize("n", [17, 33, 65, 129])
+@pytest.mark.parametrize("seed", [0, 1, ac.DEFAULT_SEED + 3])
+def test_smooth_random_field_matches_its_meshgrid_form_bit_for_bit(n, seed):
+    grid = GridSpec(n, n)
+    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(2):  # the second field starts where the first left the generator
+        new, old = ac._smooth_random_field(grid, rng_new), _smooth_random_field_on_meshgrid(grid, rng_old)
+        assert np.array_equal(new.view(np.int64), old.view(np.int64))
+
+
+def _allocating_log_recursion(c, b, alpha, y0, steps):
+    """The recursion check's log-space loop with one new array per step, its sums in their written order."""
+    ly = np.where(y0 > 0, np.log(np.where(y0 > 0, y0, 1.0)), -1e306)
+    logc, logb = np.log(c), np.log(b)
+    for k in range(steps):
+        ly = np.maximum(logc + k * logb + (1.0 + alpha) * ly, -1e306)
+    return ly
+
+
+@pytest.mark.parametrize("steps", [1, 5, 20, 600])
+@pytest.mark.parametrize("seed", [0, 7, ac.DEFAULT_SEED])
+def test_log_recursion_matches_the_allocating_loop_bit_for_bit(seed, steps):
+    # y0 from zero to twice the threshold, so the tails decay, clamp and grow
+    rng = np.random.default_rng(seed)
+    c = np.exp(rng.uniform(np.log(0.1), np.log(10.0), 500))
+    b, alpha = rng.uniform(1.3, 5.0, 500), rng.uniform(0.5, 2.0, 500)
+    y0 = rng.uniform(0.0, 2.0, 500) * recursion_threshold(c, b, alpha)
+    y0[:10] = 0.0
+    new, old = ac._log_recursion(c, b, alpha, y0, steps), _allocating_log_recursion(c, b, alpha, y0, steps)
+    assert np.array_equal(new.view(np.int64), old.view(np.int64))
+
+
+@pytest.mark.parametrize("seed", [0, 7, ac.DEFAULT_SEED])
+def test_recursion_check_matches_the_allocating_loop(seed):
+    rng = np.random.default_rng(seed + 5)
+    n = 1000
+    c = np.exp(rng.uniform(np.log(0.1), np.log(10.0), n))
+    b = rng.uniform(1.3, 5.0, n)
+    alpha = rng.uniform(0.5, 2.0, n)
+    frac = rng.uniform(0.0, 1.0, n)
+    frac[0] = 1.0 - 1e-9
+    y0 = frac * recursion_threshold(c, b, alpha)
+    worst = float(np.max(np.exp(np.minimum(_allocating_log_recursion(c, b, alpha, y0, 600), 700.0))))
+    seq, _ = superlinear_recursion(RecursionParams(1.0, 2.0, 1.0, 0.5), 60)
+    row = ac.check_recursion(seed)
+    assert repr(row.value) == repr(worst)
+    assert row.note == f"worked case reaches {seq[-1]:.2e} in 60 steps"
 
 
 @pytest.mark.parametrize("suite", ["identities", "appendix"])

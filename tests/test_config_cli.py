@@ -163,6 +163,18 @@ def test_cli_run_ic_that_is_no_snapshot_file_exit_2_at_its_line(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_run_ic_snapshot_with_unparsable_row_exit_2_naming_the_file(tmp_path, capsys):
+    ic = tmp_path / "ic.csv"
+    write_snapshot(ScalarField.full(GridSpec(17, 17), 1.0), ic)
+    lines = ic.read_text().splitlines(keepends=True)
+    lines[5] = lines[5].rsplit(",", 1)[0] + ",abc\n"
+    ic.write_text("".join(lines))
+    path = tmp_path / "run.cfg"
+    path.write_text(MINIMAL.replace("ic = gaussian", f"ic = {ic}"))
+    assert main(["run", "--config", str(path), "--outdir", str(tmp_path / "out")]) == 2
+    assert f"error: {ic}: could not convert string 'abc' to float64" in capsys.readouterr().err
+
+
 def test_malformed_line():
     with pytest.raises(ConfigError, match="line 2"):
         parse_config("nx = 9\nny 9\n")
@@ -248,6 +260,14 @@ def test_cli_mms_coupled(capsys):
 
 def test_cli_mms_bad_levels():
     assert main(["mms", "--case", "poisson", "--levels", "1"]) == 2
+
+
+@pytest.mark.parametrize("case", ["poisson", "coupled"])
+def test_cli_mms_levels_above_8_exit_2(case, capsys, monkeypatch):
+    # rejected before any grid is built: 9 Poisson levels would reach 4097^2 nodes
+    monkeypatch.setattr(GridSpec, "__post_init__", lambda self: pytest.fail("a grid was built"))
+    assert main(["mms", "--case", case, "--levels", "9"]) == 2
+    assert "levels must be from 2 to 8, got 9" in capsys.readouterr().err
 
 
 def test_cli_sweep(tmp_path):

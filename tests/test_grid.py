@@ -183,6 +183,27 @@ def test_snapshot_nonfinite_value_rejected(tmp_path):
             read_snapshot(path, grid)
 
 
+# a value that is no number, and a row one column short: numpy's parse error, prefixed with the file
+_UNPARSABLE_ROWS = {
+    "non-numeric": (lambda line: line.rsplit(",", 1)[0] + ",abc\n", "could not convert string 'abc' to float64"),
+    "short-row": (lambda line: line.rsplit(",", 1)[0] + "\n", "the number of columns changed from 3 to 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNPARSABLE_ROWS))
+def test_snapshot_unparsable_row_names_the_file(tmp_path, case):
+    edit, message = _UNPARSABLE_ROWS[case]
+    g = GridSpec(5, 4)
+    path = tmp_path / "field.csv"
+    write_snapshot(ScalarField(g, np.arange(20.0)), path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[3] = edit(lines[3])
+    path.write_text("".join(lines))
+    for grid in (None, g):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
+            read_snapshot(path, grid)
+
+
 def test_snapshot_header_only_rejected(tmp_path):
     path = tmp_path / "field.csv"
     path.write_text("x1,x2,value\n")
