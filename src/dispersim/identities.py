@@ -52,10 +52,21 @@ the interior from two temporaries written into the result in place, and
 keep each stencil's sums and products in its written order, so either
 axis gives the bits of the one-expression form.  ``matvec``, ``det2``
 and ``congruence`` are the one pointwise 2x2 mat-vec, determinant and
-congruence J^T A J of this module, ``acceptance`` and ``mapped_domain``.  Every D w.w, phi among them, comes from
-``grid.quad_form``.
+congruence J^T A J of this module, ``acceptance`` and ``mapped_domain``.
+Every D w.w, phi among them, comes from ``grid.quad_form``.
+
 Time derivatives of manufactured fields use second-order central
 differences.
+
+A windowed residual (the phi^j equation here, the transformed equations
+of ``mapped_domain``) is measured on its window only, so it is built on
+the window's nodes plus a halo and no further.  ``window_crop`` is the one
+home of the window's index arithmetic: it gives the crop and the window
+inside it.  Each fourth-order stencil's one-sided closure reaches 2 nodes
+into the crop, so a halo of 2 per level of nested stencils (6 for the
+phi^j equation's three levels, 4 for the charts' two) leaves every window
+node with central stencils only, and the window's residual is the same
+IEEE result as a full-grid build's.
 """
 
 from __future__ import annotations
@@ -161,17 +172,26 @@ def congruence(j, a):
             a2[0] * j[0][1] + a2[1] * j[1][1])
 
 
-def sub_box(arr: np.ndarray, rect: tuple[float, float, float, float]) -> np.ndarray:
-    """Nodes of ``arr`` inside ``rect`` = (x1_lo, x1_hi, x2_lo, x2_hi), given as fractions of each axis."""
-    n2, n1 = arr.shape
-    i0, i1 = int(np.ceil(rect[0] * (n1 - 1))), int(np.floor(rect[1] * (n1 - 1))) + 1
-    j0, j1 = int(np.ceil(rect[2] * (n2 - 1))), int(np.floor(rect[3] * (n2 - 1))) + 1
-    return arr[j0:j1, i0:i1]
+def window_crop(shape: tuple[int, int], rect: tuple[float, float, float, float], halo: int):
+    """(crop, window): the nodes within ``halo`` nodes of ``rect``'s window, and that window inside the crop.
+
+    ``rect`` = (x1_lo, x1_hi, x2_lo, x2_hi) gives the window as fractions of
+    each axis of an array of ``shape`` (n2, n1); the crop stops at the
+    array's edges, so at halo 0 it is the window itself.  Both are
+    (x2, x1) slice pairs.
+    """
+    crop, window = [], []
+    for n, lo, hi in zip(shape, (rect[2], rect[0]), (rect[3], rect[1])):
+        k0, k1 = int(np.ceil(lo * (n - 1))), int(np.floor(hi * (n - 1))) + 1
+        c0 = max(k0 - halo, 0)
+        crop.append(slice(c0, min(k1 + halo, n)))
+        window.append(slice(k0 - c0, k1 - c0))
+    return tuple(crop), tuple(window)
 
 
-def windowed_residual(arr: np.ndarray, rect: tuple[float, float, float, float]) -> tuple[np.ndarray, float]:
-    """The ``sub_box`` of a residual field and its max-norm."""
-    res = sub_box(arr, rect)
+def windowed_residual(arr: np.ndarray, window: tuple[slice, slice]) -> tuple[np.ndarray, float]:
+    """The ``window`` of a residual field and its max-norm."""
+    res = arr[window]
     return res, float(np.max(np.abs(res)))
 
 
@@ -296,6 +316,9 @@ _POWER_T0 = 0.25
 _POWER_REG_EPS = 1e-2
 _POWER_BOX = (0.25, 0.75, 0.25, 0.75)
 _POWER_GRAD_FLOOR = 0.5
+# nodes built around the window: 2 for each of the residual's three nested fourth-order
+# stencils, so the window keeps the full grid's bits (see ``power_equation_residual``)
+_POWER_HALO = 6
 
 
 def _power_slice(u_fn, v_fn, params: PhysParams, mesh, hx: float, hy: float, t: float):
@@ -319,22 +342,25 @@ def _power_side_differences(u_fn, v_fn, params: PhysParams, mesh, hx: float, hy:
 
 
 def _power_shared_terms(u_fn, v_fn, params: PhysParams, grid: GridSpec):
-    """(D, phi, phi at t0 -/+ dt, drift, source, div(flux_source)) at t0: all the powers j share.
+    """(window, D, phi, phi at t0 -/+ dt, drift, source, div(flux_source)) at t0: all the powers j share.
 
-    The slices, u_t, w, D's derivatives and flux_source die on return, so the
-    per-power loop runs beside these arrays alone.
+    Everything is built on the crop of ``_POWER_BOX`` with a ``_POWER_HALO``
+    halo; ``window`` is the box's slices inside it.  The slices, u_t, w, D's
+    derivatives and flux_source die on return, so the per-power loop runs
+    beside these arrays alone.
     """
     hx, hy = grid.hx, grid.hy
-    mesh = grid.nodes()
+    crop, window = window_crop(grid.shape, _POWER_BOX, _POWER_HALO)
+    mesh = np.meshgrid(grid.x1[crop[1]], grid.x2[crop[0]])
     u, d, grad_u = _power_slice(u_fn, v_fn, params, mesh, hx, hy, _POWER_T0)
-    grad_min = sub_box(np.hypot(*grad_u), _POWER_BOX).min()
+    grad_min = np.hypot(*grad_u)[window].min()
     if grad_min < _POWER_GRAD_FLOOR:
         raise ValueError(f"|grad u| dips to {grad_min:.3g} < {_POWER_GRAD_FLOOR} on the evaluation sub-rectangle")
     u_t, d_t, phi_m, phi_p = _power_side_differences(u_fn, v_fn, params, mesh, hx, hy)
     w = u_t - contract(d, hess_4(u, hx, hy))
     d_x1, d_x2 = zip(*(grad_4(dk, hx, hy) for dk in d))
     drift, flux, source = forcing_coefficients(d, d_x1, d_x2, d_t, grad_u, u_t, w)
-    return d, quad_form(*d, *grad_u), phi_m, phi_p, drift, source, div_4(*flux, hx, hy)
+    return window, d, quad_form(*d, *grad_u), phi_m, phi_p, drift, source, div_4(*flux, hx, hy)
 
 
 def power_equation_residual(u_fn, v_fn, params: PhysParams, js, grid: GridSpec) -> list[tuple[np.ndarray, float]]:
@@ -349,6 +375,13 @@ def power_equation_residual(u_fn, v_fn, params: PhysParams, js, grid: GridSpec) 
     differences at t = 0.25 with step ``grid.hx``.  Each returned residual
     over the evaluation sub-rectangle is therefore pure discretization
     error: fourth order in space, second order in the time differences.
+
+    Only the sub-rectangle is measured, so everything is evaluated on its
+    nodes plus a halo of 6: three nested fourth-order stencils (v -> D ->
+    grad D -> div(flux_source), and u -> phi -> grad psi -> div(D grad psi
+    / psi)) each reach 2 nodes, so every node of the sub-rectangle sees
+    central stencils only and its residual has the bits of a full-grid
+    build.  A halo of 5 does not.
 
     Everything but psi is shared by the powers: the three time slices, the
     forcing coefficients and div(flux_source) are built once per call, and
@@ -365,7 +398,7 @@ def power_equation_residual(u_fn, v_fn, params: PhysParams, js, grid: GridSpec) 
         raise ValueError(f"powers j must be >= 1, got {js}")
     hx, hy = grid.hx, grid.hy
     inv2dt = 1.0 / (2.0 * hx)
-    d, phi, phi_m, phi_p, (drift1, drift2), source, div_flux = _power_shared_terms(u_fn, v_fn, params, grid)
+    window, d, phi, phi_m, phi_p, (drift1, drift2), source, div_flux = _power_shared_terms(u_fn, v_fn, params, grid)
 
     rows = ((d[0], d[1]), (d[1], d[2]))
     out = []
@@ -376,7 +409,7 @@ def power_equation_residual(u_fn, v_fn, params: PhysParams, js, grid: GridSpec) 
         dpsi1, dpsi2 = matvec(rows, psi_x1, psi_x2)
         lhs = psi_t / psi - div_4(dpsi1 / psi, dpsi2 / psi, hx, hy)
         rhs = (drift1 * psi_x1 + drift2 * psi_x2) / psi + j * source + j * div_flux
-        out.append(windowed_residual(lhs - rhs, _POWER_BOX))
+        out.append(windowed_residual(lhs - rhs, window))
     return out
 
 

@@ -47,13 +47,16 @@ import numpy as np
 
 from .coefficients import PhysParams, dispersion_entries
 from .grid import GridSpec, ScalarField
-from .identities import congruence, contract, det2, div_4, grad_4, hess_4, matvec, windowed_residual
+from .identities import congruence, contract, det2, div_4, grad_4, hess_4, matvec, window_crop, windowed_residual
 
 # eta-rectangle (lo1, hi1, lo2, hi2) every chart is sampled and meshed on; the plain
 # transport residual uses it in x, so the identity chart reproduces it bit for bit
 ETA_RECT = (0.1, 0.9, 0.1, 0.9)
 # evaluation window of the transformed residuals: drops the one-sided stencil closures
 _CENTRAL_BOX = (0.15, 0.85, 0.15, 0.85)
+# nodes a chart mesh keeps around that window: 2 for each of the residuals' two nested
+# fourth-order stencils, so the window keeps the full mesh's bits (see ``chart_mesh``)
+_CHART_HALO = 4
 # points sampled by the pointwise chart identities, besides the four corners
 _N_SAMPLES = 1000
 # time and physical parameters of the manufactured transport residuals
@@ -165,38 +168,47 @@ def pushforward_gradient_residual(chart: Chart, grad_u: Callable, seed: int = 0)
     return float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
 
 
-def _rect_mesh(rect: tuple[float, float, float, float], n: int):
-    """n x n node mesh of ``rect`` = (lo1, hi1, lo2, hi2) and its two spacings."""
+def _rect_axes(rect: tuple[float, float, float, float], n: int):
+    """The n node coordinates along each axis of ``rect`` = (lo1, hi1, lo2, hi2), and the two spacings."""
     lo1, hi1, lo2, hi2 = rect
-    X1, X2 = np.meshgrid(np.linspace(lo1, hi1, n), np.linspace(lo2, hi2, n))
-    return X1, X2, (hi1 - lo1) / (n - 1), (hi2 - lo2) / (n - 1)
+    return np.linspace(lo1, hi1, n), np.linspace(lo2, hi2, n), (hi1 - lo1) / (n - 1), (hi2 - lo2) / (n - 1)
 
 
 def chart_mesh(chart: Chart, n: int):
-    """The n x n mesh of ``ETA_RECT`` under ``chart``, as ``(h1m, h2m, x1, x2, jg, h1, h2)``.
+    """The mesh of ``ETA_RECT`` under ``chart`` near its window, as ``(h1m, h2m, x1, x2, jg, h1, h2, window)``.
 
     h1m, h2m are the eta spacings, (x1, x2) = f(eta) the preimages of the
-    nodes, jg = grad_fwd(x) and h1, h2 the flattening scalars; both
-    transformed residuals take it, so one build serves both at a level.
+    nodes, jg = grad_fwd(x), h1, h2 the flattening scalars and ``window``
+    the slices of ``_CENTRAL_BOX`` in the mesh; both transformed residuals
+    take it, so one build serves both at a level.
+
+    Only the window is measured, so the mesh holds its nodes plus a halo of
+    4, cut from the full n x n ``linspace`` mesh (the same floats): the
+    residuals nest two fourth-order stencils (grad v -> div(K grad v),
+    grad v -> D -> div(J^T D J), and the mixed entry of ``hess_4``), each
+    reaching 2 nodes, so every window node sees central stencils only and
+    its residual has the bits of a full-mesh build.  A halo of 3 does not.
     """
-    E1, E2, h1m, h2m = _rect_mesh(ETA_RECT, n)
+    e1, e2, h1m, h2m = _rect_axes(ETA_RECT, n)
+    crop, window = window_crop((n, n), _CENTRAL_BOX, _CHART_HALO)
+    E1, E2 = np.meshgrid(e1[crop[1]], e2[crop[0]])
     x1, x2 = chart.inv(E1, E2)
     jg = chart.grad_fwd(x1, x2)
     jf = chart.grad_inv(E1, E2)
     g1h, g2h = chart.hess_fwd(x1, x2)
     h1 = g1h[1] * jf[0][0] + g1h[2] * jf[0][1] + g2h[1] * jf[1][0] + g2h[2] * jf[1][1]
     h2 = -(g1h[0] * jf[0][0] + g1h[1] * jf[0][1] + g2h[0] * jf[1][0] + g2h[1] * jf[1][1])
-    return h1m, h2m, x1, x2, jg, h1, h2
+    return h1m, h2m, x1, x2, jg, h1, h2, window
 
 
 def transformed_poisson_residual(mesh, v_fn: Callable, u_fn: Callable) -> tuple[np.ndarray, float]:
     """Residual of the flattened Poisson relation on an analytic exact pair, on a ``chart_mesh``.
 
     ``v_fn(x1, x2)`` must satisfy lap(v) = d u/d x1 exactly for ``u_fn``;
-    the returned residual over the central part of the eta mesh is then
-    pure finite-difference error.
+    the returned residual over the mesh's window is then pure
+    finite-difference error.
     """
-    h1m, h2m, x1, x2, jg, h1, h2 = mesh
+    h1m, h2m, x1, x2, jg, h1, h2, window = mesh
     vt = np.asarray(v_fn(x1, x2), dtype=float)
     ut = np.asarray(u_fn(x1, x2), dtype=float)
     vt_1, vt_2 = grad_4(vt, h1m, h2m)
@@ -208,7 +220,7 @@ def transformed_poisson_residual(mesh, v_fn: Callable, u_fn: Callable) -> tuple[
     beta1, beta2 = matvec(jg, vt_1, vt_2)
     qt1, qt2 = -beta2, beta1
     rhs = matvec(jg, ut_1, ut_2)[0]
-    return windowed_residual(div_p + h1 * qt1 + h2 * qt2 - rhs, _CENTRAL_BOX)
+    return windowed_residual(div_p + h1 * qt1 + h2 * qt2 - rhs, window)
 
 
 @dataclass(frozen=True)
@@ -287,10 +299,11 @@ def transformed_transport_residual(mesh, fix: TransportFields) -> tuple[np.ndarr
     """Flattened-minus-original transport expression on a ``chart_mesh``; converges to zero under refinement.
 
     The flattened expression is evaluated by finite differences on the eta
-    mesh, the original one analytically at the chart's preimages of its nodes.
+    mesh, the original one analytically at the chart's preimages of its
+    nodes; the residual is returned over the mesh's window.
     """
     t, p = _TRANSPORT_T, _TRANSPORT_PHYS
-    h1m, h2m, x1, x2, jg, h1, h2 = mesh
+    h1m, h2m, x1, x2, jg, h1, h2, window = mesh
     ut = np.asarray(fix.u(x1, x2, t), dtype=float)
     vt = np.asarray(fix.v(x1, x2), dtype=float)
     ut_1, ut_2 = grad_4(ut, h1m, h2m)
@@ -310,19 +323,20 @@ def transformed_transport_residual(mesh, fix: TransportFields) -> tuple[np.ndarr
         - (h2 * y1 - h1 * y2)
         + (jgu1 * qt1 + jgu2 * qt2)
     )
-    return windowed_residual(expr - transport_expression_x(fix, x1, x2, t, p), _CENTRAL_BOX)
+    return windowed_residual(expr - transport_expression_x(fix, x1, x2, t, p), window)
 
 
 def plain_transport_residual(fix: TransportFields, n: int) -> tuple[np.ndarray, float]:
     """Untransformed counterpart: finite differences in the original coordinates.
 
     Computes u_t - D:hess(u) - div(D).grad(u) + grad(u).q by finite
-    differences on the uniform ``ETA_RECT`` mesh minus the analytic value;
-    with the identity chart, ``transformed_transport_residual`` reproduces
-    this field bit for bit.
+    differences on the whole uniform ``ETA_RECT`` mesh minus the analytic
+    value, the uncropped reference: with the identity chart,
+    ``transformed_transport_residual`` reproduces this field bit for bit.
     """
     t, p = _TRANSPORT_T, _TRANSPORT_PHYS
-    X1, X2, h1, h2 = _rect_mesh(ETA_RECT, n)
+    e1, e2, h1, h2 = _rect_axes(ETA_RECT, n)
+    X1, X2 = np.meshgrid(e1, e2)
     u = np.asarray(fix.u(X1, X2, t), dtype=float)
     v = np.asarray(fix.v(X1, X2), dtype=float)
     u_1, u_2 = grad_4(u, h1, h2)
@@ -337,7 +351,7 @@ def plain_transport_residual(fix: TransportFields, n: int) -> tuple[np.ndarray, 
         - (div_d1 * u_1 + div_d2 * u_2)
         + (u_1 * q1 + u_2 * q2)
     )
-    return windowed_residual(expr - transport_expression_x(fix, X1, X2, t, p), _CENTRAL_BOX)
+    return windowed_residual(expr - transport_expression_x(fix, X1, X2, t, p), window_crop((n, n), _CENTRAL_BOX, 0)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dispersim import identities
 from dispersim.coefficients import PhysParams
 from dispersim.grid import GridSpec, ScalarField, quad_form
 from dispersim.identities import (
@@ -24,6 +25,7 @@ from dispersim.identities import (
     square_decomposition_residuals,
     superlinear_recursion,
     vector_calc_residuals,
+    window_crop,
 )
 
 
@@ -403,6 +405,12 @@ def _main_pair():
     return u, v
 
 
+def _time_dependent_tensor_pair():
+    u, _ = _main_pair()
+    v = lambda x1, x2, t: 0.1 * np.sin(np.pi * x1) * np.sin(np.pi * x2) * (1.0 + 0.3 * np.exp(-t))
+    return u, v
+
+
 def test_power_equation_trivial():
     u = lambda x1, x2, t: 2 * x1 + x2 + 0 * t
     v = lambda x1, x2, t: np.zeros_like(x1)
@@ -423,8 +431,7 @@ def test_power_equation_refinement(j):
 
 
 def test_power_equation_time_dependent_tensor():
-    u, _ = _main_pair()
-    v = lambda x1, x2, t: 0.1 * np.sin(np.pi * x1) * np.sin(np.pi * x2) * (1.0 + 0.3 * np.exp(-t))
+    u, v = _time_dependent_tensor_pair()
     norms = []
     for n in (33, 65):
         g = GridSpec(n, n)
@@ -439,6 +446,19 @@ def test_power_equation_rejects_flat_gradient():
     g = GridSpec(33, 33)
     with pytest.raises(ValueError, match="grad"):
         power_equation_residual(u, v, PhysParams(1, 2, 1), (1,), g)
+
+
+def test_power_equation_floor_judged_on_window_only():
+    # |grad u| = |(6 (x1 - 0.15), 0.1)| dips to 0.1 at x1 = 0.15, outside the window but inside the crop
+    u = lambda x1, x2, t: 3.0 * (x1 - 0.15) ** 2 + 0.1 * x2 + 0 * t
+    v = lambda x1, x2, t: np.zeros_like(x1)
+    g = GridSpec(33, 33)
+    crop, window = window_crop(g.shape, identities._POWER_BOX, identities._POWER_HALO)
+    x1 = g.x1[crop[1]]
+    grad = np.hypot(6.0 * (x1 - 0.15), 0.1)
+    assert grad.min() < 0.5 <= grad[window[1]].min()
+    _, norm = power_equation_residual(u, v, PhysParams(1, 2, 1), (1,), g)[0]
+    assert np.isfinite(norm)
 
 
 @pytest.mark.parametrize("js", [(), (0,), (1, 0), [2, -1]])
@@ -458,6 +478,25 @@ def test_power_equation_shared_build_matches_single_powers(n):
         single_res, single_norm = power_equation_residual(u, v, p, (j,), g)[0]
         assert np.array_equal(res, single_res)
         assert norm == single_norm
+
+
+@pytest.mark.parametrize("n", [33, 65, 129])
+@pytest.mark.parametrize("pair", [_main_pair, _time_dependent_tensor_pair])
+def test_power_equation_crop_matches_full_grid_bit_for_bit(monkeypatch, pair, n):
+    u, v = pair()
+    g, p = GridSpec(n, n), PhysParams(1, 2, 1)
+    halo = identities._POWER_HALO
+
+    def build(h):
+        monkeypatch.setattr(identities, "_POWER_HALO", h)
+        return power_equation_residual(u, v, p, (1, 2), g)
+
+    full = build(n)  # a halo that covers the grid
+    for (res, norm), (ref, ref_norm) in zip(build(halo), full):
+        assert np.array_equal(res, ref)
+        assert norm == ref_norm
+    # the halo is the smallest that keeps the bits
+    assert not all(np.array_equal(res, ref) for (res, _), (ref, _) in zip(build(halo - 1), full))
 
 
 # --- vector calculus product rules

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dispersim import mapped_domain
 from dispersim.coefficients import PhysParams
 from dispersim.grid import GridSpec, ScalarField
 from dispersim.mapped_domain import (
@@ -76,6 +77,29 @@ def test_transformed_transport_refines(chart_fn):
     chart = chart_fn()
     norms = [transformed_transport_residual(chart_mesh(chart, n), fix)[1] for n in (33, 65)]
     assert norms[0] / norms[1] >= 3.0
+
+
+@pytest.mark.parametrize("n", [33, 65, 129])
+@pytest.mark.parametrize("chart_fn", [identity_chart, shear_chart, exponential_chart])
+def test_cropped_chart_mesh_matches_full_mesh_bit_for_bit(monkeypatch, chart_fn, n):
+    v_fn, u_fn = _poisson_pair()
+    fix = default_transport_fields()
+    halo = mapped_domain._CHART_HALO
+
+    def build(h):
+        monkeypatch.setattr(mapped_domain, "_CHART_HALO", h)
+        mesh = chart_mesh(chart_fn(), n)
+        return mesh[2].shape, [transformed_poisson_residual(mesh, v_fn, u_fn), transformed_transport_residual(mesh, fix)]
+
+    full_shape, full = build(n)  # a halo that covers the mesh
+    assert full_shape == (n, n)
+    shape, cropped = build(halo)
+    assert shape[0] < n and shape[1] < n
+    for (res, norm), (ref, ref_norm) in zip(cropped, full):
+        assert np.array_equal(res, ref)
+        assert norm == ref_norm
+    # the halo is the smallest that keeps the bits
+    assert not any(np.array_equal(res, ref) for (res, _), (ref, _) in zip(build(halo - 1)[1], full))
 
 
 def test_identity_chart_matches_plain_bit_for_bit():
