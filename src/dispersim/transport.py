@@ -32,7 +32,8 @@ upwind term puts the outflow part of a face flux in the column behind the
 face and the inflow part in the column ahead, so no position depends on
 a flux sign.  Each pass fills nine stencil planes with array slices, one
 face routine call per direction, and takes the CSR data from them
-through one index array cached per shape.
+through one index array cached per shape; the planes and the CSR data
+are allocated once per time step and refilled by each of its passes.
 
 Each Picard pass makes one sine-transform solve for the stream function
 (see ``elliptic``), one coefficient build and one BiCGSTAB call for the
@@ -58,6 +59,17 @@ passes than plain Picard and finishes convection-dominated steps where
 plain Picard stalls.  Each solve raises ``SolverError`` on its own
 failure; the Picard loop raises it only for a stalled fixed point or a
 mix that is not finite.
+
+Each state keeps (t, u, v) of up to ``_PREDICTOR_ORDER`` earlier
+accepted steps (never the initial condition), and a step's first pass
+starts from the Lagrange polynomial in time through the state and that
+history (cubic once three earlier steps are kept), the usual predictor
+of implicit integrators.
+The Poisson problem is linear and solved exactly to rounding, so the
+same combination of the stored stream functions is the predicted
+stream function: the predicted start costs one coefficient build and
+no Poisson solve.  A predicted attempt that fails is retried once from
+u_n, the start of a state without history.
 """
 
 from __future__ import annotations
@@ -96,10 +108,13 @@ from .grid import (
 @dataclass
 class SimState:
     u: ScalarField
-    v: ScalarField
-    D_eps: SymTensorField
+    v: ScalarField  # the stream function of u
+    D_eps: SymTensorField  # the regularized tensor of v
     t: float
     step: int
+    # (t, u, v) of up to _PREDICTOR_ORDER earlier accepted steps, the latest first; the initial
+    # state (step 0) is never among them
+    history: tuple[tuple[float, ScalarField, ScalarField], ...] = ()
 
 
 @dataclass
@@ -361,29 +376,49 @@ def _csr_layout(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndar
     perm, keys = perm[order], keys[order]
     indices = (keys % size).astype(np.int32)
     indptr = np.searchsorted(keys, np.arange(size + 1) * size).astype(np.int32)
-    for arr in (perm, indices, indptr):
+    # perm stays writable: np.take copies a read-only index array on every call (1.2 MB at n = 129)
+    for arr in (indices, indptr):
         arr.flags.writeable = False
     return perm, indices, indptr
 
 
+def _assembly_buffers(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The stencil planes and the CSR data of ``_assemble_parabolic``, for every pass of a step to refill."""
+    ny, nx = shape
+    return np.empty(9 * ny * nx + nx), np.empty(_csr_layout(shape)[0].size)
+
+
 def _assemble_parabolic(
-    grid: GridSpec, D: SymTensorField, fe: np.ndarray, fn: np.ndarray, dt: float
+    grid: GridSpec,
+    D: SymTensorField,
+    fe: np.ndarray,
+    fn: np.ndarray,
+    dt: float,
+    workspace: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[sp.csr_matrix, np.ndarray]:
     """Backward-Euler finite-volume matrix in CSR form; rhs is cell_weights/dt * u_old.
 
     The cell weights over dt and both face directions fill the stencil planes; see ``_csr_layout``.
+    ``workspace`` (from ``_assembly_buffers``) holds the planes and the CSR data to refill, and the
+    matrix's data is its second array; without it both are allocated here.
     """
     ny, nx = grid.shape
     size = ny * nx
     perm, indices, indptr = _csr_layout(grid.shape)
     w = grid.cell_weights()
-    values = np.zeros(9 * size + nx)  # the planes, then a row for their view one row on
+    if workspace is None:
+        values, data = np.zeros(9 * size + nx), None  # the planes, then a row for their view one row on
+    else:
+        values, data = workspace
+        values.fill(0.0)
     values[4 * size:5 * size] = (w / dt).ravel()  # plane [1, 1], the diagonal
     _add_face_family(values, D.d11, D.d12, fe, grid.hx, grid.hy, axis=1)
     _add_face_family(values, D.d22, D.d12, fn, grid.hy, grid.hx, axis=0)
-    # a fancy-index gather, not values.take(perm): take allocates a hidden second buffer the size of
-    # its result, which raised the call's traced peak from 2.53 to 3.73 MB at n = 129
-    return sp.csr_matrix((values[perm], indices, indptr), shape=(size, size)), w
+    if data is None:  # after the face families' temporaries are freed, so the peak is planes plus data
+        data = np.empty(perm.size)
+    # mode="wrap" writes straight into data; the default mode buffers a copy of it (perm is in range)
+    np.take(values, perm, out=data, mode="wrap")
+    return sp.csr_matrix((data, indices, indptr), shape=(size, size)), w
 
 
 # BiCGSTAB iterations the cosine-preconditioned solve may take before an
@@ -404,6 +439,14 @@ _KRYLOV_RTOL = 1e-13
 # after the first mixes its transport result with those of up to this many
 # earlier passes.  0 is plain Picard.
 _ANDERSON_DEPTH = 3
+
+# Polynomial order in time of each step's Picard start: the Lagrange
+# polynomial through the current state and up to this many earlier accepted
+# steps (Hairer & Wanner, Solving Ordinary Differential Equations II, 1996,
+# IV.8).  3 is cubic, which takes reference_config(129) from 143 to 127
+# passes; a linear start 2 u_n - u_{n-1} took it to 136.  0 starts every step
+# from u_n.
+_PREDICTOR_ORDER = 3
 
 
 def _cosine_preconditioner(grid: GridSpec, w: np.ndarray, dt: float, c: float) -> spla.LinearOperator:
@@ -442,12 +485,14 @@ def parabolic_step(
     lin_tol: float = 1e-10,
     *,
     x0: ScalarField | None = None,
+    workspace: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[ScalarField, float]:
     """One backward-Euler step in conservative flux form.
 
     ``stream`` is the stream function whose rotated gradient is the
     velocity; advective face fluxes are its differences between face
-    endpoints, so constants are exact steady states.
+    endpoints, so constants are exact steady states.  ``workspace`` is
+    passed on to ``_assemble_parabolic``.
 
     One BiCGSTAB call, started from ``x0`` (default ``u_old``), is
     preconditioned by ``_cosine_preconditioner`` and takes at most
@@ -466,7 +511,7 @@ def parabolic_step(
         raise ValueError(f"dt must be positive and finite, got {dt}")
     grid = u_old.grid
     fe, fn = _face_fluxes_from_stream(stream.values, grid)
-    A, w = _assemble_parabolic(grid, D, fe, fn, dt)
+    A, w = _assemble_parabolic(grid, D, fe, fn, dt, workspace)
     b = (w / dt).ravel() * u_old.values.ravel()
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
@@ -494,16 +539,38 @@ def parabolic_step(
 # coupled stepping
 
 
-def _coupled_fields(u: ScalarField, cfg: RunConfig):
+def _dispersion_of(v: ScalarField, cfg: RunConfig) -> SymTensorField:
+    """The regularized tensor of the mollified velocity of the stream function ``v``."""
+    return dispersion_tensor_regularized(mollify(stream_velocity(v), cfg.reg.moll_radius), cfg.phys, cfg.reg)
+
+
+def _coupled_fields(u: ScalarField, cfg: RunConfig) -> tuple[ScalarField, SymTensorField]:
     v, _ = PoissonSolver(cfg.grid).solve(diff_x1(u), tol=cfg.lin_tol)
-    q_eps = mollify(stream_velocity(v), cfg.reg.moll_radius)
-    return v, dispersion_tensor_regularized(q_eps, cfg.phys, cfg.reg)
+    return v, _dispersion_of(v, cfg)
 
 
 def initial_state(cfg: RunConfig) -> SimState:
     u0 = initial_condition(cfg.ic, cfg.ic_params, cfg.grid)
     v, D_eps = _coupled_fields(u0, cfg)
     return SimState(u0, v, D_eps, t=0.0, step=0)
+
+
+def _lagrange_weights(times: list[float], t: float) -> list[float]:
+    """Weights w_i with sum_i w_i p(t_i) = p(t) for every polynomial p of degree below len(times)."""
+    return [math.prod((t - tj) / (ti - tj) for j, tj in enumerate(times) if j != i) for i, ti in enumerate(times)]
+
+
+def _predicted_start(state: SimState, t: float, cfg: RunConfig) -> tuple[ScalarField, ScalarField, SymTensorField]:
+    """u, v and the tensor at time ``t`` of the polynomial in time through the state and its history.
+
+    lap(v) = u_x1 with v = 0 on the boundary is linear and its sine-transform solve is exact to
+    rounding, so the combination of the stored stream functions is the stream function of the
+    combined density, and no Poisson solve is made.
+    """
+    points = ((state.t, state.u, state.v),) + state.history[:_PREDICTOR_ORDER]
+    weights = _lagrange_weights([p[0] for p in points], t)
+    u, v = (ScalarField(cfg.grid, sum(w * p[i].values for w, p in zip(weights, points))) for i in (1, 2))
+    return u, v, _dispersion_of(v, cfg)
 
 
 def picard_coupled_step(state: SimState, cfg: RunConfig, dt: float | None = None) -> tuple[SimState, StepReport]:
@@ -517,47 +584,75 @@ def picard_coupled_step(state: SimState, cfg: RunConfig, dt: float | None = None
     with mixing 1: G(u_k) - dG gamma, where gamma is the least-squares fit
     of f_k by the differences dF of the last ``_ANDERSON_DEPTH`` values of
     f, and dG those of G.  The first pass, and every pass at depth 0, takes
-    G(u_k) itself: plain Picard.  The state's v and tensor are taken as the
-    coefficients of its u, so the first pass uses them as they are.  Each
-    pass's transport solve (see ``parabolic_step``) starts from u_k; the
-    report's ``linear_residual`` is the worst of them.  The returned
-    state's v and tensor are refreshed from the accepted u, so its elliptic
-    residual is below lin_tol.  A stalled loop, or a mix that is not
-    finite, raises ``SolverError``.
+    G(u_k) itself: plain Picard.  Each pass's transport solve (see
+    ``parabolic_step``) starts from u_k and refills one assembly workspace
+    allocated for the step; the report's ``linear_residual`` is the worst
+    of them.  The returned state's v and tensor are refreshed from the
+    accepted u, so its elliptic residual is below lin_tol.
+
+    A state without history starts from u_0 = u_n with the state's v and
+    tensor as they are.  With history, u_0 and v_0 are the Lagrange
+    polynomials in time through the state and its history, evaluated at
+    the new time (linear, quadratic, then cubic as the history fills, up
+    to ``_PREDICTOR_ORDER``), and the tensor is built from v_0 without a
+    Poisson solve (see ``_predicted_start``).  If that attempt raises
+    ``SolverError``, the step is retried once from u_n as without history,
+    and the report's gaps hold the passes of both attempts.  A stalled
+    retry, or a mix that is not finite, raises ``SolverError``.  The
+    returned state's history is the given state's (t, u, v), unless it is
+    the initial state (step 0), followed by the given state's history,
+    cut to ``_PREDICTOR_ORDER`` entries.
     """
     dt = cfg.dt if dt is None else dt
-    u_n = u_k = state.u
-    v_k, D_eps_k = state.v, state.D_eps
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    u_n = state.u
     depth = _ANDERSON_DEPTH
-    # rows (k - 1) % depth hold f_k - f_{k-1} and G(u_k) - G(u_{k-1}), allocated once per step
+    # allocated once per step for every pass of both attempts: rows (k - 1) % depth of dF and dG
+    # hold f_k - f_{k-1} and G(u_k) - G(u_{k-1}), and the assembly refills its planes and CSR data
     dF = np.empty((depth, u_n.values.size))
     dG = np.empty_like(dF)
+    workspace = _assembly_buffers(cfg.grid.shape)
     gaps: list[float] = []
-    lin_res = 0.0
-    for k in range(cfg.picard_max):
-        g_k, rel = parabolic_step(u_n, D_eps_k, v_k, dt, lin_tol=cfg.lin_tol, x0=u_k)
-        lin_res = max(lin_res, rel)
-        g, f = g_k.values.ravel(), (g_k.values - u_k.values).ravel()
-        gap = float(np.max(np.abs(f)))
-        gaps.append(gap)
-        u_k = g_k
-        if depth and k and gap > cfg.picard_tol:
-            dF[(k - 1) % depth], dG[(k - 1) % depth] = f - f_prev, g - g_prev
-            cols = min(k, depth)
-            gamma = np.linalg.lstsq(dF[:cols].T, f, rcond=None)[0]
-            mixed = g - gamma @ dG[:cols]
-            if not np.all(np.isfinite(mixed)):
-                raise SolverError(f"Anderson mixing produced non-finite values on pass {k + 1}")
-            u_k = ScalarField(cfg.grid, mixed.reshape(cfg.grid.shape))
-        f_prev, g_prev = f, g
-        v_k, D_eps_k = _coupled_fields(u_k, cfg)
-        if gap <= cfg.picard_tol:
-            break
-    else:
-        raise SolverError(
-            f"fixed-point iteration stalled after {cfg.picard_max} passes, last gap {gaps[-1]:.3e}"
-        )
-    return SimState(u_k, v_k, D_eps_k, t=state.t + dt, step=state.step + 1), StepReport(gaps, lin_res)
+    rels: list[float] = []
+
+    def iterate(u_k: ScalarField, v_k: ScalarField, D_eps_k: SymTensorField):
+        for k in range(cfg.picard_max):
+            g_k, rel = parabolic_step(u_n, D_eps_k, v_k, dt, lin_tol=cfg.lin_tol, x0=u_k, workspace=workspace)
+            rels.append(rel)
+            g, f = g_k.values.ravel(), (g_k.values - u_k.values).ravel()
+            gap = float(np.max(np.abs(f)))
+            gaps.append(gap)
+            u_k = g_k
+            if depth and k and gap > cfg.picard_tol:
+                dF[(k - 1) % depth], dG[(k - 1) % depth] = f - f_prev, g - g_prev
+                cols = min(k, depth)
+                gamma = np.linalg.lstsq(dF[:cols].T, f, rcond=None)[0]
+                mixed = g - gamma @ dG[:cols]
+                if not np.all(np.isfinite(mixed)):
+                    raise SolverError(f"Anderson mixing produced non-finite values on pass {k + 1}")
+                u_k = ScalarField(cfg.grid, mixed.reshape(cfg.grid.shape))
+            f_prev, g_prev = f, g
+            v_k, D_eps_k = _coupled_fields(u_k, cfg)
+            if gap <= cfg.picard_tol:
+                return u_k, v_k, D_eps_k
+        raise SolverError(f"fixed-point iteration stalled after {cfg.picard_max} passes, last gap {gap:.3e}")
+
+    accepted = None
+    if state.history[:_PREDICTOR_ORDER]:
+        start = _predicted_start(state, state.t + dt, cfg)
+        try:
+            accepted = iterate(*start)
+        except SolverError:
+            pass  # its passes stay in gaps
+    if accepted is None:
+        accepted = iterate(u_n, state.v, state.D_eps)
+    # the initial condition is no step of the scheme, and a polynomial through it carries its
+    # initial layer: 127 passes against 129 on reference_config(129), 251 against 255 on the
+    # high-contrast case
+    accepted_before = ((state.t, u_n, state.v),) if state.step else ()
+    history = (accepted_before + state.history)[:_PREDICTOR_ORDER]
+    return SimState(*accepted, t=state.t + dt, step=state.step + 1, history=history), StepReport(gaps, max(rels))
 
 
 def state_consistency_residual(state: SimState) -> float:

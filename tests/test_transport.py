@@ -448,6 +448,32 @@ def test_assembly_peak_memory_is_its_planes_and_csr_data(n):
     assert peak <= 1.25 * (planes + A.data.nbytes)
 
 
+def test_refilled_workspace_gives_the_fresh_assembly_bit_for_bit():
+    # a step's passes refill one pair of buffers; a value left over from the previous pass's
+    # tensor, fluxes or dt would show here
+    g = GridSpec(33, 21, lx=1.0, ly=0.6)
+    workspace = transport._assembly_buffers(g.shape)
+    first = _random_assembly_inputs(g)
+    rng = np.random.default_rng(8)
+    d11, d22 = rng.uniform(0.5, 3.0, g.shape), rng.uniform(0.5, 3.0, g.shape)
+    D = SymTensorField(g, d11, -0.3 * np.sqrt(d11 * d22), d22)
+    second = (D, *transport._face_fluxes_from_stream(5.0 * rng.standard_normal(g.shape), g))
+    transport._assemble_parabolic(g, *first, 0.01, workspace)
+    A, w = transport._assemble_parabolic(g, *second, 0.03, workspace)
+    fresh, w_fresh = transport._assemble_parabolic(g, *second, 0.03)
+    assert np.shares_memory(A.data, workspace[1])
+    assert np.array_equal(A.data, fresh.data)
+    assert np.array_equal(A.indices, fresh.indices) and np.array_equal(A.indptr, fresh.indptr)
+    assert np.array_equal(w, w_fresh)
+
+
+def test_assembly_buffers_are_allocated_once_per_step(monkeypatch):
+    calls = _counting(monkeypatch, transport, "_assembly_buffers")
+    tr = run(_cfg())
+    assert sum(r.picard_iterations for r in tr.reports) > 2 * len(tr.reports)
+    assert len(calls) == len(tr.reports)
+
+
 # --- coupled stepping
 
 
@@ -488,6 +514,96 @@ def test_picard_stall_raises():
     st = initial_state(cfg)
     with pytest.raises(SolverError, match="fixed-point"):
         picard_coupled_step(st, cfg)
+
+
+def test_lagrange_weights_reproduce_polynomials_of_their_degree():
+    # uniform steps of 1/128 back from t = 0.25, then the next step whole and shortened to 0.3 of it
+    dt = 1.0 / 128
+    coeffs = np.random.default_rng(4).uniform(-2.0, 2.0, 4)
+    for points in (2, 3, 4):
+        times = [0.25 - k * dt for k in range(points)]
+        for t in (0.25 + dt, 0.25 + 0.3 * dt):
+            weights = transport._lagrange_weights(times, t)
+            for degree in range(points):
+                p = np.polynomial.Polynomial(coeffs[:degree + 1])
+                assert sum(w * p(ti) for w, ti in zip(weights, times)) == pytest.approx(p(t), rel=1e-13, abs=1e-14)
+
+
+def _stepped(cfg, steps):
+    st = initial_state(cfg)
+    for _ in range(steps):
+        st, _ = picard_coupled_step(st, cfg)
+    return st
+
+
+def test_state_history_holds_the_latest_earlier_steps():
+    # the initial condition is not a step of the scheme and never enters the history
+    cfg = _cfg(n=17)
+    states = [initial_state(cfg)]
+    for _ in range(5):
+        states.append(picard_coupled_step(states[-1], cfg)[0])
+    assert states[0].history == states[1].history == ()
+    for k, st in enumerate(states[1:], start=1):
+        earlier = states[max(1, k - transport._PREDICTOR_ORDER):k][::-1]
+        assert [h[0] for h in st.history] == [e.t for e in earlier]
+        assert all(h[1] is e.u and h[2] is e.v for h, e in zip(st.history, earlier))
+
+
+def test_predicted_stream_function_is_the_poisson_solve_of_the_predicted_density():
+    # lap(v) = u_x1 is linear and solved exactly to rounding, so combining the stored v costs no solve
+    cfg = reference_config(65)
+    st = _stepped(cfg, 4)
+    assert len(st.history) == transport._PREDICTOR_ORDER == 3
+    u, v, D = transport._predicted_start(st, st.t + cfg.dt, cfg)
+    solved, _ = PoissonSolver(cfg.grid).solve(diff_x1(u), tol=cfg.lin_tol)
+    assert np.max(np.abs(v.values - solved.values)) <= 1e-12 * np.max(np.abs(v.values))
+
+
+def test_failed_predicted_start_falls_back_to_the_plain_start(monkeypatch):
+    cfg = _cfg()
+    st = _stepped(cfg, 2)
+    with monkeypatch.context() as m:
+        m.setattr(transport, "_PREDICTOR_ORDER", 0)
+        plain, plain_report = picard_coupled_step(st, cfg)
+    passes = plain_report.picard_iterations
+    cfg = dataclasses.replace(cfg, picard_max=passes)
+
+    def far_off_start(state, t, cfg):
+        u = ScalarField(cfg.grid, 30.0 * state.u.values)
+        return (u, *transport._coupled_fields(u, cfg))
+
+    monkeypatch.setattr(transport, "_predicted_start", far_off_start)
+    st2, report = picard_coupled_step(st, cfg)
+    assert report.picard_gap_history[passes:] == plain_report.picard_gap_history
+    assert len(report.picard_gap_history) == 2 * passes
+    for name in ("u", "v"):
+        assert np.array_equal(getattr(st2, name).values, getattr(plain, name).values)
+    for name in ("d11", "d12", "d22"):
+        assert np.array_equal(getattr(st2.D_eps, name), getattr(plain.D_eps, name))
+    assert (st2.t, st2.step) == (plain.t, plain.step)
+    assert [h[0] for h in st2.history] == [st.t] + [h[0] for h in st.history[:2]]
+
+
+@pytest.mark.parametrize("case", ["reference-33", "reference-65", "checker-33"])
+def test_predicted_start_keeps_every_state_and_saves_passes(monkeypatch, case):
+    if case.startswith("reference"):
+        cfg = reference_config(int(case[-2:]))
+    else:
+        cfg = dataclasses.replace(
+            reference_config(33, a=0.05, b=0.5, m=0.01),
+            ic="checker", ic_params="amplitude=5,kx=1,ky=1", dt=1.0 / 128, t_end=12.0 / 128,
+        )
+    cfg = dataclasses.replace(cfg, output_every=1)
+    predicted = run(cfg)
+    monkeypatch.setattr(transport, "_PREDICTOR_ORDER", 0)
+    plain = run(cfg)
+    assert [s.step for s in predicted.states] == [s.step for s in plain.states]
+    for a, b in zip(predicted.states, plain.states):
+        assert np.max(np.abs(a.u.values - b.u.values)) <= 1e-9
+        assert np.max(np.abs(a.v.values - b.v.values)) <= 1e-9
+    passes = [sum(r.picard_iterations for r in tr.reports) for tr in (predicted, plain)]
+    if case != "reference-33":  # 41 passes against 40 there; n = 65 saves 6 of 78
+        assert passes[0] < passes[1]
 
 
 def test_state_consistency_after_step():
@@ -564,9 +680,11 @@ def test_parabolic_step_rejects_bad_dt(dt):
 
 @pytest.mark.parametrize("dt", _BAD_DT)
 def test_picard_coupled_step_rejects_bad_dt(dt):
+    # from a state with history the predictor would extrapolate to the bad time before any solve
     cfg = _cfg()
-    with pytest.raises(ValueError, match="dt must be positive and finite, got"):
-        picard_coupled_step(initial_state(cfg), cfg, dt=dt)
+    for st in (initial_state(cfg), _stepped(cfg, 2)):
+        with pytest.raises(ValueError, match="dt must be positive and finite, got"):
+            picard_coupled_step(st, cfg, dt=dt)
 
 
 def test_nan_lin_tol_rejected():
