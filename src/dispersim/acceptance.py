@@ -30,6 +30,7 @@ from .coefficients import (
 from .grid import GridSpec, ScalarField, VectorField, quad_form
 from .identities import (
     RecursionParams,
+    _random_smooth,
     contract,
     det2,
     log_kernel_average,
@@ -200,27 +201,13 @@ def check_tensor_structure(seed: int = DEFAULT_SEED) -> CheckRow:
     return _row("dispersion-eigenvalues-det", trials, worst, 1e-12, "<=", seed, t0)
 
 
-def _smooth_random_field(grid: GridSpec, rng) -> np.ndarray:
-    """Sum of three sine modes with random wavenumbers 1-3, phases and amplitudes in [-0.3, 0.3].
-
-    Each mode is the product of a sine along x1 and one along x2, each evaluated on its own axis.
-    """
-    x1, x2 = grid.x1[None, :], grid.x2[:, None]
-    v = np.zeros(grid.shape)
-    for _ in range(3):
-        kx, ky = rng.integers(1, 4, size=2)
-        px, py = rng.uniform(0, 2 * np.pi, size=2)
-        v += rng.uniform(-0.3, 0.3) * np.sin(kx * np.pi * x1 + px) * np.sin(ky * np.pi * x2 + py)
-    return v
-
-
 def check_discrete_divergence(seed: int = DEFAULT_SEED) -> CheckRow:
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 3)
     g = GridSpec(129, 129)
     worst = 0.0
     for _ in range(2):
-        v = ScalarField(g, _smooth_random_field(g, rng))
+        v = ScalarField(g, _random_smooth(g, rng))
         div = divergence(stream_velocity(v)).values
         worst = max(worst, float(np.max(np.abs(div[1:-1, 1:-1]))))
     return _row("discrete-divergence-free", 2 * g.nx * g.ny, worst, 1e-12, "<=", seed, t0)
@@ -398,22 +385,16 @@ def check_appendix(seed: int = DEFAULT_SEED) -> CheckRow:
 
     rng = np.random.default_rng(seed)
     g = GridSpec(9, 7, lx=0.4, ly=1.0)
-    f_even = ScalarField(g, rng.uniform(-1, 1, g.shape))
-    ext = reflect_extend(f_even, "even")
-    # mirror symmetry about the center column, original preserved, max-norm exact
-    exact = (
-        np.array_equal(ext.values, ext.values[:, ::-1])
-        and np.array_equal(ext.values[:, g.nx - 1:], f_even.values)
-        and np.max(np.abs(ext.values)) == np.max(np.abs(f_even.values))
-    )
     x1, x2 = g.nodes()
-    f_odd = ScalarField(g, x1 * (1.0 + x2))
-    exto = reflect_extend(f_odd, "odd")
-    exact = exact and (
-        np.array_equal(exto.values, -exto.values[:, ::-1])
-        and np.array_equal(exto.values[:, g.nx - 1:], f_odd.values)
-        and np.max(np.abs(exto.values)) == np.max(np.abs(f_odd.values))
-    )
+    exact = True
+    # mirror (anti)symmetry about the center column, original preserved, max-norm exact
+    for f, parity, sign in ((rng.uniform(-1, 1, g.shape), "even", 1.0), (x1 * (1.0 + x2), "odd", -1.0)):
+        ext = reflect_extend(ScalarField(g, f), parity).values
+        exact = exact and (
+            np.array_equal(ext, sign * ext[:, ::-1])
+            and np.array_equal(ext[:, g.nx - 1:], f)
+            and np.max(np.abs(ext)) == np.max(np.abs(f))
+        )
 
     value = max(jac, detp)
     return _row("flattening-identities", 3, value, 1e-12, "<=", seed, t0,

@@ -7,8 +7,8 @@ Subcommands::
     dispersim mms    --case {poisson,coupled} [--levels N]
     dispersim sweep  --config PATH --param NAME=v1,v2,...
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 solver failure.
+Exit codes: 0 success, 1 verification failure, 2 configuration error
+(an invalid value or a path that cannot be read or written), 3 solver failure.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # an OSError names the path it could not read or write
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -110,7 +110,7 @@ def mollify(q: VectorField, radius: float) -> VectorField:
 
     Both components go through one FFT convolution against the kernel
     spectrum cached per grid and radius.  Constants are preserved and the
-    max-norm does not grow, up to rounding; radius 0 returns a copy.
+    max-norm does not grow, up to rounding; radius 0 returns ``q``.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -118,7 +118,7 @@ def mollify(q: VectorField, radius: float) -> VectorField:
     if radius > 0.5 * min(g.lx, g.ly):
         raise ValueError(f"mollifier radius {radius} exceeds half the domain size")
     if radius == 0.0:
-        return VectorField(g, q.comp1.copy(), q.comp2.copy())
+        return q
     conv, den = _mollifier(g, radius)
     smooth = conv(np.stack((q.comp1, q.comp2))) / den
     return VectorField(g, smooth[0], smooth[1])

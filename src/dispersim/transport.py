@@ -33,7 +33,8 @@ face and the inflow part in the column ahead, so no position depends on
 a flux sign.  Each pass fills nine stencil planes with array slices, one
 face routine call per direction, and takes the CSR data from them
 through one index array cached per shape; the planes and the CSR data
-are allocated once per time step and refilled by each of its passes.
+are allocated in one place, once per time step (once per call of a
+standalone ``parabolic_step``), and refilled by each of its passes.
 
 Each Picard pass makes one sine-transform solve for the stream function
 (see ``elliptic``), one coefficient build and one BiCGSTAB call for the
@@ -385,6 +386,7 @@ def _csr_layout(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndar
 def _assembly_buffers(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """The stencil planes and the CSR data of ``_assemble_parabolic``, for every pass of a step to refill."""
     ny, nx = shape
+    # the planes, then a row for their view one row on
     return np.empty(9 * ny * nx + nx), np.empty(_csr_layout(shape)[0].size)
 
 
@@ -399,23 +401,18 @@ def _assemble_parabolic(
     """Backward-Euler finite-volume matrix in CSR form; rhs is cell_weights/dt * u_old.
 
     The cell weights over dt and both face directions fill the stencil planes; see ``_csr_layout``.
-    ``workspace`` (from ``_assembly_buffers``) holds the planes and the CSR data to refill, and the
-    matrix's data is its second array; without it both are allocated here.
+    ``workspace`` (from ``_assembly_buffers``, a fresh pair when it is None) holds the planes and
+    the CSR data to refill, and the matrix's data is its second array.
     """
     ny, nx = grid.shape
     size = ny * nx
     perm, indices, indptr = _csr_layout(grid.shape)
     w = grid.cell_weights()
-    if workspace is None:
-        values, data = np.zeros(9 * size + nx), None  # the planes, then a row for their view one row on
-    else:
-        values, data = workspace
-        values.fill(0.0)
+    values, data = _assembly_buffers(grid.shape) if workspace is None else workspace
+    values.fill(0.0)
     values[4 * size:5 * size] = (w / dt).ravel()  # plane [1, 1], the diagonal
     _add_face_family(values, D.d11, D.d12, fe, grid.hx, grid.hy, axis=1)
     _add_face_family(values, D.d22, D.d12, fn, grid.hy, grid.hx, axis=0)
-    if data is None:  # after the face families' temporaries are freed, so the peak is planes plus data
-        data = np.empty(perm.size)
     # mode="wrap" writes straight into data; the default mode buffers a copy of it (perm is in range)
     np.take(values, perm, out=data, mode="wrap")
     return sp.csr_matrix((data, indices, indptr), shape=(size, size)), w
@@ -492,7 +489,8 @@ def parabolic_step(
     ``stream`` is the stream function whose rotated gradient is the
     velocity; advective face fluxes are its differences between face
     endpoints, so constants are exact steady states.  ``workspace`` is
-    passed on to ``_assemble_parabolic``.
+    passed on to ``_assemble_parabolic``; without it the call assembles
+    into a fresh pair of buffers.
 
     One BiCGSTAB call, started from ``x0`` (default ``u_old``), is
     preconditioned by ``_cosine_preconditioner`` and takes at most

@@ -13,7 +13,6 @@ import pytest
 
 from dispersim import acceptance as ac
 from dispersim import identities, verify
-from dispersim.grid import GridSpec
 from dispersim.identities import RecursionParams, forcing_coefficients, recursion_threshold, superlinear_recursion
 
 
@@ -101,27 +100,6 @@ def test_ac15_boundedness_monitoring(run_cache):
     tr = run_cache.reference()
     assert np.all(np.isfinite([r.grad_sup for r in tr.diagnostics]))
     assert np.all(np.isfinite([r.phi_max for r in tr.diagnostics]))
-
-
-def _smooth_random_field_on_meshgrid(grid, rng):
-    """_smooth_random_field with both factors of each mode evaluated on the full node mesh."""
-    x1, x2 = grid.nodes()
-    v = np.zeros(grid.shape)
-    for _ in range(3):
-        kx, ky = rng.integers(1, 4, size=2)
-        px, py = rng.uniform(0, 2 * np.pi, size=2)
-        v += rng.uniform(-0.3, 0.3) * np.sin(kx * np.pi * x1 + px) * np.sin(ky * np.pi * x2 + py)
-    return v
-
-
-@pytest.mark.parametrize("n", [17, 33, 65, 129])
-@pytest.mark.parametrize("seed", [0, 1, ac.DEFAULT_SEED + 3])
-def test_smooth_random_field_matches_its_meshgrid_form_bit_for_bit(n, seed):
-    grid = GridSpec(n, n)
-    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-    for _ in range(2):  # the second field starts where the first left the generator
-        new, old = ac._smooth_random_field(grid, rng_new), _smooth_random_field_on_meshgrid(grid, rng_old)
-        assert np.array_equal(new.view(np.int64), old.view(np.int64))
 
 
 def _allocating_log_recursion(c, b, alpha, y0, steps):

@@ -81,8 +81,7 @@ def test_mollify_zero_radius_identity():
     g = GridSpec(17, 17)
     rng = np.random.default_rng(8)
     q = VectorField(g, rng.standard_normal(g.shape), rng.standard_normal(g.shape))
-    out = mollify(q, 0.0)
-    assert np.array_equal(out.comp1, q.comp1) and np.array_equal(out.comp2, q.comp2)
+    assert mollify(q, 0.0) is q
 
 
 def test_mollify_spike_mass_and_max():

@@ -324,6 +324,17 @@ def test_cli_sweep_rejects_values_sharing_a_run_directory(tmp_path, capsys, valu
     assert not list(tmp_path.glob("sweep/dt_*"))
 
 
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "a=0.5,1.0"]])
+def test_cli_output_dir_under_a_file_exit_2_naming_the_path(tmp_path, capsys, command):
+    # an output path that cannot be written is a configuration error, not a traceback (exit 1)
+    cfg_path = _write_cfg(tmp_path)
+    (tmp_path / "F").write_text("")
+    out = tmp_path / "F" / "sub"
+    assert main([command[0], "--config", str(cfg_path), *command[1:], "--outdir", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and str(tmp_path / "F") in err and "\n" not in err
+
+
 def test_cli_verify_identities(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["verify", "--suite", "identities"]) == 0
