@@ -55,28 +55,31 @@ diagnostics.
 
 Passes after the first are Anderson-mixed (Walker & Ni type II, depth
 ``_ANDERSON_DEPTH``): the next iterate combines the latest transport
-result with those of up to three earlier passes, which takes fewer
-passes than plain Picard and finishes convection-dominated steps where
-plain Picard stalls.  Each solve raises ``SolverError`` on its own
-failure; the Picard loop raises it only for a stalled fixed point or a
-mix that is not finite.
+result with those of up to ``_ANDERSON_DEPTH`` earlier passes, which
+takes fewer passes than plain Picard and finishes convection-dominated
+steps where plain Picard stalls.  Each solve raises ``SolverError`` on
+its own failure; the Picard loop raises it only for a stalled fixed
+point or a mix that is not finite.
 
 Each state keeps (t, u, v) of up to ``_PREDICTOR_ORDER`` earlier
 accepted steps (never the initial condition), and a step's first pass
 starts from the Lagrange polynomial in time through the state and that
-history (cubic once three earlier steps are kept), the usual predictor
-of implicit integrators.
-The Poisson problem is linear and solved exactly to rounding, so the
-same combination of the stored stream functions is the predicted
-stream function: the predicted start costs one coefficient build and
-no Poisson solve.  A predicted attempt that fails is retried once from
-u_n, the start of a state without history.
+history (quartic once four earlier steps are kept), the usual predictor
+of implicit integrators.  The Poisson problem is linear and solved
+exactly to rounding, so the same combination of the stored stream
+functions is the predicted stream function: the predicted start costs
+one coefficient build and no Poisson solve.  Each state also carries
+the secant pair of its own step's first two passes, and the first pass
+of the next predicted attempt mixes with it: a one-column Anderson step
+along the direction in which the previous step's start was wrong.  A
+predicted attempt that fails is retried once from u_n, the start of a
+state without history, without the secant.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -116,12 +119,16 @@ class SimState:
     # (t, u, v) of up to _PREDICTOR_ORDER earlier accepted steps, the latest first; the initial
     # state (step 0) is never among them
     history: tuple[tuple[float, ScalarField, ScalarField], ...] = ()
+    # (f_1 - f_0, G(u_1) - G(u_0)), raveled, from the first two passes of the attempt that gave
+    # this state; None when that attempt took one pass
+    secant: tuple[np.ndarray, np.ndarray] | None = None
 
 
 @dataclass
 class StepReport:
     picard_gap_history: list[float]  # max|G(u_k) - u_k| on each Picard pass k, before any Anderson mixing
     linear_residual: float  # the worst relative residual over the step's passes
+    start: str  # the accepted attempt: "predicted" (from the extrapolation) or "plain" (from u_n)
 
     @property
     def picard_iterations(self) -> int:
@@ -440,10 +447,11 @@ _ANDERSON_DEPTH = 3
 # Polynomial order in time of each step's Picard start: the Lagrange
 # polynomial through the current state and up to this many earlier accepted
 # steps (Hairer & Wanner, Solving Ordinary Differential Equations II, 1996,
-# IV.8).  3 is cubic, which takes reference_config(129) from 143 to 127
-# passes; a linear start 2 u_n - u_{n-1} took it to 136.  0 starts every step
-# from u_n.
-_PREDICTOR_ORDER = 3
+# IV.8).  4 is quartic.  With the carried secant (see picard_coupled_step),
+# orders 3, 4 and 5 take reference_config(129) to 121, 115 and 113 passes
+# (143 from u_n) and six reference and checker runs to 986, 961 and 968 in
+# all.  0 starts every step from u_n.
+_PREDICTOR_ORDER = 4
 
 
 def _cosine_preconditioner(grid: GridSpec, w: np.ndarray, dt: float, c: float) -> spla.LinearOperator:
@@ -571,6 +579,20 @@ def _predicted_start(state: SimState, t: float, cfg: RunConfig) -> tuple[ScalarF
     return u, v, _dispersion_of(v, cfg)
 
 
+def _secant_mix(g: np.ndarray, f: np.ndarray, secant: tuple[np.ndarray, np.ndarray]) -> np.ndarray | None:
+    """G(u_0) - gamma sdG with gamma = (sdF . f_0)/(sdF . sdF), or None when sdF . sdF is not positive and finite.
+
+    ``g`` and ``f`` are G(u_0) and f_0 = G(u_0) - u_0 of a first pass, raveled, and ``secant`` is
+    (sdF, sdG): the one-column type-II Anderson mix with a secant pair carried from elsewhere.
+    """
+    sdF, sdG = secant
+    with np.errstate(over="ignore"):  # an overflow is caught below
+        norm2 = float(sdF @ sdF)
+    if not (math.isfinite(norm2) and norm2 > 0):
+        return None
+    return g - (float(sdF @ f) / norm2) * sdG
+
+
 def picard_coupled_step(state: SimState, cfg: RunConfig, dt: float | None = None) -> tuple[SimState, StepReport]:
     """Advance one time step, iterating the elliptic/coefficient/parabolic loop.
 
@@ -581,25 +603,36 @@ def picard_coupled_step(state: SimState, cfg: RunConfig, dt: float | None = None
     Walker & Ni type-II Anderson mix (SIAM J. Numer. Anal. 49(4), 2011)
     with mixing 1: G(u_k) - dG gamma, where gamma is the least-squares fit
     of f_k by the differences dF of the last ``_ANDERSON_DEPTH`` values of
-    f, and dG those of G.  The first pass, and every pass at depth 0, takes
-    G(u_k) itself: plain Picard.  Each pass's transport solve (see
-    ``parabolic_step``) starts from u_k and refills one assembly workspace
-    allocated for the step; the report's ``linear_residual`` is the worst
-    of them.  The returned state's v and tensor are refreshed from the
-    accepted u, so its elliptic residual is below lin_tol.
+    f, and dG those of G.  The first pass takes G(u_0) itself, except in a
+    predicted attempt (below); every pass at depth 0 takes G(u_k): plain
+    Picard.  Each pass's transport solve (see ``parabolic_step``) starts
+    from u_k and refills one assembly workspace allocated for the step;
+    the report's ``linear_residual`` is the worst of them.  The returned
+    state's v and tensor are refreshed from the accepted u, so its
+    elliptic residual is below lin_tol.
 
     A state without history starts from u_0 = u_n with the state's v and
     tensor as they are.  With history, u_0 and v_0 are the Lagrange
     polynomials in time through the state and its history, evaluated at
-    the new time (linear, quadratic, then cubic as the history fills, up
+    the new time (linear, quadratic, and so on as the history fills, up
     to ``_PREDICTOR_ORDER``), and the tensor is built from v_0 without a
-    Poisson solve (see ``_predicted_start``).  If that attempt raises
-    ``SolverError``, the step is retried once from u_n as without history,
-    and the report's gaps hold the passes of both attempts.  A stalled
-    retry, or a mix that is not finite, raises ``SolverError``.  The
-    returned state's history is the given state's (t, u, v), unless it is
-    the initial state (step 0), followed by the given state's history,
-    cut to ``_PREDICTOR_ORDER`` entries.
+    Poisson solve (see ``_predicted_start``).  The first pass of that
+    predicted attempt mixes with the state's ``secant`` (sdF, sdG), the
+    pair (f_1 - f_0, G(u_1) - G(u_0)) of the previous step's first two
+    passes: u_1 = G(u_0) - gamma sdG with gamma = (sdF . f_0)/(sdF . sdF)
+    (see ``_secant_mix``), unless the gap is already below picard_tol, the
+    depth is 0, or sdF . sdF is not positive and finite.  The previous
+    step's start was wrong along much the same direction, so the mix can
+    remove much of that error in one pass.  If the predicted attempt
+    raises ``SolverError``, the step is retried once from u_n as without
+    history and without the secant, and the report's gaps hold the passes
+    of both attempts; its ``start`` names the accepted attempt.  A stalled
+    retry, or a mix that is not finite, raises ``SolverError``.
+
+    The returned state's history is the given state's (t, u, v), unless it
+    is the initial state (step 0), followed by the given state's history,
+    cut to ``_PREDICTOR_ORDER`` entries; its secant is the pair of the
+    accepted attempt's first two passes, None if it took one pass.
     """
     dt = cfg.dt if dt is None else dt
     if not (math.isfinite(dt) and dt > 0):
@@ -614,43 +647,52 @@ def picard_coupled_step(state: SimState, cfg: RunConfig, dt: float | None = None
     gaps: list[float] = []
     rels: list[float] = []
 
-    def iterate(u_k: ScalarField, v_k: ScalarField, D_eps_k: SymTensorField):
+    def iterate(u_k: ScalarField, v_k: ScalarField, D_eps_k: SymTensorField, secant: tuple | None):
+        pair = None
         for k in range(cfg.picard_max):
             g_k, rel = parabolic_step(u_n, D_eps_k, v_k, dt, lin_tol=cfg.lin_tol, x0=u_k, workspace=workspace)
             rels.append(rel)
             g, f = g_k.values.ravel(), (g_k.values - u_k.values).ravel()
             gap = float(np.max(np.abs(f)))
             gaps.append(gap)
-            u_k = g_k
-            if depth and k and gap > cfg.picard_tol:
-                dF[(k - 1) % depth], dG[(k - 1) % depth] = f - f_prev, g - g_prev
-                cols = min(k, depth)
-                gamma = np.linalg.lstsq(dF[:cols].T, f, rcond=None)[0]
-                mixed = g - gamma @ dG[:cols]
+            if k == 1:
+                pair = (f - f_prev, g - g_prev)
+            u_k, mixed = g_k, None
+            if depth and gap > cfg.picard_tol:
+                if k:
+                    dF[(k - 1) % depth], dG[(k - 1) % depth] = f - f_prev, g - g_prev
+                    cols = min(k, depth)
+                    gamma = np.linalg.lstsq(dF[:cols].T, f, rcond=None)[0]
+                    mixed = g - gamma @ dG[:cols]
+                elif secant is not None:
+                    mixed = _secant_mix(g, f, secant)
+            if mixed is not None:
                 if not np.all(np.isfinite(mixed)):
                     raise SolverError(f"Anderson mixing produced non-finite values on pass {k + 1}")
                 u_k = ScalarField(cfg.grid, mixed.reshape(cfg.grid.shape))
             f_prev, g_prev = f, g
             v_k, D_eps_k = _coupled_fields(u_k, cfg)
             if gap <= cfg.picard_tol:
-                return u_k, v_k, D_eps_k
+                return (u_k, v_k, D_eps_k), pair
         raise SolverError(f"fixed-point iteration stalled after {cfg.picard_max} passes, last gap {gap:.3e}")
 
-    accepted = None
+    accepted, start = None, "plain"
     if state.history[:_PREDICTOR_ORDER]:
-        start = _predicted_start(state, state.t + dt, cfg)
+        predicted = _predicted_start(state, state.t + dt, cfg)
         try:
-            accepted = iterate(*start)
+            accepted, start = iterate(*predicted, state.secant), "predicted"
         except SolverError:
             pass  # its passes stay in gaps
     if accepted is None:
-        accepted = iterate(u_n, state.v, state.D_eps)
+        accepted = iterate(u_n, state.v, state.D_eps, None)
+    (u, v, D_eps), secant = accepted
     # the initial condition is no step of the scheme, and a polynomial through it carries its
-    # initial layer: 127 passes against 129 on reference_config(129), 251 against 255 on the
-    # high-contrast case
+    # initial layer: 115 passes against 117 on reference_config(129), 224 against 226 on the
+    # high-contrast case at dt = 1/128
     accepted_before = ((state.t, u_n, state.v),) if state.step else ()
     history = (accepted_before + state.history)[:_PREDICTOR_ORDER]
-    return SimState(*accepted, t=state.t + dt, step=state.step + 1, history=history), StepReport(gaps, max(rels))
+    new_state = SimState(u, v, D_eps, t=state.t + dt, step=state.step + 1, history=history, secant=secant)
+    return new_state, StepReport(gaps, max(rels), start)
 
 
 def state_consistency_residual(state: SimState) -> float:
@@ -761,7 +803,8 @@ def run(cfg: RunConfig, outdir: str | Path | None = None) -> Trajectory:
                 diag_file.flush()
             if is_last or (cfg.output_every > 0 and state.step % cfg.output_every == 0):
                 snap(state)
-                states.append(state)
+                # the next step reads the secant from state; a stored state needs none
+                states.append(replace(state, secant=None))
     finally:
         if diag_file:
             diag_file.close()

@@ -555,19 +555,21 @@ def test_state_history_holds_the_latest_earlier_steps():
 def test_predicted_stream_function_is_the_poisson_solve_of_the_predicted_density():
     # lap(v) = u_x1 is linear and solved exactly to rounding, so combining the stored v costs no solve
     cfg = reference_config(65)
-    st = _stepped(cfg, 4)
-    assert len(st.history) == transport._PREDICTOR_ORDER == 3
+    st = _stepped(cfg, transport._PREDICTOR_ORDER + 1)
+    assert len(st.history) == transport._PREDICTOR_ORDER == 4
     u, v, D = transport._predicted_start(st, st.t + cfg.dt, cfg)
     solved, _ = PoissonSolver(cfg.grid).solve(diff_x1(u), tol=cfg.lin_tol)
     assert np.max(np.abs(v.values - solved.values)) <= 1e-12 * np.max(np.abs(v.values))
 
 
 def test_failed_predicted_start_falls_back_to_the_plain_start(monkeypatch):
+    # the retry from u_n ignores the state's secant, so it repeats the plain step bit for bit
     cfg = _cfg()
     st = _stepped(cfg, 2)
+    assert st.secant is not None
     with monkeypatch.context() as m:
         m.setattr(transport, "_PREDICTOR_ORDER", 0)
-        plain, plain_report = picard_coupled_step(st, cfg)
+        plain, plain_report = picard_coupled_step(dataclasses.replace(st, secant=None), cfg)
     passes = plain_report.picard_iterations
     cfg = dataclasses.replace(cfg, picard_max=passes)
 
@@ -583,8 +585,11 @@ def test_failed_predicted_start_falls_back_to_the_plain_start(monkeypatch):
         assert np.array_equal(getattr(st2, name).values, getattr(plain, name).values)
     for name in ("d11", "d12", "d22"):
         assert np.array_equal(getattr(st2.D_eps, name), getattr(plain.D_eps, name))
+    for a, b in zip(st2.secant, plain.secant):
+        assert np.array_equal(a, b)
     assert (st2.t, st2.step) == (plain.t, plain.step)
     assert [h[0] for h in st2.history] == [st.t] + [h[0] for h in st.history[:2]]
+    assert (report.start, plain_report.start) == ("plain", "plain")
 
 
 @pytest.mark.parametrize("case", ["reference-33", "reference-65", "checker-33"])
@@ -598,15 +603,68 @@ def test_predicted_start_keeps_every_state_and_saves_passes(monkeypatch, case):
         )
     cfg = dataclasses.replace(cfg, output_every=1)
     predicted = run(cfg)
+    with monkeypatch.context() as m:
+        m.setattr(transport, "_secant_mix", lambda g, f, secant: None)
+        unmixed = run(cfg)
     monkeypatch.setattr(transport, "_PREDICTOR_ORDER", 0)
     plain = run(cfg)
     assert [s.step for s in predicted.states] == [s.step for s in plain.states]
     for a, b in zip(predicted.states, plain.states):
         assert np.max(np.abs(a.u.values - b.u.values)) <= 1e-9
         assert np.max(np.abs(a.v.values - b.v.values)) <= 1e-9
-    passes = [sum(r.picard_iterations for r in tr.reports) for tr in (predicted, plain)]
-    if case != "reference-33":  # 41 passes against 40 there; n = 65 saves 6 of 78
-        assert passes[0] < passes[1]
+    passes = [sum(r.picard_iterations for r in tr.reports) for tr in (predicted, unmixed, plain)]
+    if case != "reference-33":  # 42 passes against 40 there; n = 65 saves 7 of 78
+        assert passes[0] < passes[2]
+    # the carried secant saves passes, except on reference-33 (dt = 1/32): there it costs
+    # one, 42 against 41, on the steps where the predictor's degree still grows
+    assert passes[0] <= passes[1] + (case == "reference-33")
+
+
+def test_predicted_first_pass_mixes_with_the_carried_secant(monkeypatch):
+    # u_1 = G(u_0) - gamma sdG with gamma = (sdF . f_0)/(sdF . sdF), written out by hand
+    cfg = _cfg()
+    st = _stepped(cfg, 3)
+    sdF, sdG = st.secant
+    u0, v0, D0 = transport._predicted_start(st, st.t + cfg.dt, cfg)
+    g0 = parabolic_step(st.u, D0, v0, cfg.dt, cfg.lin_tol, x0=u0)[0].values
+    f0 = (g0 - u0.values).ravel()
+    expected = g0 - (np.dot(sdF, f0) / np.dot(sdF, sdF)) * sdG.reshape(g0.shape)
+    starts = []
+
+    def recorded(*args, x0=None, **kwargs):
+        starts.append(x0.values.copy())
+        return parabolic_step(*args, x0=x0, **kwargs)
+
+    monkeypatch.setattr(transport, "parabolic_step", recorded)
+    _, report = picard_coupled_step(st, cfg)
+    assert report.start == "predicted"
+    assert np.array_equal(starts[0], u0.values)
+    assert np.max(np.abs(starts[1] - expected)) <= 1e-14 * np.max(np.abs(expected))
+    assert np.max(np.abs(starts[1] - g0)) > 1e-6
+
+
+@pytest.mark.parametrize("bad", ["zero", "overflow", "inf", "nan"])
+def test_secant_without_a_positive_finite_square_is_not_mixed(bad):
+    cfg = _cfg()
+    st = _stepped(cfg, 3)
+    sdF = st.secant[0].copy()
+    if bad == "zero":
+        sdF[:] = 0.0
+    elif bad == "overflow":
+        sdF[:] = 1e200  # finite entries whose squares sum past float64
+    else:
+        sdF[7] = float(bad)
+    unmixed, unmixed_report = picard_coupled_step(dataclasses.replace(st, secant=None), cfg)
+    skipped, report = picard_coupled_step(dataclasses.replace(st, secant=(sdF, st.secant[1])), cfg)
+    assert report.picard_gap_history == unmixed_report.picard_gap_history
+    assert np.array_equal(skipped.u.values, unmixed.u.values)
+
+
+def test_reports_name_the_accepted_start_and_stored_states_drop_the_secant():
+    # the first two steps have no history; the secant is for the next step only, not for storage
+    tr = run(dataclasses.replace(reference_config(33), output_every=1))
+    assert [r.start for r in tr.reports] == ["plain"] * 2 + ["predicted"] * (len(tr.reports) - 2)
+    assert all(s.secant is None for s in tr.states)
 
 
 def test_state_consistency_after_step():
@@ -728,7 +786,7 @@ def test_high_contrast_steps_meet_lin_tol(high_contrast_run):
 
 def test_capped_fast_solves_fall_back_to_lu(high_contrast_run):
     # a fast solve that hits the iteration cap is refactored even below lin_tol,
-    # so every pass ends near the 1e-14 that BiCGSTAB is asked for
+    # so every pass ends near the 1e-13 that BiCGSTAB is asked for
     _, tr = high_contrast_run
     assert all(r.linear_residual <= 1e-12 for r in tr.reports)
 
@@ -997,6 +1055,20 @@ def test_run_determinism_bytes(tmp_path):
     run(cfg, outdir=tmp_path / "a")
     run(cfg, outdir=tmp_path / "b")
     assert (tmp_path / "a" / "diagnostics.csv").read_bytes() == (tmp_path / "b" / "diagnostics.csv").read_bytes()
+
+
+def test_rerun_after_another_grid_is_byte_identical(tmp_path):
+    # history and secant live on the state, not in the module: a run between two runs of one
+    # config leaves their artifacts byte for byte the same
+    cfg = _cfg(n=17, t_end=0.5, output_every=3)
+    run(cfg, outdir=tmp_path / "a")
+    run(_cfg(n=33, t_end=0.25), outdir=tmp_path / "other")
+    run(cfg, outdir=tmp_path / "b")
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    assert {"diagnostics.csv", "u_000006.csv", "v_000008.csv"} <= set(names)
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_run_partial_artifacts_on_failure(tmp_path):
