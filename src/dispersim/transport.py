@@ -59,7 +59,7 @@ result with those of up to ``_ANDERSON_DEPTH`` earlier passes, which
 takes fewer passes than plain Picard and finishes convection-dominated
 steps where plain Picard stalls.  Each solve raises ``SolverError`` on
 its own failure; the Picard loop raises it only for a stalled fixed
-point or a mix that is not finite.
+point, a least-squares fit that fails, or a mix that is not finite.
 
 Each state keeps (t, u, v) of up to ``_PREDICTOR_ORDER`` earlier
 accepted steps (never the initial condition), and a step's first pass
@@ -69,11 +69,12 @@ of implicit integrators.  The Poisson problem is linear and solved
 exactly to rounding, so the same combination of the stored stream
 functions is the predicted stream function: the predicted start costs
 one coefficient build and no Poisson solve.  Each state also carries
-the secant pair of its own step's first two passes, and the first pass
-of the next predicted attempt mixes with it: a one-column Anderson step
-along the direction in which the previous step's start was wrong.  A
-predicted attempt that fails is retried once from u_n, the start of a
-state without history, without the secant.
+the secant pair of its own step's first two passes, and the next
+predicted attempt puts it in the first row of its difference window, so
+that its first pass is Anderson-mixed too: with one column, along the
+direction in which the previous step's start was wrong.  A predicted
+attempt that fails is retried once from u_n, the start of a state
+without history, without the secant.
 """
 
 from __future__ import annotations
@@ -120,7 +121,8 @@ class SimState:
     # state (step 0) is never among them
     history: tuple[tuple[float, ScalarField, ScalarField], ...] = ()
     # (f_1 - f_0, G(u_1) - G(u_0)), raveled, from the first two passes of the attempt that gave
-    # this state; None when that attempt took one pass
+    # this state: the next predicted attempt's first column of Anderson differences; None when
+    # that attempt took one pass or the Anderson depth is 0
     secant: tuple[np.ndarray, np.ndarray] | None = None
 
 
@@ -579,20 +581,6 @@ def _predicted_start(state: SimState, t: float, cfg: RunConfig) -> tuple[ScalarF
     return u, v, _dispersion_of(v, cfg)
 
 
-def _secant_mix(g: np.ndarray, f: np.ndarray, secant: tuple[np.ndarray, np.ndarray]) -> np.ndarray | None:
-    """G(u_0) - gamma sdG with gamma = (sdF . f_0)/(sdF . sdF), or None when sdF . sdF is not positive and finite.
-
-    ``g`` and ``f`` are G(u_0) and f_0 = G(u_0) - u_0 of a first pass, raveled, and ``secant`` is
-    (sdF, sdG): the one-column type-II Anderson mix with a secant pair carried from elsewhere.
-    """
-    sdF, sdG = secant
-    with np.errstate(over="ignore"):  # an overflow is caught below
-        norm2 = float(sdF @ sdF)
-    if not (math.isfinite(norm2) and norm2 > 0):
-        return None
-    return g - (float(sdF @ f) / norm2) * sdG
-
-
 def picard_coupled_step(state: SimState, cfg: RunConfig, dt: float | None = None) -> tuple[SimState, StepReport]:
     """Advance one time step, iterating the elliptic/coefficient/parabolic loop.
 
@@ -603,36 +591,38 @@ def picard_coupled_step(state: SimState, cfg: RunConfig, dt: float | None = None
     Walker & Ni type-II Anderson mix (SIAM J. Numer. Anal. 49(4), 2011)
     with mixing 1: G(u_k) - dG gamma, where gamma is the least-squares fit
     of f_k by the differences dF of the last ``_ANDERSON_DEPTH`` values of
-    f, and dG those of G.  The first pass takes G(u_0) itself, except in a
-    predicted attempt (below); every pass at depth 0 takes G(u_k): plain
-    Picard.  Each pass's transport solve (see ``parabolic_step``) starts
-    from u_k and refills one assembly workspace allocated for the step;
-    the report's ``linear_residual`` is the worst of them.  The returned
-    state's v and tensor are refreshed from the accepted u, so its
-    elliptic residual is below lin_tol.
+    f, and dG those of G.  The first pass has no difference of its own: it
+    takes G(u_0) itself, except in a predicted attempt (below); every pass
+    at depth 0 takes G(u_k): plain Picard.  Each pass's transport solve
+    (see ``parabolic_step``) starts from u_k and refills one assembly
+    workspace allocated for the step; the report's ``linear_residual`` is
+    the worst of them.  The returned state's v and tensor are refreshed
+    from the accepted u, so its elliptic residual is below lin_tol.
 
     A state without history starts from u_0 = u_n with the state's v and
     tensor as they are.  With history, u_0 and v_0 are the Lagrange
     polynomials in time through the state and its history, evaluated at
     the new time (linear, quadratic, and so on as the history fills, up
     to ``_PREDICTOR_ORDER``), and the tensor is built from v_0 without a
-    Poisson solve (see ``_predicted_start``).  The first pass of that
-    predicted attempt mixes with the state's ``secant`` (sdF, sdG), the
-    pair (f_1 - f_0, G(u_1) - G(u_0)) of the previous step's first two
-    passes: u_1 = G(u_0) - gamma sdG with gamma = (sdF . f_0)/(sdF . sdF)
-    (see ``_secant_mix``), unless the gap is already below picard_tol, the
-    depth is 0, or sdF . sdF is not positive and finite.  The previous
-    step's start was wrong along much the same direction, so the mix can
-    remove much of that error in one pass.  If the predicted attempt
-    raises ``SolverError``, the step is retried once from u_n as without
-    history and without the secant, and the report's gaps hold the passes
-    of both attempts; its ``start`` names the accepted attempt.  A stalled
-    retry, or a mix that is not finite, raises ``SolverError``.
+    Poisson solve (see ``_predicted_start``).  That predicted attempt
+    starts its window of differences with the state's ``secant``
+    (sdF, sdG), the pair (f_1 - f_0, G(u_1) - G(u_0)) of the previous
+    step's first two passes, so its first pass is the same mix with that
+    one column: u_1 = G(u_0) - gamma sdG, gamma the least-squares fit of
+    f_0 by sdF (0 for a zero sdF).  The previous step's start was wrong
+    along much the same direction, so the mix can remove much of that
+    error in one pass; pass 1's own difference then overwrites the
+    column.  If the predicted attempt raises ``SolverError``, the step is
+    retried once from u_n as without history and without the secant, and
+    the report's gaps hold the passes of both attempts; its ``start``
+    names the accepted attempt.  A stalled retry, a least-squares fit
+    that fails or a mix that is not finite raises ``SolverError``.
 
     The returned state's history is the given state's (t, u, v), unless it
     is the initial state (step 0), followed by the given state's history,
-    cut to ``_PREDICTOR_ORDER`` entries; its secant is the pair of the
-    accepted attempt's first two passes, None if it took one pass.
+    cut to ``_PREDICTOR_ORDER`` entries; its secant is a copy of the
+    window's first row as the accepted attempt's second pass wrote it,
+    None if that attempt took one pass or the depth is 0.
     """
     dt = cfg.dt if dt is None else dt
     if not (math.isfinite(dt) and dt > 0):
@@ -648,25 +638,28 @@ def picard_coupled_step(state: SimState, cfg: RunConfig, dt: float | None = None
     rels: list[float] = []
 
     def iterate(u_k: ScalarField, v_k: ScalarField, D_eps_k: SymTensorField, secant: tuple | None):
-        pair = None
+        pair, cols = None, 0
+        if depth and secant is not None:  # the window's one column on pass 0; pass 1 overwrites it
+            dF[0], dG[0] = secant
+            cols = 1
         for k in range(cfg.picard_max):
             g_k, rel = parabolic_step(u_n, D_eps_k, v_k, dt, lin_tol=cfg.lin_tol, x0=u_k, workspace=workspace)
             rels.append(rel)
             g, f = g_k.values.ravel(), (g_k.values - u_k.values).ravel()
             gap = float(np.max(np.abs(f)))
             gaps.append(gap)
-            if k == 1:
-                pair = (f - f_prev, g - g_prev)
-            u_k, mixed = g_k, None
-            if depth and gap > cfg.picard_tol:
-                if k:
-                    dF[(k - 1) % depth], dG[(k - 1) % depth] = f - f_prev, g - g_prev
-                    cols = min(k, depth)
+            if k and depth:
+                dF[(k - 1) % depth], dG[(k - 1) % depth] = f - f_prev, g - g_prev
+                cols = min(k, depth)
+                if k == 1:  # pass depth + 1 overwrites row 0
+                    pair = (dF[0].copy(), dG[0].copy())
+            u_k = g_k
+            if cols and gap > cfg.picard_tol:
+                try:
                     gamma = np.linalg.lstsq(dF[:cols].T, f, rcond=None)[0]
-                    mixed = g - gamma @ dG[:cols]
-                elif secant is not None:
-                    mixed = _secant_mix(g, f, secant)
-            if mixed is not None:
+                except np.linalg.LinAlgError as exc:
+                    raise SolverError(f"Anderson mixing failed on pass {k + 1}: {exc}") from exc
+                mixed = g - gamma @ dG[:cols]
                 if not np.all(np.isfinite(mixed)):
                     raise SolverError(f"Anderson mixing produced non-finite values on pass {k + 1}")
                 u_k = ScalarField(cfg.grid, mixed.reshape(cfg.grid.shape))

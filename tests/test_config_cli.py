@@ -242,6 +242,17 @@ def test_factorization_failure_is_solver_failure(tmp_path, monkeypatch):
     assert main(["run", "--config", str(cfg_path), "--outdir", str(tmp_path / "o")]) == 3
 
 
+def test_failed_anderson_fit_is_solver_failure(tmp_path, monkeypatch, capsys):
+    # LinAlgError is a ValueError, which would read as a configuration error (exit 2)
+    def failed_lstsq(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+    monkeypatch.setattr(np.linalg, "lstsq", failed_lstsq)
+    cfg_path = _write_cfg(tmp_path)
+    assert main(["run", "--config", str(cfg_path), "--outdir", str(tmp_path / "o")]) == 3
+    assert "Anderson mixing failed on pass 2" in capsys.readouterr().err
+
+
 def test_cli_mms_poisson(capsys):
     assert main(["mms", "--case", "poisson", "--levels", "3"]) == 0
     out = capsys.readouterr().out

@@ -603,8 +603,13 @@ def test_predicted_start_keeps_every_state_and_saves_passes(monkeypatch, case):
         )
     cfg = dataclasses.replace(cfg, output_every=1)
     predicted = run(cfg)
+    step = transport.picard_coupled_step
+
+    def without_secant(state, cfg, dt=None):
+        return step(dataclasses.replace(state, secant=None), cfg, dt)
+
     with monkeypatch.context() as m:
-        m.setattr(transport, "_secant_mix", lambda g, f, secant: None)
+        m.setattr(transport, "picard_coupled_step", without_secant)
         unmixed = run(cfg)
     monkeypatch.setattr(transport, "_PREDICTOR_ORDER", 0)
     plain = run(cfg)
@@ -644,7 +649,8 @@ def test_predicted_first_pass_mixes_with_the_carried_secant(monkeypatch):
 
 
 @pytest.mark.parametrize("bad", ["zero", "overflow", "inf", "nan"])
-def test_secant_without_a_positive_finite_square_is_not_mixed(bad):
+def test_secant_without_a_positive_finite_square_is_not_mixed(monkeypatch, bad):
+    # such pairs cannot come from finite fields short of overflow near 1e308
     cfg = _cfg()
     st = _stepped(cfg, 3)
     sdF = st.secant[0].copy()
@@ -654,10 +660,50 @@ def test_secant_without_a_positive_finite_square_is_not_mixed(bad):
         sdF[:] = 1e200  # finite entries whose squares sum past float64
     else:
         sdF[7] = float(bad)
-    unmixed, unmixed_report = picard_coupled_step(dataclasses.replace(st, secant=None), cfg)
     skipped, report = picard_coupled_step(dataclasses.replace(st, secant=(sdF, st.secant[1])), cfg)
-    assert report.picard_gap_history == unmixed_report.picard_gap_history
-    assert np.array_equal(skipped.u.values, unmixed.u.values)
+    if bad in ("zero", "overflow"):
+        # the least-squares fit by a column of rank 0, or of entries far above f_0, is 0 to rounding
+        unmixed, unmixed_report = picard_coupled_step(dataclasses.replace(st, secant=None), cfg)
+        assert report.picard_gap_history == unmixed_report.picard_gap_history
+        assert np.array_equal(skipped.u.values, unmixed.u.values)
+        assert report.start == "predicted"
+        return
+    # the fit fails or mixes a non-finite iterate, so the predicted attempt fails on its first
+    # pass and the retry from u_n repeats the plain step
+    monkeypatch.setattr(transport, "_PREDICTOR_ORDER", 0)
+    plain, plain_report = picard_coupled_step(dataclasses.replace(st, secant=None), cfg)
+    assert report.picard_gap_history[1:] == plain_report.picard_gap_history
+    assert np.array_equal(skipped.u.values, plain.u.values)
+    assert (report.start, plain_report.start) == ("plain", "plain")
+
+
+def test_stored_secant_is_the_first_difference_of_the_accepted_attempt(monkeypatch):
+    # checker steps take more than _ANDERSON_DEPTH + 1 passes, so pass _ANDERSON_DEPTH + 1
+    # rewrites the window row that the pair is copied from
+    cfg = dataclasses.replace(
+        reference_config(33, a=0.05, b=0.5, m=0.01),
+        ic="checker", ic_params="amplitude=5,kx=1,ky=1", dt=1.0 / 128, t_end=4.0 / 128,
+    )
+    calls = []
+
+    def recorded(*args, x0=None, **kwargs):
+        g, rel = parabolic_step(*args, x0=x0, **kwargs)
+        calls.append((x0.values.copy(), g.values.copy()))
+        return g, rel
+
+    monkeypatch.setattr(transport, "parabolic_step", recorded)
+    st = initial_state(cfg)
+    longest = 0
+    for _ in range(4):
+        calls.clear()
+        st, report = picard_coupled_step(st, cfg)
+        assert report.start == "predicted" or st.step <= 2
+        longest = max(longest, len(calls))
+        (u0, g0), (u1, g1) = calls[:2]
+        f0, f1 = g0 - u0, g1 - u1
+        assert np.array_equal(st.secant[0], (f1 - f0).ravel())
+        assert np.array_equal(st.secant[1], (g1 - g0).ravel())
+    assert longest > transport._ANDERSON_DEPTH + 1
 
 
 def test_reports_name_the_accepted_start_and_stored_states_drop_the_secant():
@@ -947,14 +993,22 @@ def test_step_matches_standalone_anderson():
 
 
 def test_non_finite_anderson_mix_raises(monkeypatch):
-    # a mix that is not finite is a solver failure (exit 3), not the ValueError of ScalarField
+    # a mix that is not finite, or a fit that fails, is a solver failure (exit 3), not the
+    # ValueError of ScalarField or the LinAlgError of lstsq
     def nan_lstsq(a, b, rcond=None):
         return np.full(a.shape[1], np.nan), None, a.shape[1], None
 
-    monkeypatch.setattr(np.linalg, "lstsq", nan_lstsq)
+    def failed_lstsq(a, b, rcond=None):
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
     cfg = _cfg()
-    with pytest.raises(SolverError, match="Anderson mixing produced non-finite values on pass 2"):
-        picard_coupled_step(initial_state(cfg), cfg)
+    for lstsq, message in (
+        (nan_lstsq, "Anderson mixing produced non-finite values on pass 2"),
+        (failed_lstsq, "Anderson mixing failed on pass 2: SVD did not converge"),
+    ):
+        monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+        with pytest.raises(SolverError, match=message):
+            picard_coupled_step(initial_state(cfg), cfg)
 
 
 def _stall_case(name):
