@@ -235,9 +235,11 @@ def read_snapshot(path, grid: GridSpec | None = None) -> ScalarField:
         raise ValueError(f"{path}: expected 3 columns x1,x2,value")
     x1s, x2s, vals = data[:, 0], data[:, 1], data[:, 2]
     nx = int(np.count_nonzero(x2s == x2s[0]))
-    if nx < 3 or data.shape[0] % nx != 0:
+    if nx < 3:
         raise ValueError(f"{path}: rows are not in row-major grid order")
-    ny = data.shape[0] // nx
+    ny, extra = divmod(data.shape[0], nx)
+    if extra:
+        raise ValueError(f"{path}: the file is short or has extra rows: {extra} rows past {ny} grid rows of {nx}")
     grid = grid or GridSpec(nx, ny, lx=float(x1s[nx - 1]), ly=float(x2s[-1]))
     gx1, gx2 = grid.nodes()
     if (nx, ny) != (grid.nx, grid.ny) or not (

@@ -44,9 +44,14 @@ for the constant tensor c I (c the mean of (d11 + d22)/2) without
 advection: two type-I cosine transforms and a division (Concus & Golub,
 SIAM J. Numer. Anal. 10(6), 1973), run in single precision after a
 power-of-two range scaling, inside the float64 BiCGSTAB (Carson & Higham,
-SIAM J. Sci. Comput. 40(2), 2018).  A pass whose call stops short of
-1e-13 within ``_FAST_ITERATIONS`` iterations (strong tensor contrast) or
-misses ``lin_tol`` factors a CSC copy of its own matrix exactly (SuperLU,
+SIAM J. Sci. Comput. 40(2), 2018).  The residual enters that inverse
+divided by the diagonal of the actual step matrix, which the assembly
+leaves in its centre stencil plane, rather than by the cell weights, so
+each node is weighted by its own diffusion and outflow: about a fifth fewer
+iterations on the reference runs, 40-50 % fewer on strongly varying
+tensors.  A pass whose call stops short of 1e-13 within
+``_FAST_ITERATIONS`` iterations (strong tensor contrast) or misses
+``lin_tol`` factors a CSC copy of its own matrix exactly (SuperLU,
 minimum-degree ordering on A^T A + A) and solves with the factor
 directly.  The true residual is recomputed in float64 and checked
 against ``lin_tol``, so the single-precision preconditioner never
@@ -141,6 +146,13 @@ class StepReport:
         return self.picard_gap_history[-1]
 
 
+# The most steps a run may plan, t_end/dt: about a thousand times the longest
+# run the package makes (mms --case coupled --levels 8, 1,024 steps).  A
+# reference step at n = 129 takes about 0.025 s on a 2-core x86-64 host, so
+# 10^6 of them already run for 7 hours and write 10^6 diagnostics rows.
+_MAX_STEPS = 10**6
+
+
 @dataclass
 class RunConfig:
     grid: GridSpec
@@ -162,9 +174,12 @@ class RunConfig:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.t_end < self.dt:
             raise ValueError(f"t_end must be at least dt, got t_end={self.t_end}, dt={self.dt}")
-        # run() counts its steps as round(t_end/dt), which overflows when dt is tiny against t_end
-        if not math.isfinite(self.t_end / self.dt):
-            raise ValueError(f"dt is too small for t_end: t_end/dt overflows, got dt={self.dt}, t_end={self.t_end}")
+        # run() takes about t_end/dt steps; past _MAX_STEPS (also when the ratio overflows) it would not finish
+        if not self.t_end / self.dt <= _MAX_STEPS:
+            raise ValueError(
+                f"dt is too small for t_end: t_end/dt = {self.t_end / self.dt:.3g} steps exceeds {_MAX_STEPS:,},"
+                f" got dt={self.dt}, t_end={self.t_end}"
+            )
         if self.picard_max < 1:
             raise ValueError(f"picard_max must be at least 1, got {self.picard_max}")
         if self.output_every < 0:
@@ -432,7 +447,8 @@ def _assemble_parabolic(
 # splu (and its solve) of a first-step reference matrix costs about 25-29,
 # 48-50 and 78-83 iterations with the single-precision preconditioner at
 # n = 65, 129 and 257, and the lagged-tensor runs
-# reference_config(n, a=4, b=12, m=0.2), dt = 4/(n-1), need at most 43-44.
+# reference_config(n, a=4, b=12, m=0.2), dt = 4/(n-1), need at most 16-17
+# (41-46 with the residual divided by the cell weights alone).
 # A fixed count, not a timing rule, keeps reruns byte-identical.
 _FAST_ITERATIONS = 60
 
@@ -456,32 +472,38 @@ _ANDERSON_DEPTH = 3
 _PREDICTOR_ORDER = 4
 
 
-def _cosine_preconditioner(grid: GridSpec, w: np.ndarray, dt: float, c: float) -> spla.LinearOperator:
-    """The inverse of the step matrix for the tensor c I and zero fluxes, in single precision.
+def _cosine_preconditioner(grid: GridSpec, diag: np.ndarray, dt: float, c: float) -> spla.LinearOperator:
+    """The inverse of the constant-tensor step, weighted by the step matrix's diagonal, in single precision.
 
-    That matrix is diag(w)/dt + c L, and diag(w)^-1 L is the 5-point
-    Laplacian with reflecting ends on each axis, which DCT-I diagonalizes.
-    The two transforms and the division run in float32, which halves their
-    cost; BiCGSTAB keeps its vectors and residuals in float64, and the pass
-    still checks its recomputed float64 residual against ``lin_tol``.  Each
-    application scales r/w by the power of two that brings its largest entry
-    into [0.5, 1) and undoes it on the float64 result, so every finite
-    residual stays inside float32 range and the scaling is exact.  A zero
-    input gives zeros; a non-finite one gives a non-finite result, on which
-    BiCGSTAB breaks down and the pass takes the LU fallback.
+    For the tensor c I and zero fluxes the step matrix is diag(w)/dt + c L,
+    where diag(w)^-1 L is the 5-point Laplacian with reflecting ends on each
+    axis, which DCT-I diagonalizes; its diagonal is w (1/dt + c k), with
+    k = 2/hx^2 + 2/hy^2.  Each application multiplies r by
+    (1/dt + c k)/``diag``, ``diag`` being the diagonal of the actual step
+    matrix, where that inverse divides r by w: so it still inverts the
+    constant-tensor step exactly, and elsewhere it weights each node by its
+    own diffusion and outflow.  The two transforms and the division run in
+    float32, which halves their cost; BiCGSTAB keeps its vectors and
+    residuals in float64, and the pass still checks its recomputed float64
+    residual against ``lin_tol``.  Each application scales the weighted r by
+    the power of two that brings its largest entry into [0.5, 1) and undoes
+    it on the float64 result, so every finite residual stays inside float32
+    range and the scaling is exact.  A zero input gives zeros; a non-finite
+    one gives a non-finite result, on which BiCGSTAB breaks down and the
+    pass takes the LU fallback.
     """
     shape = grid.shape
-    inv_w = 1.0 / w
+    weight = (1.0 / dt + c * (2.0 / grid.hx**2 + 2.0 / grid.hy**2)) / diag.reshape(shape)
     denom = (1.0 / dt + c * laplacian_eigenvalues(grid, reflecting=True)).astype(np.float32)
 
     def solve(r: np.ndarray) -> np.ndarray:
-        s = r.reshape(shape) * inv_w
+        s = r.reshape(shape) * weight
         e = math.frexp(float(np.max(np.abs(s))))[1]  # 0 for zero, nan or inf
         z = dctn(np.ldexp(s, -e, out=s).astype(np.float32), type=1, overwrite_x=True)
         z /= denom
         return np.ldexp(idctn(z, type=1, overwrite_x=True), e, dtype=float).ravel()
 
-    return spla.LinearOperator((w.size, w.size), solve, dtype=float)
+    return spla.LinearOperator((diag.size, diag.size), solve, dtype=float)
 
 
 def parabolic_step(
@@ -503,8 +525,8 @@ def parabolic_step(
     into a fresh pair of buffers.
 
     One BiCGSTAB call, started from ``x0`` (default ``u_old``), is
-    preconditioned by ``_cosine_preconditioner`` and takes at most
-    ``_FAST_ITERATIONS`` iterations.  If that call stops
+    preconditioned by ``_cosine_preconditioner`` on the matrix's diagonal
+    and takes at most ``_FAST_ITERATIONS`` iterations.  If that call stops
     short of its own ``_KRYLOV_RTOL`` target (the cap or a breakdown) or its
     recomputed relative residual is above ``lin_tol`` or not finite, the
     matrix is factored by ``splu`` (on a CSC copy) and solved directly with
@@ -519,6 +541,7 @@ def parabolic_step(
         raise ValueError(f"dt must be positive and finite, got {dt}")
     grid = u_old.grid
     fe, fn = _face_fluxes_from_stream(stream.values, grid)
+    workspace = _assembly_buffers(grid.shape) if workspace is None else workspace
     A, w = _assemble_parabolic(grid, D, fe, fn, dt, workspace)
     b = (w / dt).ravel() * u_old.values.ravel()
     bnorm = float(np.linalg.norm(b))
@@ -526,7 +549,9 @@ def parabolic_step(
         return ScalarField(grid, np.zeros(grid.shape)), 0.0
     start = (u_old if x0 is None else x0).values.ravel()
 
-    M = _cosine_preconditioner(grid, w, dt, float(np.mean(0.5 * (D.d11 + D.d22))))
+    # the centre stencil plane holds A's diagonal, which A.diagonal() would extract from the CSR data
+    diag = workspace[0][4 * w.size:5 * w.size]
+    M = _cosine_preconditioner(grid, diag, dt, float(np.mean(0.5 * (D.d11 + D.d22))))
     x, info = spla.bicgstab(A, b, x0=start, rtol=_KRYLOV_RTOL, atol=0.0, maxiter=_FAST_ITERATIONS, M=M)
     rel = float(np.linalg.norm(b - A @ x)) / bnorm
     if info != 0 or not rel <= lin_tol:  # capped, broken down, a miss, or nan

@@ -84,6 +84,29 @@ def test_dt_too_small_for_t_end_rejected_at_dt_line(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_step_count_above_the_cap_rejected_at_dt_line(tmp_path, capsys):
+    # t_end/dt = 2^20 steps is above the 10^6 that a run may plan; parsed and refused, never started
+    assert transport._MAX_STEPS == 10**6
+    text = MINIMAL.replace("dt = 0.0625", f"dt = {2.0**-23!r}")
+    with pytest.raises(ConfigError, match=r"^line 8: dt is too small for t_end: t_end/dt = 1\.05e\+06 steps") as info:
+        parse_config(text)
+    assert info.value.line == 8
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    assert main(["run", "--config", str(path), "--outdir", str(tmp_path / "out")]) == 2
+    assert "configuration error: line 8: dt is too small for t_end" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # 2^17 steps are within the cap; the config is only parsed
+    assert parse_config(MINIMAL.replace("dt = 0.0625", f"dt = {2.0**-20!r}")).dt == 2.0**-20
+    with pytest.raises(ConfigError, match=r"^line 8: dt is too small for t_end: t_end/dt = 2\.5e\+299 steps"):
+        parse_config(MINIMAL.replace("dt = 0.0625", "dt = 1e-300").replace("t_end = 0.125", "t_end = 0.25"))
+
+
+def test_non_numeric_value_rejected_at_its_line():
+    with pytest.raises(ConfigError, match=r"^line 5: a must be a number, got 'x'$"):
+        parse_config(MINIMAL.replace("a = 1.0", "a = x"))
+
+
 @pytest.mark.parametrize(
     "key, bad",
     [
@@ -269,6 +292,12 @@ def test_cli_mms_coupled(capsys):
     assert 0.7 <= slope <= 1.3
 
 
+def test_cli_mms_coupled_two_levels_has_no_order(capsys):
+    # two runs give one difference, and one point fits no slope
+    assert main(["mms", "--case", "coupled", "--levels", "2"]) == 0
+    assert capsys.readouterr().out.strip().splitlines()[-1] == "observed order: n/a"
+
+
 def test_cli_mms_bad_levels():
     assert main(["mms", "--case", "poisson", "--levels", "1"]) == 2
 
@@ -369,6 +398,54 @@ def test_cli_verify_bad_seed_exit_2_naming_the_flag(tmp_path, monkeypatch, capsy
     assert exc.value.code == 2
     assert f"argument --seed: expected a nonnegative integer, got '{seed}'" in capsys.readouterr().err
     assert not (tmp_path / "verify_results.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("a", "sweep parameter must look like name=v1,v2,..., got 'a'"),
+        ("a=", "no sweep values given in 'a='"),
+        ("a=1,x", "sweep value 'x' is not a number"),
+    ],
+)
+def test_sweep_param_spec_rejected(spec, message):
+    from dispersim.sweep import parse_param_spec
+
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_param_spec(spec)
+
+
+def _stub_checks(monkeypatch):
+    """Replace every acceptance check by one that records its argument and returns a passing row named after it."""
+    import dispersim.acceptance as ac
+
+    calls = []
+    for name in [n for n in dir(ac) if n.startswith("check_")]:
+
+        def stub(arg=None, name=name):
+            calls.append(arg)
+            return ac.CheckRow(name, 1, 0.0, 1.0, "<=", True, 0, 0.0)
+
+        monkeypatch.setattr(ac, name, stub)
+    return calls
+
+
+def test_verify_solver_and_all_suites_run_every_row_builder(monkeypatch):
+    import dispersim.acceptance as ac
+    from dispersim.verify import run_suite
+
+    calls = _stub_checks(monkeypatch)
+    solver = [
+        "check_poisson_mms", "check_mass_conservation", "check_max_principle",
+        "check_energy_inequality", "check_determinism", "check_boundedness_monitor",
+    ]
+    assert [r.name for r in run_suite("solver")] == solver
+    # the five trajectory checks share one run cache
+    assert calls[0] is None and isinstance(calls[1], ac.RunCache)
+    assert all(arg is calls[1] for arg in calls[1:])
+    rows = run_suite("all", seed=3)
+    assert len(rows) == 17 and all(r.passed for r in rows)
+    assert [r.name for r in rows] == [r.name for r in run_suite("identities") + run_suite("appendix")] + solver
 
 
 def test_verify_unknown_suite():

@@ -204,6 +204,27 @@ def test_snapshot_unparsable_row_names_the_file(tmp_path, case):
             read_snapshot(path, grid)
 
 
+def test_snapshot_with_four_columns_rejected(tmp_path):
+    g = GridSpec(5, 4)
+    path = tmp_path / "field.csv"
+    write_snapshot(ScalarField(g, np.arange(20.0)), path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join([lines[0]] + [line.rstrip("\n") + ",0\n" for line in lines[1:]]))
+    for grid in (None, g):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: expected 3 columns x1,x2,value$"):
+            read_snapshot(path, grid)
+
+
+def test_snapshot_missing_its_last_row_reported_short(tmp_path):
+    g = GridSpec(5, 4)
+    path = tmp_path / "field.csv"
+    write_snapshot(ScalarField(g, np.arange(20.0)), path)
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+    for grid in (None, g):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: the file is short or has extra rows: 4 rows"):
+            read_snapshot(path, grid)
+
+
 def test_snapshot_header_only_rejected(tmp_path):
     path = tmp_path / "field.csv"
     path.write_text("x1,x2,value\n")

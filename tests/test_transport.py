@@ -74,6 +74,16 @@ def test_ic_gaussian_peak_at_center_node():
     assert f.values[8, 8] == 1.0
 
 
+def test_ic_stripe_is_a_gaussian_in_x1_alone():
+    g = GridSpec(17, 9, lx=2.0, ly=1.0)
+    f = initial_condition("stripe", "amplitude=2,cx=0.5", g)
+    x1, _ = g.nodes()
+    assert np.array_equal(f.values, 2.0 * np.exp(-((x1 - 0.5) ** 2) / (2.0 * 0.1**2)))
+    assert np.all(f.values == f.values[0]) and f.values[0, 4] == 2.0
+    with pytest.raises(ValueError, match=r"unknown ic parameters for 'stripe': \['cy'\]"):
+        initial_condition("stripe", "cy=0.5", g)
+
+
 def test_ic_rejects_unknown_params():
     with pytest.raises(ValueError, match="unknown ic parameter"):
         initial_condition("gaussian", "radius=1", _grid(9))
@@ -810,8 +820,40 @@ def test_run_steps_without_building_a_step_list(monkeypatch):
         raise SolverError("stopped at the first step")
 
     monkeypatch.setattr(transport, "picard_coupled_step", failing_step)
+    # RunConfig refuses to plan 1e20 steps, so dt is set after it is built
+    with pytest.raises(ValueError, match="dt is too small for t_end"):
+        _cfg(n=9, dt=1e-20, t_end=1.0)
+    cfg = _cfg(n=9, t_end=1.0)
+    cfg.dt = 1e-20
     with pytest.raises(SolverError, match="first step"):
-        run(_cfg(n=9, dt=1e-20, t_end=1.0))
+        run(cfg)
+
+
+def test_parabolic_step_of_a_zero_field_is_zero():
+    # a zero right side has no relative residual; the step returns zeros without a solve
+    g = _grid(9)
+    v, _, D = _stream_setup(g)
+    u, rel = parabolic_step(ScalarField(g, np.zeros(g.shape)), D, v, 0.1)
+    assert np.array_equal(u.values, np.zeros(g.shape)) and rel == 0.0
+
+
+def _recording_solves(monkeypatch):
+    """Wrap bicgstab and splu; the lists then hold (info, iterations, true relative residual) per call and the LU calls."""
+    solves, factorizations = [], _counting(monkeypatch, transport.spla, "splu")
+    bicgstab = transport.spla.bicgstab
+
+    def recorded(A, b, **kwargs):
+        iterations = [0]
+
+        def count(xk):
+            iterations[0] += 1
+
+        x, info = bicgstab(A, b, callback=count, **kwargs)
+        solves.append((info, iterations[0], float(np.linalg.norm(b - A @ x) / np.linalg.norm(b))))
+        return x, info
+
+    monkeypatch.setattr(transport.spla, "bicgstab", recorded)
+    return solves, factorizations
 
 
 @pytest.fixture(scope="module")
@@ -821,19 +863,43 @@ def high_contrast_run():
     cfg = dataclasses.replace(
         reference_config(33, m=0.05), ic_params="amplitude=100,width=0.1", dt=1.0 / 256, picard_max=60
     )
-    return cfg, run(dataclasses.replace(cfg, t_end=4 * cfg.dt))
+    with pytest.MonkeyPatch.context() as m:
+        solves, factorizations = _recording_solves(m)
+        tr = run(dataclasses.replace(cfg, t_end=4 * cfg.dt))
+    return cfg, tr, solves, factorizations
 
 
 def test_high_contrast_steps_meet_lin_tol(high_contrast_run):
-    cfg, tr = high_contrast_run
+    cfg, tr, _, _ = high_contrast_run
     assert len(tr.reports) == 4
     assert all(r.linear_residual <= cfg.lin_tol for r in tr.reports)
+
+
+def test_high_contrast_steps_need_no_lu_fallback(high_contrast_run):
+    # the diagonal weighting of the cosine preconditioner follows the varying tensor closely enough
+    # that no pass reaches the iteration cap
+    _, tr, solves, factorizations = high_contrast_run
+    assert len(solves) == sum(r.picard_iterations for r in tr.reports)
+    assert factorizations == []
+    assert max(iterations for _, iterations, _ in solves) < transport._FAST_ITERATIONS
 
 
 def test_capped_fast_solves_fall_back_to_lu(high_contrast_run):
     # a fast solve that hits the iteration cap is refactored even below lin_tol,
     # so every pass ends near the 1e-13 that BiCGSTAB is asked for
-    _, tr = high_contrast_run
+    _, tr, _, _ = high_contrast_run
+    assert all(r.linear_residual <= 1e-12 for r in tr.reports)
+
+
+def test_capped_solve_below_lin_tol_is_refactored(monkeypatch):
+    # three iterations leave some passes of the first reference steps between 1e-13 and lin_tol:
+    # such a capped iterate would pass the lin_tol check, but the pass still takes the LU
+    monkeypatch.setattr(transport, "_FAST_ITERATIONS", 3)
+    solves, factorizations = _recording_solves(monkeypatch)
+    cfg = reference_config(33)
+    tr = run(dataclasses.replace(cfg, t_end=3 * cfg.dt))
+    assert any(info > 0 and rel <= cfg.lin_tol for info, _, rel in solves)
+    assert len(factorizations) == sum(1 for info, _, rel in solves if info != 0 or rel > cfg.lin_tol)
     assert all(r.linear_residual <= 1e-12 for r in tr.reports)
 
 
@@ -865,7 +931,7 @@ def _constant_tensor_step_residual(grid: GridSpec, scale: float) -> float:
     D = SymTensorField(grid, c * ones, 0.0 * ones, c * ones)
     zeros_e, zeros_n = np.zeros((grid.ny, grid.nx - 1)), np.zeros((grid.ny - 1, grid.nx))
     A, w = transport._assemble_parabolic(grid, D, zeros_e, zeros_n, dt)
-    M = transport._cosine_preconditioner(grid, w, dt, c)
+    M = transport._cosine_preconditioner(grid, A.diagonal(), dt, c)
     assert np.array_equal(M.matvec(np.zeros(w.size)), np.zeros(w.size))
     b = np.random.default_rng(5).standard_normal(w.size)
     x = M.matvec(scale * b)
@@ -889,55 +955,48 @@ def test_cosine_preconditioner_rescales_into_float32_range(grid, scale):
 
 def test_cosine_preconditioner_passes_non_finite_input_on():
     # BiCGSTAB then breaks down and the pass takes the LU fallback
-    grid = GridSpec(9, 9)
-    M = transport._cosine_preconditioner(grid, grid.cell_weights(), 0.01, 1.0)
+    grid, dt, c = GridSpec(9, 9), 0.01, 1.0
+    diag = grid.cell_weights() * (1.0 / dt + c * (2.0 / grid.hx**2 + 2.0 / grid.hy**2))
+    M = transport._cosine_preconditioner(grid, diag, dt, c)
     for bad in (np.nan, np.inf):
         b = np.ones(grid.ny * grid.nx)
         b[40] = bad
         assert not np.all(np.isfinite(M.matvec(b)))
 
 
-def _float64_cosine_preconditioner(grid, w, dt, c):
+def _float64_cosine_preconditioner(grid, diag, dt, c):
     """The cosine preconditioner with its transforms in float64: the oracle for the float32 one."""
     from scipy.fft import dctn, idctn
 
     from dispersim.elliptic import laplacian_eigenvalues
 
+    weight = (1.0 / dt + c * (2.0 / grid.hx**2 + 2.0 / grid.hy**2)) / diag.reshape(grid.shape)
     denom = 1.0 / dt + c * laplacian_eigenvalues(grid, reflecting=True)
 
     def solve(r):
-        return idctn(dctn(r.reshape(grid.shape) / w, type=1) / denom, type=1).ravel()
+        return idctn(dctn(r.reshape(grid.shape) * weight, type=1) / denom, type=1).ravel()
 
-    return transport.spla.LinearOperator((w.size, w.size), solve, dtype=float)
+    return transport.spla.LinearOperator((diag.size, diag.size), solve, dtype=float)
 
 
 def test_float32_preconditioner_matches_float64_on_convection_dominated_steps(monkeypatch):
-    # the checker case: weak dispersion, 11-12 passes per step, about 200 BiCGSTAB iterations a step
+    # the checker case: weak dispersion, 9-12 passes per step, about 100 BiCGSTAB iterations a step
     cfg = dataclasses.replace(
         reference_config(33, a=0.05, b=0.5, m=0.01),
         ic="checker", ic_params="amplitude=5,kx=1,ky=1", dt=1.0 / 128, t_end=8.0 / 128,
     )
-    iterations = [0]
-    bicgstab = transport.spla.bicgstab
-
-    def counted_bicgstab(*args, **kwargs):
-        def count(xk):
-            iterations[0] += 1
-
-        return bicgstab(*args, callback=count, **kwargs)
-
-    monkeypatch.setattr(transport.spla, "bicgstab", counted_bicgstab)
-    factorizations = _counting(monkeypatch, transport.spla, "splu")
+    solves, factorizations = _recording_solves(monkeypatch)
 
     with monkeypatch.context() as m:
         m.setattr(transport, "_cosine_preconditioner", _float64_cosine_preconditioner)
         oracle = run(cfg)
-    oracle_iterations, iterations[0] = iterations[0], 0
+    oracle_iterations = sum(iterations for _, iterations, _ in solves)
+    solves.clear()
     tr = run(cfg)
     assert [r.picard_iterations for r in tr.reports] == [r.picard_iterations for r in oracle.reports]
     assert factorizations == []
     assert np.max(np.abs(tr.final.u.values - oracle.final.u.values)) <= 1e-12
-    assert iterations[0] <= 1.02 * oracle_iterations
+    assert sum(iterations for _, iterations, _ in solves) <= 1.02 * oracle_iterations
 
 
 def test_step_matches_standalone_passes(monkeypatch):
