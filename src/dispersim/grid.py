@@ -33,6 +33,13 @@ import numpy as np
 from scipy.fft import irfft2, next_fast_len, rfft2
 
 
+# The most nodes a grid may have, nx*ny: four times the finest grid the package builds (the
+# Poisson ladder of mms --levels 8, 2049^2).  A coupled run keeps about 830 bytes a node (peak RSS
+# of six reference steps at n = 513 on x86-64), so 2^24 nodes already need 13 GiB; a much larger
+# size would also overflow the int32 column indices of the transport step matrix.
+_MAX_NODES = 2**24
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Geometry of a uniform node-centered rectangular grid."""
@@ -46,6 +53,10 @@ class GridSpec:
         for name in ("nx", "ny"):
             if getattr(self, name) < 3:
                 raise ValueError(f"grid too small: {name} must be at least 3, got {self.nx}x{self.ny}")
+        # the message names the larger side, which locates its line in a configuration file
+        if int(self.nx) * int(self.ny) > _MAX_NODES:
+            name = "nx" if self.nx >= self.ny else "ny"
+            raise ValueError(f"grid too large: {name} makes nx*ny exceed {_MAX_NODES:,} nodes, got {self.nx}x{self.ny}")
         for name in ("lx", "ly"):
             if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dispersim import config, transport
+from dispersim import config, grid, transport
 from dispersim.cli import main
 from dispersim.config import ConfigError, parse_config, serialize_config
 from dispersim.elliptic import SolverError
@@ -100,6 +100,24 @@ def test_step_count_above_the_cap_rejected_at_dt_line(tmp_path, capsys):
     assert parse_config(MINIMAL.replace("dt = 0.0625", f"dt = {2.0**-20!r}")).dt == 2.0**-20
     with pytest.raises(ConfigError, match=r"^line 8: dt is too small for t_end: t_end/dt = 2\.5e\+299 steps"):
         parse_config(MINIMAL.replace("dt = 0.0625", "dt = 1e-300").replace("t_end = 0.125", "t_end = 0.25"))
+
+
+def test_grid_above_the_node_cap_rejected_at_its_line(tmp_path, capsys):
+    # parsed and refused, never allocated: 10^30 nodes once reached numpy and failed there
+    assert grid._MAX_NODES == 2**24
+    text = MINIMAL.replace("nx = 17", "nx = 1000000000000000000000000000000")
+    with pytest.raises(ConfigError, match=r"^line 3: grid too large: nx makes nx\*ny exceed 16,777,216 nodes") as info:
+        parse_config(text)
+    assert info.value.line == 3
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    assert main(["run", "--config", str(path), "--outdir", str(tmp_path / "out")]) == 2
+    assert "configuration error: line 3: grid too large" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ConfigError, match=r"^line 4: grid too large: ny makes"):
+        parse_config(MINIMAL.replace("ny = 17", "ny = 4097").replace("nx = 17", "nx = 4096"))
+    # 4096^2 is at the cap; the config is only parsed
+    assert parse_config(MINIMAL.replace("ny = 17", "ny = 4096").replace("nx = 17", "nx = 4096")).grid.nx == 4096
 
 
 def test_non_numeric_value_rejected_at_its_line():
