@@ -251,7 +251,11 @@ def read_snapshot(path, grid: GridSpec | None = None) -> ScalarField:
     ny, extra = divmod(data.shape[0], nx)
     if extra:
         raise ValueError(f"{path}: the file is short or has extra rows: {extra} rows past {ny} grid rows of {nx}")
-    grid = grid or GridSpec(nx, ny, lx=float(x1s[nx - 1]), ly=float(x2s[-1]))
+    if grid is None:
+        try:
+            grid = GridSpec(nx, ny, lx=float(x1s[nx - 1]), ly=float(x2s[-1]))
+        except ValueError as exc:  # the grid the coordinates imply is not a valid one
+            raise ValueError(f"{path}: {exc}") from exc
     gx1, gx2 = grid.nodes()
     if (nx, ny) != (grid.nx, grid.ny) or not (
         np.allclose(x1s, gx1.ravel(), rtol=1e-12, atol=1e-14)

@@ -82,13 +82,18 @@ history (quartic once four earlier steps are kept), the usual predictor
 of implicit integrators.  The Poisson problem is linear and solved
 exactly to rounding, so the same combination of the stored stream
 functions is the predicted stream function: the predicted start costs
-one coefficient build and no Poisson solve.  Each state also carries
-the secant pair of its own step's first two passes, and the next
-predicted attempt puts it in the first row of its difference window, so
-that its first pass is Anderson-mixed too: with one column, along the
-direction in which the previous step's start was wrong.  A predicted
-attempt that fails is retried once from u_n, the start of a state
-without history, without the secant.
+one coefficient build and no Poisson solve.  The solution is smooth in
+time, so the error of that start, u_{n+1} - u*, changes slowly from step
+to step: each state keeps the start errors of up to four recent steps of
+one dt, and a full-order start adds their least-squares extrapolation
+(minimal polynomial extrapolation), with the same combination of the
+stored stream-function errors, again without a Poisson solve.  Each
+state also carries the secant pair of its own step's first two passes,
+and the next predicted attempt puts it in the first row of its difference
+window, so that its first pass is Anderson-mixed too: with one column,
+along the direction in which the previous step's start was wrong.  A
+predicted attempt that fails is retried once from u_n, the start of a
+state without history, without the secant or the extrapolated error.
 """
 
 from __future__ import annotations
@@ -138,6 +143,10 @@ class SimState:
     # this state: the next predicted attempt's first column of Anderson differences; None when
     # that attempt took one pass or the Anderson depth is 0
     secant: tuple[np.ndarray, np.ndarray] | None = None
+    # (dt, u - u*, v - v*) of up to _EXTRAPOLATION_DEPTH + 1 steps of one dt, the latest first: the
+    # error of each one's Lagrange start (u*, v*), kept for steps accepted from a full-order
+    # predicted start; the oldest entry's v-error, which no start combines, is None
+    errors: tuple[tuple[float, np.ndarray, np.ndarray | None], ...] = ()
 
 
 @dataclass
@@ -486,11 +495,25 @@ _ANDERSON_DEPTH = 3
 # Polynomial order in time of each step's Picard start: the Lagrange
 # polynomial through the current state and up to this many earlier accepted
 # steps (Hairer & Wanner, Solving Ordinary Differential Equations II, 1996,
-# IV.8).  4 is quartic.  With the carried secant (see picard_coupled_step),
-# orders 3, 4 and 5 take reference_config(129) to 121, 115 and 113 passes
-# (143 from u_n) and six reference and checker runs to 986, 961 and 968 in
-# all.  0 starts every step from u_n.
+# IV.8).  4 is quartic.  With the carried secant (see picard_coupled_step)
+# but before the extrapolated start error (below), orders 3, 4 and 5 took
+# reference_config(129) to 121, 115 and 113 passes (143 from u_n) and six
+# reference and checker runs to 986, 961 and 968 in all; order 4 with the
+# extrapolated error takes reference_config(129) to 95.  0 starts every
+# step from u_n.
 _PREDICTOR_ORDER = 4
+
+# Terms of the extrapolated start error: a full-order step adds sum c_i e_i
+# to its Lagrange start, over the latest of up to this many recorded start
+# errors e_0, e_1, ..., with c the least-squares fit of e_0 by e_1, e_2, ...
+# (minimal polynomial extrapolation, Cabay & Jackson, SIAM J. Numer. Anal.
+# 13(5), 1976).  The solution is smooth in time, so its start error changes
+# slowly from step to step.  Depths 0-5 take the nine cases of
+# tools/case_passes.py to 1,829, 1,768, 1,713, 1,670, 1,668 and 1,651
+# passes, and reference_config(129) to 115, 107, 102, 95, 91 and 90; 3 is
+# the smallest depth within 2 % of the best total.  0 is the polynomial
+# start alone.
+_EXTRAPOLATION_DEPTH = 3
 
 
 def _cosine_preconditioner(grid: GridSpec, diag: np.ndarray, dt: float, c: float) -> spla.LinearOperator:
@@ -623,17 +646,36 @@ def _lagrange_weights(times: list[float], t: float) -> list[float]:
     return [math.prod((t - tj) / (ti - tj) for j, tj in enumerate(times) if j != i) for i, ti in enumerate(times)]
 
 
-def _predicted_start(state: SimState, t: float, cfg: RunConfig) -> tuple[ScalarField, ScalarField, SymTensorField]:
-    """u, v and the tensor at time ``t`` of the polynomial in time through the state and its history.
-
-    lap(v) = u_x1 with v = 0 on the boundary is linear and its sine-transform solve is exact to
-    rounding, so the combination of the stored stream functions is the stream function of the
-    combined density, and no Poisson solve is made.
-    """
+def _lagrange_start(state: SimState, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """u* and v*: the polynomials in time through the state and its history, at time ``t``."""
     points = ((state.t, state.u, state.v),) + state.history[:_PREDICTOR_ORDER]
     weights = _lagrange_weights([p[0] for p in points], t)
-    u, v = (ScalarField(cfg.grid, sum(w * p[i].values for w, p in zip(weights, points))) for i in (1, 2))
-    return u, v, _dispersion_of(v, cfg)
+    return tuple(sum(w * p[i].values for w, p in zip(weights, points)) for i in (1, 2))
+
+
+def _predicted_start(state: SimState, t: float, cfg: RunConfig) -> tuple[ScalarField, ScalarField, SymTensorField]:
+    """u, v and the tensor at time ``t``: the Lagrange start plus the extrapolated start error.
+
+    With k >= 2 errors in ``state.errors``, (u*, v*) of ``_lagrange_start`` gains
+    sum_{i<m} c_i (e_i, ev_i), m = min(k - 1, _EXTRAPOLATION_DEPTH), where c is the least-squares
+    fit of e_0 by e_1, ..., e_m (``_anderson_fit``); a fit that fails or is not finite leaves
+    (u*, v*).  lap(v) = u_x1 with v = 0 on the boundary is linear and its sine-transform solve is
+    exact to rounding, so these combinations of stored stream functions and their errors are the
+    stream function of the combined density, and no Poisson solve is made.
+    """
+    u, v = _lagrange_start(state, t)
+    errors = state.errors[:_EXTRAPOLATION_DEPTH + 1]
+    if len(errors) >= 2:
+        try:
+            c = _anderson_fit(np.array([e[1].ravel() for e in errors[1:]]), errors[0][1].ravel())
+        except np.linalg.LinAlgError:
+            c = None
+        if c is not None and np.all(np.isfinite(c)):
+            for c_i, (_, e, ev) in zip(c, errors):
+                u += c_i * e
+                v += c_i * ev
+    v = ScalarField(cfg.grid, v)
+    return ScalarField(cfg.grid, u), v, _dispersion_of(v, cfg)
 
 
 def _anderson_fit(window: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -681,8 +723,9 @@ def picard_coupled_step(state: SimState, cfg: RunConfig, dt: float | None = None
     tensor as they are.  With history, u_0 and v_0 are the Lagrange
     polynomials in time through the state and its history, evaluated at
     the new time (linear, quadratic, and so on as the history fills, up
-    to ``_PREDICTOR_ORDER``), and the tensor is built from v_0 without a
-    Poisson solve (see ``_predicted_start``).  That predicted attempt
+    to ``_PREDICTOR_ORDER``), plus the extrapolation of the state's
+    ``errors`` once it holds two, and the tensor is built from v_0 without
+    a Poisson solve (see ``_predicted_start``).  That predicted attempt
     starts its window of differences with the state's ``secant``
     (sdF, sdG), the pair (f_1 - f_0, G(u_1) - G(u_0)) of the previous
     step's first two passes, so its first pass is the same mix with that
@@ -700,7 +743,13 @@ def picard_coupled_step(state: SimState, cfg: RunConfig, dt: float | None = None
     is the initial state (step 0), followed by the given state's history,
     cut to ``_PREDICTOR_ORDER`` entries; its secant is a copy of the
     window's first row as the accepted attempt's second pass wrote it,
-    None if that attempt took one pass or the depth is 0.
+    None if that attempt took one pass or the depth is 0.  Its errors are
+    (dt, u - u*, v - v*), with (u*, v*) the step's Lagrange start, followed
+    by the given state's errors, cut to ``_EXTRAPOLATION_DEPTH`` + 1
+    entries, if the step was accepted from a predicted start at full order
+    (``_PREDICTOR_ORDER`` history entries); otherwise they are empty.  A
+    dt other than that of the given state's errors neither uses nor extends
+    them, and empties them too.
     """
     dt = cfg.dt if dt is None else dt
     if not (math.isfinite(dt) and dt > 0):
@@ -751,6 +800,9 @@ def picard_coupled_step(state: SimState, cfg: RunConfig, dt: float | None = None
                 return (u_k, v_k, D_eps_k), pair
         raise SolverError(f"fixed-point iteration stalled after {cfg.picard_max} passes, last gap {gap:.3e}")
 
+    same_dt = not state.errors or state.errors[0][0] == dt
+    if not same_dt:  # the ring holds the start errors of steps of one dt
+        state = replace(state, errors=())
     accepted, start = None, "plain"
     if state.history[:_PREDICTOR_ORDER]:
         predicted = _predicted_start(state, state.t + dt, cfg)
@@ -766,7 +818,17 @@ def picard_coupled_step(state: SimState, cfg: RunConfig, dt: float | None = None
     # high-contrast case at dt = 1/128
     accepted_before = ((state.t, u_n, state.v),) if state.step else ()
     history = (accepted_before + state.history)[:_PREDICTOR_ORDER]
-    new_state = SimState(u, v, D_eps, t=state.t + dt, step=state.step + 1, history=history, secant=secant)
+    errors = ()
+    if _EXTRAPOLATION_DEPTH and same_dt and start == "predicted" and len(state.history) >= _PREDICTOR_ORDER:
+        u_star, v_star = _lagrange_start(state, state.t + dt)
+        older = tuple(
+            (h, e, ev if i + 1 < _EXTRAPOLATION_DEPTH else None)
+            for i, (h, e, ev) in enumerate(state.errors[:_EXTRAPOLATION_DEPTH])
+        )
+        errors = ((dt, u.values - u_star, v.values - v_star),) + older
+    new_state = SimState(
+        u, v, D_eps, t=state.t + dt, step=state.step + 1, history=history, secant=secant, errors=errors
+    )
     return new_state, StepReport(gaps, max(rels), start)
 
 
@@ -878,8 +940,8 @@ def run(cfg: RunConfig, outdir: str | Path | None = None) -> Trajectory:
                 diag_file.flush()
             if is_last or (cfg.output_every > 0 and state.step % cfg.output_every == 0):
                 snap(state)
-                # the next step reads the secant from state; a stored state needs none
-                states.append(replace(state, secant=None))
+                # the next step reads the secant and the errors from state; a stored state needs neither
+                states.append(replace(state, secant=None, errors=()))
     finally:
         if diag_file:
             diag_file.close()

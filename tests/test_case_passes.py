@@ -1,0 +1,32 @@
+import importlib.util
+from pathlib import Path
+
+import scipy.sparse.linalg as spla
+
+from dispersim import transport
+from dispersim.acceptance import reference_config
+
+_spec = importlib.util.spec_from_file_location(
+    "case_passes", Path(__file__).resolve().parent.parent / "tools" / "case_passes.py"
+)
+case_passes = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(case_passes)
+
+
+def test_case_row_counts_the_run_and_restores_the_solvers(capsys):
+    bicgstab, splu = spla.bicgstab, spla.splu
+    assert case_passes.main(["reference-33"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.split() == ["case", *case_passes.COLUMNS]
+    name, passes, most, its, lu_calls, retries, _ = row.split()
+    reports = transport.run(reference_config(33)).reports
+    assert name == "reference-33"
+    assert int(passes) == sum(r.picard_iterations for r in reports)
+    assert int(most) == max(r.picard_iterations for r in reports)
+    assert int(its) > 0 and (int(lu_calls), int(retries)) == (0, 0)
+    assert (spla.bicgstab, spla.splu) == (bicgstab, splu)
+
+
+def test_unknown_case_exits_2(capsys):
+    assert case_passes.main(["reference-34"]) == 2
+    assert "unknown case 'reference-34'" in capsys.readouterr().err

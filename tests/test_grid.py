@@ -225,6 +225,15 @@ def test_snapshot_missing_its_last_row_reported_short(tmp_path):
             read_snapshot(path, grid)
 
 
+@pytest.mark.parametrize("rows", [1, 2])
+def test_snapshot_too_few_rows_for_an_inferred_grid_names_the_file(tmp_path, rows):
+    path = tmp_path / "field.csv"
+    write_snapshot(ScalarField(GridSpec(5, 4), np.arange(20.0)), path)
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:1 + 5 * rows]))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: grid too small: .*got 5x{rows}$"):
+        read_snapshot(path)
+
+
 def test_snapshot_header_only_rejected(tmp_path):
     path = tmp_path / "field.csv"
     path.write_text("x1,x2,value\n")

@@ -549,12 +549,23 @@ def _stepped(cfg, steps):
     return st
 
 
+def _states(cfg, steps):
+    states = [initial_state(cfg)]
+    for _ in range(steps):
+        states.append(picard_coupled_step(states[-1], cfg)[0])
+    return states
+
+
+def _far_off_start(state, t, cfg):
+    # a predicted start that the plain step's number of passes cannot bring to picard_tol
+    u = ScalarField(cfg.grid, 30.0 * state.u.values)
+    return (u, *transport._coupled_fields(u, cfg))
+
+
 def test_state_history_holds_the_latest_earlier_steps():
     # the initial condition is not a step of the scheme and never enters the history
     cfg = _cfg(n=17)
-    states = [initial_state(cfg)]
-    for _ in range(5):
-        states.append(picard_coupled_step(states[-1], cfg)[0])
+    states = _states(cfg, 5)
     assert states[0].history == states[1].history == ()
     for k, st in enumerate(states[1:], start=1):
         earlier = states[max(1, k - transport._PREDICTOR_ORDER):k][::-1]
@@ -563,13 +574,85 @@ def test_state_history_holds_the_latest_earlier_steps():
 
 
 def test_predicted_stream_function_is_the_poisson_solve_of_the_predicted_density():
-    # lap(v) = u_x1 is linear and solved exactly to rounding, so combining the stored v costs no solve
+    # lap(v) = u_x1 is linear and solved exactly to rounding, so combining the stored v and their
+    # start errors costs no solve; far enough that the ring is full and the correction acts
     cfg = reference_config(65)
-    st = _stepped(cfg, transport._PREDICTOR_ORDER + 1)
+    st = _stepped(cfg, transport._PREDICTOR_ORDER + transport._EXTRAPOLATION_DEPTH + 2)
     assert len(st.history) == transport._PREDICTOR_ORDER == 4
+    assert len(st.errors) == transport._EXTRAPOLATION_DEPTH + 1 == 4
     u, v, D = transport._predicted_start(st, st.t + cfg.dt, cfg)
+    u_star, _ = transport._lagrange_start(st, st.t + cfg.dt)
+    assert np.max(np.abs(u.values - u_star)) > 1e-6
     solved, _ = PoissonSolver(cfg.grid).solve(diff_x1(u), tol=cfg.lin_tol)
     assert np.max(np.abs(v.values - solved.values)) <= 1e-12 * np.max(np.abs(v.values))
+
+
+def test_error_ring_holds_the_start_errors_of_full_order_predicted_steps():
+    # step k starts at full order once its state has _PREDICTOR_ORDER earlier steps, not step 0
+    cfg = _cfg(n=17)
+    depth, first = transport._EXTRAPOLATION_DEPTH, transport._PREDICTOR_ORDER + 2
+    states = _states(cfg, first + depth + 2)
+    for k, st in enumerate(states):
+        assert len(st.errors) == min(max(0, k - first + 1), depth + 1)
+        if not st.errors:
+            continue
+        before = states[k - 1]
+        u_star, v_star = transport._lagrange_start(before, st.t)
+        dt, e, ev = st.errors[0]
+        assert dt == cfg.dt
+        assert np.array_equal(e, st.u.values - u_star) and np.array_equal(ev, st.v.values - v_star)
+        for i, (new, old) in enumerate(zip(st.errors[1:], before.errors), start=1):
+            assert new[1] is old[1]
+            assert new[2] is (old[2] if i < depth else None)  # no start combines the oldest v-error
+
+
+def test_error_ring_empties_after_a_plain_retry_and_a_dt_change(monkeypatch):
+    cfg = _cfg(n=17)
+    st = _stepped(cfg, transport._PREDICTOR_ORDER + 4)
+    assert len(st.errors) >= 2
+    # another dt: neither used for the start nor extended, so the step is that of an empty ring
+    halved, report = picard_coupled_step(st, cfg, dt=cfg.dt / 2)
+    emptied, emptied_report = picard_coupled_step(dataclasses.replace(st, errors=()), cfg, dt=cfg.dt / 2)
+    assert report.start == "predicted" and halved.errors == ()
+    assert report.picard_gap_history == emptied_report.picard_gap_history
+    assert np.array_equal(halved.u.values, emptied.u.values)
+    # a predicted attempt that stalls, and the retry from u_n
+    with monkeypatch.context() as m:
+        m.setattr(transport, "_PREDICTOR_ORDER", 0)
+        passes = picard_coupled_step(st, cfg)[1].picard_iterations
+    monkeypatch.setattr(transport, "_predicted_start", _far_off_start)
+    retried, report = picard_coupled_step(st, dataclasses.replace(cfg, picard_max=passes))
+    assert report.start == "plain" and retried.errors == ()
+
+
+def test_start_with_fewer_than_two_errors_is_the_polynomial_start():
+    cfg = _cfg(n=17)
+    first = transport._PREDICTOR_ORDER + 2
+    for st in _states(cfg, first)[first - 1:]:
+        assert len(st.errors) < 2
+        u, v, D = transport._predicted_start(st, st.t + cfg.dt, cfg)
+        u_star, v_star = transport._lagrange_start(st, st.t + cfg.dt)
+        assert np.array_equal(u.values, u_star) and np.array_equal(v.values, v_star)
+
+
+@pytest.mark.parametrize("bad", ["raise", "nan", "inf"])
+def test_failed_or_non_finite_error_fit_leaves_the_polynomial_start(monkeypatch, bad):
+    cfg = _cfg(n=17)
+    st = _stepped(cfg, transport._PREDICTOR_ORDER + 4)
+    assert len(st.errors) >= 2
+    if bad == "raise":
+        def failing(window, f):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(transport, "_anderson_fit", failing)
+    else:
+        dt, e, ev = st.errors[0]
+        e = e.copy()
+        e[3, 4] = float(bad)
+        st = dataclasses.replace(st, errors=((dt, e, ev),) + st.errors[1:])
+    u, v, D = transport._predicted_start(st, st.t + cfg.dt, cfg)
+    u_star, v_star = transport._lagrange_start(st, st.t + cfg.dt)
+    assert np.array_equal(u.values, u_star) and np.array_equal(v.values, v_star)
 
 
 def test_failed_predicted_start_falls_back_to_the_plain_start(monkeypatch):
@@ -582,12 +665,7 @@ def test_failed_predicted_start_falls_back_to_the_plain_start(monkeypatch):
         plain, plain_report = picard_coupled_step(dataclasses.replace(st, secant=None), cfg)
     passes = plain_report.picard_iterations
     cfg = dataclasses.replace(cfg, picard_max=passes)
-
-    def far_off_start(state, t, cfg):
-        u = ScalarField(cfg.grid, 30.0 * state.u.values)
-        return (u, *transport._coupled_fields(u, cfg))
-
-    monkeypatch.setattr(transport, "_predicted_start", far_off_start)
+    monkeypatch.setattr(transport, "_predicted_start", _far_off_start)
     st2, report = picard_coupled_step(st, cfg)
     assert report.picard_gap_history[passes:] == plain_report.picard_gap_history
     assert len(report.picard_gap_history) == 2 * passes
@@ -621,18 +699,26 @@ def test_predicted_start_keeps_every_state_and_saves_passes(monkeypatch, case):
     with monkeypatch.context() as m:
         m.setattr(transport, "picard_coupled_step", without_secant)
         unmixed = run(cfg)
+    with monkeypatch.context() as m:
+        m.setattr(transport, "_EXTRAPOLATION_DEPTH", 0)
+        polynomial = run(cfg)
     monkeypatch.setattr(transport, "_PREDICTOR_ORDER", 0)
     plain = run(cfg)
-    assert [s.step for s in predicted.states] == [s.step for s in plain.states]
-    for a, b in zip(predicted.states, plain.states):
-        assert np.max(np.abs(a.u.values - b.u.values)) <= 1e-9
-        assert np.max(np.abs(a.v.values - b.v.values)) <= 1e-9
-    passes = [sum(r.picard_iterations for r in tr.reports) for tr in (predicted, unmixed, plain)]
-    if case != "reference-33":  # 42 passes against 40 there; n = 65 saves 7 of 78
-        assert passes[0] < passes[2]
+    runs = (predicted, unmixed, polynomial, plain)
+    for tr in runs[1:]:
+        assert [s.step for s in predicted.states] == [s.step for s in tr.states]
+        for a, b in zip(predicted.states, tr.states):
+            assert np.max(np.abs(a.u.values - b.u.values)) <= 1e-9
+            assert np.max(np.abs(a.v.values - b.v.values)) <= 1e-9
+    passes = [sum(r.picard_iterations for r in tr.reports) for tr in runs]
+    if case != "reference-33":  # 42 passes against 40 there; n = 65 saves 11 of 78
+        assert passes[0] < passes[3]
     # the carried secant saves passes, except on reference-33 (dt = 1/32): there it costs
     # one, 42 against 41, on the steps where the predictor's degree still grows
     assert passes[0] <= passes[1] + (case == "reference-33")
+    # the extrapolated error acts from step _PREDICTOR_ORDER + 4 on: 67 passes against 71 at
+    # n = 65, 113 against 115 on these 12 checker-33 steps, and on step 8 alone of reference-33
+    assert passes[0] <= passes[2] - (case != "reference-33")
 
 
 def test_predicted_first_pass_mixes_with_the_carried_secant(monkeypatch):
@@ -718,10 +804,11 @@ def test_stored_secant_is_the_first_difference_of_the_accepted_attempt(monkeypat
 
 
 def test_reports_name_the_accepted_start_and_stored_states_drop_the_secant():
-    # the first two steps have no history; the secant is for the next step only, not for storage
+    # the first two steps have no history; the secant is for the next step only, not for storage,
     tr = run(dataclasses.replace(reference_config(33), output_every=1))
     assert [r.start for r in tr.reports] == ["plain"] * 2 + ["predicted"] * (len(tr.reports) - 2)
-    assert all(s.secant is None for s in tr.states)
+    # nor the ring of start errors, which the last steps of the run fill
+    assert all(s.secant is None and s.errors == () for s in tr.states)
 
 
 def test_state_consistency_after_step():
