@@ -26,6 +26,7 @@ from .grid import (
 from .transport import (
     RunConfig,
     SimState,
+    StartMemory,
     StepReport,
     Trajectory,
     initial_condition,

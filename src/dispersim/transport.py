@@ -75,31 +75,35 @@ from its normal equations, a system of at most ``_ANDERSON_DEPTH`` unknowns
 failure; the Picard loop raises it only for a stalled fixed point, a
 least-squares fit that fails, or a mix that is not finite.
 
-Each state keeps (t, u, v) of up to ``_PREDICTOR_ORDER`` earlier
-accepted steps (never the initial condition), and a step's first pass
-starts from the Lagrange polynomial in time through the state and that
-history (quartic once four earlier steps are kept), the usual predictor
-of implicit integrators.  The Poisson problem is linear and solved
-exactly to rounding, so the same combination of the stored stream
-functions is the predicted stream function: the predicted start costs
-one coefficient build and no Poisson solve.  The solution is smooth in
-time, so the error of that start, u_{n+1} - u*, changes slowly from step
-to step: each state keeps the start errors of up to four recent steps of
-one dt, and a full-order start adds their least-squares extrapolation
-(minimal polynomial extrapolation), with the same combination of the
-stored stream-function errors, again without a Poisson solve.  Each
-state also carries the secant pair of its own step's first two passes,
-and the next predicted attempt puts it in the first row of its difference
-window, so that its first pass is Anderson-mixed too: with one column,
-along the direction in which the previous step's start was wrong.  A
-predicted attempt that fails is retried once from u_n, the start of a
-state without history, without the secant or the extrapolated error.
+A ``SimState`` holds the physics of one time level alone; what a step's
+Picard start remembers of earlier steps is a ``StartMemory``, which
+``run`` creates once and hands to every step.  The memory keeps (t, u, v)
+of up to ``_PREDICTOR_ORDER`` earlier accepted steps (never the initial
+condition), and a step's first pass starts from the Lagrange polynomial
+in time through the state and that history (quartic once four earlier
+steps are kept), the usual predictor of implicit integrators.  The
+Poisson problem is linear and solved exactly to rounding, so the same
+combination of the stored stream functions is the predicted stream
+function: the predicted start costs one coefficient build and no Poisson
+solve.  The solution is smooth in time, so the error of that start,
+u_{n+1} - u*, changes slowly from step to step: the memory keeps the
+start errors of up to four recent steps of one dt, and a full-order
+start adds their least-squares extrapolation (minimal polynomial
+extrapolation), with the same combination of the stored stream-function
+errors, again without a Poisson solve.  The memory also carries the
+secant pair of the latest step's first two passes, and the next
+predicted attempt puts it in the first row of its difference window, so
+that its first pass is Anderson-mixed too: with one column, along the
+direction in which the previous step's start was wrong.  A predicted
+attempt that fails is retried once from u_n, the start of a step without
+a memory, without the secant or the extrapolated error.  The states
+that ``run`` stores are the states the steps return.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 
@@ -136,17 +140,28 @@ class SimState:
     D_eps: SymTensorField  # the regularized tensor of v
     t: float
     step: int
+
+
+@dataclass
+class StartMemory:
+    """What the Picard start of the next step keeps of the steps before it.
+
+    ``picard_coupled_step`` updates it in place by reassigning its fields and never mutates the
+    tuples or arrays in them, so ``dataclasses.replace(memory)`` is a snapshot that later steps
+    leave alone.
+    """
+
     # (t, u, v) of up to _PREDICTOR_ORDER earlier accepted steps, the latest first; the initial
     # state (step 0) is never among them
     history: tuple[tuple[float, ScalarField, ScalarField], ...] = ()
     # (f_1 - f_0, G(u_1) - G(u_0)), raveled, from the first two passes of the attempt that gave
-    # this state: the next predicted attempt's first column of Anderson differences; None when
-    # that attempt took one pass or the Anderson depth is 0
+    # the latest state: the next predicted attempt's first column of Anderson differences; None
+    # when that attempt took one pass or the Anderson depth is 0
     secant: tuple[np.ndarray, np.ndarray] | None = None
     # (dt, u - u*, v - v*) of up to _EXTRAPOLATION_DEPTH + 1 steps of one dt, the latest first: the
     # error of each one's Lagrange start (u*, v*), kept for steps accepted from a full-order
-    # predicted start; the oldest entry's v-error, which no start combines, is None
-    errors: tuple[tuple[float, np.ndarray, np.ndarray | None], ...] = ()
+    # predicted start
+    errors: tuple[tuple[float, np.ndarray, np.ndarray], ...] = ()
 
 
 @dataclass
@@ -495,12 +510,9 @@ _ANDERSON_DEPTH = 3
 # Polynomial order in time of each step's Picard start: the Lagrange
 # polynomial through the current state and up to this many earlier accepted
 # steps (Hairer & Wanner, Solving Ordinary Differential Equations II, 1996,
-# IV.8).  4 is quartic.  With the carried secant (see picard_coupled_step)
-# but before the extrapolated start error (below), orders 3, 4 and 5 took
-# reference_config(129) to 121, 115 and 113 passes (143 from u_n) and six
-# reference and checker runs to 986, 961 and 968 in all; order 4 with the
-# extrapolated error takes reference_config(129) to 95.  0 starts every
-# step from u_n.
+# IV.8).  4 is quartic: of orders 3, 4 and 5, the one with the fewest
+# passes over six reference and checker runs (counts in CHANGES.md).  0
+# starts every step from u_n.
 _PREDICTOR_ORDER = 4
 
 # Terms of the extrapolated start error: a full-order step adds sum c_i e_i
@@ -508,11 +520,10 @@ _PREDICTOR_ORDER = 4
 # errors e_0, e_1, ..., with c the least-squares fit of e_0 by e_1, e_2, ...
 # (minimal polynomial extrapolation, Cabay & Jackson, SIAM J. Numer. Anal.
 # 13(5), 1976).  The solution is smooth in time, so its start error changes
-# slowly from step to step.  Depths 0-5 take the nine cases of
-# tools/case_passes.py to 1,829, 1,768, 1,713, 1,670, 1,668 and 1,651
-# passes, and reference_config(129) to 115, 107, 102, 95, 91 and 90; 3 is
-# the smallest depth within 2 % of the best total.  0 is the polynomial
-# start alone.
+# slowly from step to step.  3 is the smallest of depths 0-5 within 2 % of
+# the best total passes over the nine reference, checker, high-contrast and
+# lagged-tensor cases of tools/case_passes.py (counts in CHANGES.md).  0 is
+# the polynomial start alone.
 _EXTRAPOLATION_DEPTH = 3
 
 
@@ -646,25 +657,27 @@ def _lagrange_weights(times: list[float], t: float) -> list[float]:
     return [math.prod((t - tj) / (ti - tj) for j, tj in enumerate(times) if j != i) for i, ti in enumerate(times)]
 
 
-def _lagrange_start(state: SimState, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """u* and v*: the polynomials in time through the state and its history, at time ``t``."""
-    points = ((state.t, state.u, state.v),) + state.history[:_PREDICTOR_ORDER]
+def _lagrange_start(state: SimState, memory: StartMemory, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """u* and v*: the polynomials in time through the state and the memory's history, at time ``t``."""
+    points = ((state.t, state.u, state.v),) + memory.history[:_PREDICTOR_ORDER]
     weights = _lagrange_weights([p[0] for p in points], t)
     return tuple(sum(w * p[i].values for w, p in zip(weights, points)) for i in (1, 2))
 
 
-def _predicted_start(state: SimState, t: float, cfg: RunConfig) -> tuple[ScalarField, ScalarField, SymTensorField]:
+def _predicted_start(
+    state: SimState, memory: StartMemory, t: float, cfg: RunConfig
+) -> tuple[ScalarField, ScalarField, SymTensorField]:
     """u, v and the tensor at time ``t``: the Lagrange start plus the extrapolated start error.
 
-    With k >= 2 errors in ``state.errors``, (u*, v*) of ``_lagrange_start`` gains
+    With k >= 2 errors in ``memory.errors``, (u*, v*) of ``_lagrange_start`` gains
     sum_{i<m} c_i (e_i, ev_i), m = min(k - 1, _EXTRAPOLATION_DEPTH), where c is the least-squares
     fit of e_0 by e_1, ..., e_m (``_anderson_fit``); a fit that fails or is not finite leaves
     (u*, v*).  lap(v) = u_x1 with v = 0 on the boundary is linear and its sine-transform solve is
     exact to rounding, so these combinations of stored stream functions and their errors are the
     stream function of the combined density, and no Poisson solve is made.
     """
-    u, v = _lagrange_start(state, t)
-    errors = state.errors[:_EXTRAPOLATION_DEPTH + 1]
+    u, v = _lagrange_start(state, memory, t)
+    errors = memory.errors[:_EXTRAPOLATION_DEPTH + 1]
     if len(errors) >= 2:
         try:
             c = _anderson_fit(np.array([e[1].ravel() for e in errors[1:]]), errors[0][1].ravel())
@@ -695,7 +708,9 @@ def _anderson_fit(window: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.ldexp(np.linalg.lstsq(gram, scaled @ f, rcond=None)[0], -e)
 
 
-def picard_coupled_step(state: SimState, cfg: RunConfig, dt: float | None = None) -> tuple[SimState, StepReport]:
+def picard_coupled_step(
+    state: SimState, cfg: RunConfig, dt: float | None = None, *, memory: StartMemory | None = None
+) -> tuple[SimState, StepReport]:
     """Advance one time step, iterating the elliptic/coefficient/parabolic loop.
 
     Pass k re-solves the parabolic step from the same u_old with the
@@ -719,37 +734,43 @@ def picard_coupled_step(state: SimState, cfg: RunConfig, dt: float | None = None
     and tensor are refreshed from the accepted u, so its elliptic residual
     is below lin_tol.
 
-    A state without history starts from u_0 = u_n with the state's v and
-    tensor as they are.  With history, u_0 and v_0 are the Lagrange
-    polynomials in time through the state and its history, evaluated at
-    the new time (linear, quadratic, and so on as the history fills, up
-    to ``_PREDICTOR_ORDER``), plus the extrapolation of the state's
-    ``errors`` once it holds two, and the tensor is built from v_0 without
-    a Poisson solve (see ``_predicted_start``).  That predicted attempt
-    starts its window of differences with the state's ``secant``
-    (sdF, sdG), the pair (f_1 - f_0, G(u_1) - G(u_0)) of the previous
-    step's first two passes, so its first pass is the same mix with that
-    one column: u_1 = G(u_0) - gamma sdG, gamma the least-squares fit of
-    f_0 by sdF (0 for a zero sdF).  The previous step's start was wrong
-    along much the same direction, so the mix can remove much of that
-    error in one pass; pass 1's own difference then overwrites the
-    column.  If the predicted attempt raises ``SolverError``, the step is
-    retried once from u_n as without history and without the secant, and
-    the report's gaps hold the passes of both attempts; its ``start``
-    names the accepted attempt.  A stalled retry, a least-squares fit
-    that fails or a mix that is not finite raises ``SolverError``.
+    The start comes from ``memory``, a ``StartMemory`` of the earlier
+    steps; without one the step uses a fresh, empty memory.  With an
+    empty history the step starts from u_0 = u_n with the state's v and
+    tensor as they are.  Otherwise u_0 and v_0 are the Lagrange
+    polynomials in time through the state and the memory's history,
+    evaluated at the new time (linear, quadratic, and so on as the
+    history fills, up to ``_PREDICTOR_ORDER``), plus the extrapolation of
+    the memory's ``errors`` once it holds two, and the tensor is built
+    from v_0 without a Poisson solve (see ``_predicted_start``).  That
+    predicted attempt starts its window of differences with the memory's
+    ``secant`` (sdF, sdG), the pair (f_1 - f_0, G(u_1) - G(u_0)) of the
+    previous step's first two passes, so its first pass is the same mix
+    with that one column: u_1 = G(u_0) - gamma sdG, gamma the
+    least-squares fit of f_0 by sdF (0 for a zero sdF).  The previous
+    step's start was wrong along much the same direction, so the mix can
+    remove much of that error in one pass; pass 1's own difference then
+    overwrites the column.  If the predicted attempt raises
+    ``SolverError``, the step is retried once from u_n as with an empty
+    memory, and the report's gaps hold the passes of both attempts; its
+    ``start`` names the accepted attempt.  A stalled retry, a
+    least-squares fit that fails or a mix that is not finite raises
+    ``SolverError``.
 
-    The returned state's history is the given state's (t, u, v), unless it
-    is the initial state (step 0), followed by the given state's history,
-    cut to ``_PREDICTOR_ORDER`` entries; its secant is a copy of the
-    window's first row as the accepted attempt's second pass wrote it,
-    None if that attempt took one pass or the depth is 0.  Its errors are
-    (dt, u - u*, v - v*), with (u*, v*) the step's Lagrange start, followed
-    by the given state's errors, cut to ``_EXTRAPOLATION_DEPTH`` + 1
-    entries, if the step was accepted from a predicted start at full order
-    (``_PREDICTOR_ORDER`` history entries); otherwise they are empty.  A
-    dt other than that of the given state's errors neither uses nor extends
-    them, and empties them too.
+    The step then updates the memory in place, reassigning each field
+    and mutating no tuple or array in it.  Its history becomes the given
+    state's (t, u, v), unless that is the initial state (step 0),
+    followed by the earlier history, cut to ``_PREDICTOR_ORDER`` entries;
+    its secant a copy of the window's first row as the accepted attempt's
+    second pass wrote it, None if that attempt took one pass or the depth
+    is 0.  Its errors become (dt, u - u*, v - v*), with (u*, v*) the
+    step's Lagrange start from the history before this update, followed
+    by the earlier errors, cut to ``_EXTRAPOLATION_DEPTH`` + 1 entries, if
+    the step was accepted from a predicted start at full order
+    (``_PREDICTOR_ORDER`` history entries); otherwise they are emptied.
+    A dt other than that of the memory's errors neither uses nor extends
+    them, and empties them as the step starts.  The returned state holds
+    u, v, the tensor, t and the step number alone.
     """
     dt = cfg.dt if dt is None else dt
     if not (math.isfinite(dt) and dt > 0):
@@ -800,36 +821,28 @@ def picard_coupled_step(state: SimState, cfg: RunConfig, dt: float | None = None
                 return (u_k, v_k, D_eps_k), pair
         raise SolverError(f"fixed-point iteration stalled after {cfg.picard_max} passes, last gap {gap:.3e}")
 
-    same_dt = not state.errors or state.errors[0][0] == dt
-    if not same_dt:  # the ring holds the start errors of steps of one dt
-        state = replace(state, errors=())
+    memory = StartMemory() if memory is None else memory
+    same_dt = not memory.errors or memory.errors[0][0] == dt
+    memory.errors = memory.errors if same_dt else ()  # the ring holds the start errors of steps of one dt
     accepted, start = None, "plain"
-    if state.history[:_PREDICTOR_ORDER]:
-        predicted = _predicted_start(state, state.t + dt, cfg)
+    if memory.history[:_PREDICTOR_ORDER]:
+        predicted = _predicted_start(state, memory, state.t + dt, cfg)
         try:
-            accepted, start = iterate(*predicted, state.secant), "predicted"
+            accepted, start = iterate(*predicted, memory.secant), "predicted"
         except SolverError:
             pass  # its passes stay in gaps
     if accepted is None:
         accepted = iterate(u_n, state.v, state.D_eps, None)
     (u, v, D_eps), secant = accepted
-    # the initial condition is no step of the scheme, and a polynomial through it carries its
-    # initial layer: 115 passes against 117 on reference_config(129), 224 against 226 on the
-    # high-contrast case at dt = 1/128
-    accepted_before = ((state.t, u_n, state.v),) if state.step else ()
-    history = (accepted_before + state.history)[:_PREDICTOR_ORDER]
     errors = ()
-    if _EXTRAPOLATION_DEPTH and same_dt and start == "predicted" and len(state.history) >= _PREDICTOR_ORDER:
-        u_star, v_star = _lagrange_start(state, state.t + dt)
-        older = tuple(
-            (h, e, ev if i + 1 < _EXTRAPOLATION_DEPTH else None)
-            for i, (h, e, ev) in enumerate(state.errors[:_EXTRAPOLATION_DEPTH])
-        )
-        errors = ((dt, u.values - u_star, v.values - v_star),) + older
-    new_state = SimState(
-        u, v, D_eps, t=state.t + dt, step=state.step + 1, history=history, secant=secant, errors=errors
-    )
-    return new_state, StepReport(gaps, max(rels), start)
+    if _EXTRAPOLATION_DEPTH and same_dt and start == "predicted" and len(memory.history) >= _PREDICTOR_ORDER:
+        u_star, v_star = _lagrange_start(state, memory, state.t + dt)
+        errors = ((dt, u.values - u_star, v.values - v_star),) + memory.errors[:_EXTRAPOLATION_DEPTH]
+    # the initial condition is no step of the scheme, and a polynomial through it carries its
+    # initial layer, so it never enters the history
+    latest = ((state.t, u_n, state.v),) if state.step else ()
+    memory.history, memory.secant, memory.errors = (latest + memory.history)[:_PREDICTOR_ORDER], secant, errors
+    return SimState(u, v, D_eps, t=state.t + dt, step=state.step + 1), StepReport(gaps, max(rels), start)
 
 
 def state_consistency_residual(state: SimState) -> float:
@@ -895,7 +908,7 @@ def run(cfg: RunConfig, outdir: str | Path | None = None) -> Trajectory:
     artifacts for the same BLAS thread setting.
     """
     target = Path(outdir) if outdir else (Path(cfg.outdir) if cfg.outdir else None)
-    state = initial_state(cfg)
+    state, memory = initial_state(cfg), StartMemory()
     mass0 = integrate(state.u)
     abs_mass0 = integrate(ScalarField(cfg.grid, np.abs(state.u.values)))
 
@@ -931,7 +944,7 @@ def run(cfg: RunConfig, outdir: str | Path | None = None) -> Trajectory:
             is_last = k == n_steps - 1
             dt = last_dt if is_last else cfg.dt
             prev_u = state.u
-            state, report = picard_coupled_step(state, cfg, dt=dt)
+            state, report = picard_coupled_step(state, cfg, dt=dt, memory=memory)
             row = _diag_row(state, report, prev_u, dt, rows[-1].energy_dissip, mass0, abs_mass0)
             rows.append(row)
             reports.append(report)
@@ -940,8 +953,7 @@ def run(cfg: RunConfig, outdir: str | Path | None = None) -> Trajectory:
                 diag_file.flush()
             if is_last or (cfg.output_every > 0 and state.step % cfg.output_every == 0):
                 snap(state)
-                # the next step reads the secant and the errors from state; a stored state needs neither
-                states.append(replace(state, secant=None, errors=()))
+                states.append(state)
     finally:
         if diag_file:
             diag_file.close()

@@ -28,6 +28,8 @@ from dispersim.grid import (
 )
 from dispersim.transport import (
     RunConfig,
+    SimState,
+    StartMemory,
     initial_condition,
     initial_state,
     parabolic_step,
@@ -543,20 +545,23 @@ def test_lagrange_weights_reproduce_polynomials_of_their_degree():
 
 
 def _stepped(cfg, steps):
-    st = initial_state(cfg)
+    """The state after ``steps`` steps and the start memory of the step after it."""
+    st, memory = initial_state(cfg), StartMemory()
     for _ in range(steps):
-        st, _ = picard_coupled_step(st, cfg)
-    return st
+        st, _ = picard_coupled_step(st, cfg, memory=memory)
+    return st, memory
 
 
 def _states(cfg, steps):
-    states = [initial_state(cfg)]
+    """The states of ``steps`` steps and, beside each, a snapshot of the memory its next step starts from."""
+    states, memories, memory = [initial_state(cfg)], [StartMemory()], StartMemory()
     for _ in range(steps):
-        states.append(picard_coupled_step(states[-1], cfg)[0])
-    return states
+        states.append(picard_coupled_step(states[-1], cfg, memory=memory)[0])
+        memories.append(dataclasses.replace(memory))
+    return states, memories
 
 
-def _far_off_start(state, t, cfg):
+def _far_off_start(state, memory, t, cfg):
     # a predicted start that the plain step's number of passes cannot bring to picard_tol
     u = ScalarField(cfg.grid, 30.0 * state.u.values)
     return (u, *transport._coupled_fields(u, cfg))
@@ -565,118 +570,121 @@ def _far_off_start(state, t, cfg):
 def test_state_history_holds_the_latest_earlier_steps():
     # the initial condition is not a step of the scheme and never enters the history
     cfg = _cfg(n=17)
-    states = _states(cfg, 5)
-    assert states[0].history == states[1].history == ()
-    for k, st in enumerate(states[1:], start=1):
+    states, memories = _states(cfg, 5)
+    assert memories[0].history == memories[1].history == ()
+    for k, memory in enumerate(memories[1:], start=1):
         earlier = states[max(1, k - transport._PREDICTOR_ORDER):k][::-1]
-        assert [h[0] for h in st.history] == [e.t for e in earlier]
-        assert all(h[1] is e.u and h[2] is e.v for h, e in zip(st.history, earlier))
+        assert [h[0] for h in memory.history] == [e.t for e in earlier]
+        assert all(h[1] is e.u and h[2] is e.v for h, e in zip(memory.history, earlier))
 
 
 def test_predicted_stream_function_is_the_poisson_solve_of_the_predicted_density():
     # lap(v) = u_x1 is linear and solved exactly to rounding, so combining the stored v and their
     # start errors costs no solve; far enough that the ring is full and the correction acts
     cfg = reference_config(65)
-    st = _stepped(cfg, transport._PREDICTOR_ORDER + transport._EXTRAPOLATION_DEPTH + 2)
-    assert len(st.history) == transport._PREDICTOR_ORDER == 4
-    assert len(st.errors) == transport._EXTRAPOLATION_DEPTH + 1 == 4
-    u, v, D = transport._predicted_start(st, st.t + cfg.dt, cfg)
-    u_star, _ = transport._lagrange_start(st, st.t + cfg.dt)
+    st, memory = _stepped(cfg, transport._PREDICTOR_ORDER + transport._EXTRAPOLATION_DEPTH + 2)
+    assert len(memory.history) == transport._PREDICTOR_ORDER == 4
+    assert len(memory.errors) == transport._EXTRAPOLATION_DEPTH + 1 == 4
+    u, v, D = transport._predicted_start(st, memory, st.t + cfg.dt, cfg)
+    u_star, _ = transport._lagrange_start(st, memory, st.t + cfg.dt)
     assert np.max(np.abs(u.values - u_star)) > 1e-6
     solved, _ = PoissonSolver(cfg.grid).solve(diff_x1(u), tol=cfg.lin_tol)
     assert np.max(np.abs(v.values - solved.values)) <= 1e-12 * np.max(np.abs(v.values))
 
 
 def test_error_ring_holds_the_start_errors_of_full_order_predicted_steps():
-    # step k starts at full order once its state has _PREDICTOR_ORDER earlier steps, not step 0
+    # step k starts at full order once its memory holds _PREDICTOR_ORDER earlier steps, not step 0
     cfg = _cfg(n=17)
     depth, first = transport._EXTRAPOLATION_DEPTH, transport._PREDICTOR_ORDER + 2
-    states = _states(cfg, first + depth + 2)
-    for k, st in enumerate(states):
-        assert len(st.errors) == min(max(0, k - first + 1), depth + 1)
-        if not st.errors:
+    states, memories = _states(cfg, first + depth + 2)
+    for k, (st, memory) in enumerate(zip(states, memories)):
+        assert len(memory.errors) == min(max(0, k - first + 1), depth + 1)
+        if not memory.errors:
             continue
-        before = states[k - 1]
-        u_star, v_star = transport._lagrange_start(before, st.t)
-        dt, e, ev = st.errors[0]
+        u_star, v_star = transport._lagrange_start(states[k - 1], memories[k - 1], st.t)
+        dt, e, ev = memory.errors[0]
         assert dt == cfg.dt
         assert np.array_equal(e, st.u.values - u_star) and np.array_equal(ev, st.v.values - v_star)
-        for i, (new, old) in enumerate(zip(st.errors[1:], before.errors), start=1):
-            assert new[1] is old[1]
-            assert new[2] is (old[2] if i < depth else None)  # no start combines the oldest v-error
+        for new, old in zip(memory.errors[1:], memories[k - 1].errors):
+            assert new[1] is old[1] and new[2] is old[2]
 
 
 def test_error_ring_empties_after_a_plain_retry_and_a_dt_change(monkeypatch):
     cfg = _cfg(n=17)
-    st = _stepped(cfg, transport._PREDICTOR_ORDER + 4)
-    assert len(st.errors) >= 2
+    st, memory = _stepped(cfg, transport._PREDICTOR_ORDER + 4)
+    assert len(memory.errors) >= 2
     # another dt: neither used for the start nor extended, so the step is that of an empty ring
-    halved, report = picard_coupled_step(st, cfg, dt=cfg.dt / 2)
-    emptied, emptied_report = picard_coupled_step(dataclasses.replace(st, errors=()), cfg, dt=cfg.dt / 2)
-    assert report.start == "predicted" and halved.errors == ()
+    halved_memory = dataclasses.replace(memory)
+    halved, report = picard_coupled_step(st, cfg, dt=cfg.dt / 2, memory=halved_memory)
+    emptied, emptied_report = picard_coupled_step(
+        st, cfg, dt=cfg.dt / 2, memory=dataclasses.replace(memory, errors=())
+    )
+    assert report.start == "predicted" and halved_memory.errors == ()
     assert report.picard_gap_history == emptied_report.picard_gap_history
     assert np.array_equal(halved.u.values, emptied.u.values)
     # a predicted attempt that stalls, and the retry from u_n
-    with monkeypatch.context() as m:
-        m.setattr(transport, "_PREDICTOR_ORDER", 0)
-        passes = picard_coupled_step(st, cfg)[1].picard_iterations
+    passes = picard_coupled_step(st, cfg)[1].picard_iterations
     monkeypatch.setattr(transport, "_predicted_start", _far_off_start)
-    retried, report = picard_coupled_step(st, dataclasses.replace(cfg, picard_max=passes))
-    assert report.start == "plain" and retried.errors == ()
+    retried_memory = dataclasses.replace(memory)
+    _, report = picard_coupled_step(st, dataclasses.replace(cfg, picard_max=passes), memory=retried_memory)
+    assert report.start == "plain" and retried_memory.errors == ()
 
 
 def test_start_with_fewer_than_two_errors_is_the_polynomial_start():
     cfg = _cfg(n=17)
     first = transport._PREDICTOR_ORDER + 2
-    for st in _states(cfg, first)[first - 1:]:
-        assert len(st.errors) < 2
-        u, v, D = transport._predicted_start(st, st.t + cfg.dt, cfg)
-        u_star, v_star = transport._lagrange_start(st, st.t + cfg.dt)
+    states, memories = _states(cfg, first)
+    for st, memory in zip(states[first - 1:], memories[first - 1:]):
+        assert len(memory.errors) < 2
+        u, v, D = transport._predicted_start(st, memory, st.t + cfg.dt, cfg)
+        u_star, v_star = transport._lagrange_start(st, memory, st.t + cfg.dt)
         assert np.array_equal(u.values, u_star) and np.array_equal(v.values, v_star)
 
 
 @pytest.mark.parametrize("bad", ["raise", "nan", "inf"])
 def test_failed_or_non_finite_error_fit_leaves_the_polynomial_start(monkeypatch, bad):
     cfg = _cfg(n=17)
-    st = _stepped(cfg, transport._PREDICTOR_ORDER + 4)
-    assert len(st.errors) >= 2
+    st, memory = _stepped(cfg, transport._PREDICTOR_ORDER + 4)
+    assert len(memory.errors) >= 2
     if bad == "raise":
         def failing(window, f):
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(transport, "_anderson_fit", failing)
     else:
-        dt, e, ev = st.errors[0]
+        dt, e, ev = memory.errors[0]
         e = e.copy()
         e[3, 4] = float(bad)
-        st = dataclasses.replace(st, errors=((dt, e, ev),) + st.errors[1:])
-    u, v, D = transport._predicted_start(st, st.t + cfg.dt, cfg)
-    u_star, v_star = transport._lagrange_start(st, st.t + cfg.dt)
+        memory = dataclasses.replace(memory, errors=((dt, e, ev),) + memory.errors[1:])
+    u, v, D = transport._predicted_start(st, memory, st.t + cfg.dt, cfg)
+    u_star, v_star = transport._lagrange_start(st, memory, st.t + cfg.dt)
     assert np.array_equal(u.values, u_star) and np.array_equal(v.values, v_star)
 
 
 def test_failed_predicted_start_falls_back_to_the_plain_start(monkeypatch):
-    # the retry from u_n ignores the state's secant, so it repeats the plain step bit for bit
+    # the retry from u_n ignores the memory's secant, so it repeats the plain step bit for bit
     cfg = _cfg()
-    st = _stepped(cfg, 2)
-    assert st.secant is not None
+    st, memory = _stepped(cfg, 2)
+    assert memory.secant is not None
     with monkeypatch.context() as m:
         m.setattr(transport, "_PREDICTOR_ORDER", 0)
-        plain, plain_report = picard_coupled_step(dataclasses.replace(st, secant=None), cfg)
+        plain_memory = dataclasses.replace(memory, secant=None)
+        plain, plain_report = picard_coupled_step(st, cfg, memory=plain_memory)
     passes = plain_report.picard_iterations
     cfg = dataclasses.replace(cfg, picard_max=passes)
     monkeypatch.setattr(transport, "_predicted_start", _far_off_start)
-    st2, report = picard_coupled_step(st, cfg)
+    earlier = memory.history
+    st2, report = picard_coupled_step(st, cfg, memory=memory)
     assert report.picard_gap_history[passes:] == plain_report.picard_gap_history
     assert len(report.picard_gap_history) == 2 * passes
     for name in ("u", "v"):
         assert np.array_equal(getattr(st2, name).values, getattr(plain, name).values)
     for name in ("d11", "d12", "d22"):
         assert np.array_equal(getattr(st2.D_eps, name), getattr(plain.D_eps, name))
-    for a, b in zip(st2.secant, plain.secant):
+    for a, b in zip(memory.secant, plain_memory.secant):
         assert np.array_equal(a, b)
     assert (st2.t, st2.step) == (plain.t, plain.step)
-    assert [h[0] for h in st2.history] == [st.t] + [h[0] for h in st.history[:2]]
+    assert [h[0] for h in memory.history] == [st.t] + [h[0] for h in earlier[:2]]
     assert (report.start, plain_report.start) == ("plain", "plain")
 
 
@@ -693,8 +701,9 @@ def test_predicted_start_keeps_every_state_and_saves_passes(monkeypatch, case):
     predicted = run(cfg)
     step = transport.picard_coupled_step
 
-    def without_secant(state, cfg, dt=None):
-        return step(dataclasses.replace(state, secant=None), cfg, dt)
+    def without_secant(state, cfg, dt=None, *, memory):
+        memory.secant = None
+        return step(state, cfg, dt, memory=memory)
 
     with monkeypatch.context() as m:
         m.setattr(transport, "picard_coupled_step", without_secant)
@@ -724,9 +733,9 @@ def test_predicted_start_keeps_every_state_and_saves_passes(monkeypatch, case):
 def test_predicted_first_pass_mixes_with_the_carried_secant(monkeypatch):
     # u_1 = G(u_0) - gamma sdG with gamma = (sdF . f_0)/(sdF . sdF), written out by hand
     cfg = _cfg()
-    st = _stepped(cfg, 3)
-    sdF, sdG = st.secant
-    u0, v0, D0 = transport._predicted_start(st, st.t + cfg.dt, cfg)
+    st, memory = _stepped(cfg, 3)
+    sdF, sdG = memory.secant
+    u0, v0, D0 = transport._predicted_start(st, memory, st.t + cfg.dt, cfg)
     # pass 0 of an attempt is far from acceptance and asks for the loose target
     g0 = parabolic_step(st.u, D0, v0, cfg.dt, cfg.lin_tol, x0=u0, loose_beyond=100 * cfg.picard_tol)[0].values
     f0 = (g0 - u0.values).ravel()
@@ -738,7 +747,7 @@ def test_predicted_first_pass_mixes_with_the_carried_secant(monkeypatch):
         return parabolic_step(*args, x0=x0, **kwargs)
 
     monkeypatch.setattr(transport, "parabolic_step", recorded)
-    _, report = picard_coupled_step(st, cfg)
+    _, report = picard_coupled_step(st, cfg, memory=memory)
     assert report.start == "predicted"
     assert np.array_equal(starts[0], u0.values)
     assert np.max(np.abs(starts[1] - expected)) <= 1e-14 * np.max(np.abs(expected))
@@ -749,18 +758,18 @@ def test_predicted_first_pass_mixes_with_the_carried_secant(monkeypatch):
 def test_secant_without_a_positive_finite_square_is_not_mixed(monkeypatch, bad):
     # such pairs cannot come from finite fields short of overflow near 1e308
     cfg = _cfg()
-    st = _stepped(cfg, 3)
-    sdF = st.secant[0].copy()
+    st, memory = _stepped(cfg, 3)
+    sdF = memory.secant[0].copy()
     if bad == "zero":
         sdF[:] = 0.0
     elif bad == "overflow":
         sdF[:] = 1e200  # finite entries whose squares sum past float64
     else:
         sdF[7] = float(bad)
-    skipped, report = picard_coupled_step(dataclasses.replace(st, secant=(sdF, st.secant[1])), cfg)
+    skipped, report = picard_coupled_step(st, cfg, memory=dataclasses.replace(memory, secant=(sdF, memory.secant[1])))
     if bad in ("zero", "overflow"):
         # the least-squares fit by a column of rank 0, or of entries far above f_0, is 0 to rounding
-        unmixed, unmixed_report = picard_coupled_step(dataclasses.replace(st, secant=None), cfg)
+        unmixed, unmixed_report = picard_coupled_step(st, cfg, memory=dataclasses.replace(memory, secant=None))
         assert report.picard_gap_history == unmixed_report.picard_gap_history
         assert np.array_equal(skipped.u.values, unmixed.u.values)
         assert report.start == "predicted"
@@ -768,7 +777,7 @@ def test_secant_without_a_positive_finite_square_is_not_mixed(monkeypatch, bad):
     # the fit fails or mixes a non-finite iterate, so the predicted attempt fails on its first
     # pass and the retry from u_n repeats the plain step
     monkeypatch.setattr(transport, "_PREDICTOR_ORDER", 0)
-    plain, plain_report = picard_coupled_step(dataclasses.replace(st, secant=None), cfg)
+    plain, plain_report = picard_coupled_step(st, cfg, memory=dataclasses.replace(memory, secant=None))
     assert report.picard_gap_history[1:] == plain_report.picard_gap_history
     assert np.array_equal(skipped.u.values, plain.u.values)
     assert (report.start, plain_report.start) == ("plain", "plain")
@@ -789,26 +798,69 @@ def test_stored_secant_is_the_first_difference_of_the_accepted_attempt(monkeypat
         return g, rel
 
     monkeypatch.setattr(transport, "parabolic_step", recorded)
-    st = initial_state(cfg)
+    st, memory = initial_state(cfg), StartMemory()
     longest = 0
     for _ in range(4):
         calls.clear()
-        st, report = picard_coupled_step(st, cfg)
+        st, report = picard_coupled_step(st, cfg, memory=memory)
         assert report.start == "predicted" or st.step <= 2
         longest = max(longest, len(calls))
         (u0, g0), (u1, g1) = calls[:2]
         f0, f1 = g0 - u0, g1 - u1
-        assert np.array_equal(st.secant[0], (f1 - f0).ravel())
-        assert np.array_equal(st.secant[1], (g1 - g0).ravel())
+        assert np.array_equal(memory.secant[0], (f1 - f0).ravel())
+        assert np.array_equal(memory.secant[1], (g1 - g0).ravel())
     assert longest > transport._ANDERSON_DEPTH + 1
 
 
-def test_reports_name_the_accepted_start_and_stored_states_drop_the_secant():
-    # the first two steps have no history; the secant is for the next step only, not for storage,
-    tr = run(dataclasses.replace(reference_config(33), output_every=1))
+def test_reports_name_the_accepted_start_and_stored_states_drop_the_secant(monkeypatch):
+    # the first two steps have no history; the start memory belongs to the run, so a state holds
+    # the physics alone and run stores the states the steps return
+    cfg = dataclasses.replace(reference_config(33), output_every=1)
+    step, returned = transport.picard_coupled_step, []
+
+    def recorded(*args, **kwargs):
+        out = step(*args, **kwargs)
+        returned.append(out[0])
+        return out
+
+    monkeypatch.setattr(transport, "picard_coupled_step", recorded)
+    tr = run(cfg)
     assert [r.start for r in tr.reports] == ["plain"] * 2 + ["predicted"] * (len(tr.reports) - 2)
-    # nor the ring of start errors, which the last steps of the run fill
-    assert all(s.secant is None and s.errors == () for s in tr.states)
+    assert [f.name for f in dataclasses.fields(SimState)] == ["u", "v", "D_eps", "t", "step"]
+    assert tr.states[-1] is returned[-1]
+    assert len(tr.states) == len(returned) + 1 and all(a is b for a, b in zip(tr.states[1:], returned))
+
+
+def test_step_without_a_memory_is_the_step_with_a_fresh_one():
+    cfg = _cfg()
+    st, _ = _stepped(cfg, 3)
+    bare, bare_report = picard_coupled_step(st, cfg)
+    fresh, fresh_report = picard_coupled_step(st, cfg, memory=StartMemory())
+    assert bare_report == fresh_report and bare_report.start == "plain"
+    for name in ("u", "v"):
+        assert np.array_equal(getattr(bare, name).values, getattr(fresh, name).values)
+    for name in ("d11", "d12", "d22"):
+        assert np.array_equal(getattr(bare.D_eps, name), getattr(fresh.D_eps, name))
+    assert (bare.t, bare.step) == (fresh.t, fresh.step)
+
+
+@pytest.mark.parametrize("dt_factor", [1.0, 0.5])
+def test_step_on_a_copied_memory_leaves_the_original_alone(dt_factor):
+    # what a substep of another dt needs: the copy moves on, the original keeps every field and array
+    cfg = _cfg(n=17)
+    st, memory = _stepped(cfg, transport._PREDICTOR_ORDER + 4)
+    assert len(memory.history) == transport._PREDICTOR_ORDER and len(memory.errors) >= 2
+    assert memory.secant is not None
+    kept = {f.name: getattr(memory, f.name) for f in dataclasses.fields(StartMemory)}
+    arrays = [*memory.secant, *(a for _, e, ev in memory.errors for a in (e, ev))]
+    arrays += [f.values for _, u, v in memory.history for f in (u, v)]
+    saved = [a.copy() for a in arrays]
+    copy = dataclasses.replace(memory)
+    _, report = picard_coupled_step(st, cfg, dt=dt_factor * cfg.dt, memory=copy)
+    assert report.start == "predicted"
+    assert all(getattr(copy, name) is not value for name, value in kept.items())
+    assert all(getattr(memory, name) is value for name, value in kept.items())
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, saved))
 
 
 def test_state_consistency_after_step():
@@ -892,9 +944,9 @@ def test_parabolic_step_rejects_bad_dt(dt):
 def test_picard_coupled_step_rejects_bad_dt(dt):
     # from a state with history the predictor would extrapolate to the bad time before any solve
     cfg = _cfg()
-    for st in (initial_state(cfg), _stepped(cfg, 2)):
+    for st, memory in ((initial_state(cfg), None), _stepped(cfg, 2)):
         with pytest.raises(ValueError, match="dt must be positive and finite, got"):
-            picard_coupled_step(st, cfg, dt=dt)
+            picard_coupled_step(st, cfg, dt=dt, memory=memory)
 
 
 def test_nan_lin_tol_rejected():
@@ -908,7 +960,7 @@ def test_nan_lin_tol_rejected():
 
 def test_run_steps_without_building_a_step_list(monkeypatch):
     # 1e20 steps fit no list; the loop must reach the first step and report its failure
-    def failing_step(state, cfg, dt=None):
+    def failing_step(state, cfg, dt=None, *, memory=None):
         assert dt == cfg.dt
         raise SolverError("stopped at the first step")
 
@@ -1387,7 +1439,7 @@ def test_run_determinism_bytes(tmp_path):
 
 
 def test_rerun_after_another_grid_is_byte_identical(tmp_path):
-    # history and secant live on the state, not in the module: a run between two runs of one
+    # the start memory lives in the run, not in the module: a run between two runs of one
     # config leaves their artifacts byte for byte the same
     cfg = _cfg(n=17, t_end=0.5, output_every=3)
     run(cfg, outdir=tmp_path / "a")

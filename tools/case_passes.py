@@ -1,4 +1,4 @@
-"""Print the Picard and linear-solver work of named runs of the package.
+"""Print the Picard and linear-solver work of named runs of the package, and a digest of each.
 
 Each case is one ``transport.run`` of a configuration built from the package
 alone.  A row gives the case's Picard passes, the most passes of one step,
@@ -14,6 +14,7 @@ retried steps (from the third step on, those whose accepted start is
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import sys
 import time
 from pathlib import Path
@@ -25,6 +26,7 @@ import scipy.sparse.linalg as spla  # noqa: E402
 
 from dispersim import transport  # noqa: E402
 from dispersim.acceptance import reference_config  # noqa: E402
+from dispersim.coefficients import RegParams  # noqa: E402
 
 
 def _checker(n: int) -> transport.RunConfig:
@@ -46,12 +48,26 @@ CASES = {
         reference_config(33, m=0.05), ic_params="amplitude=100,width=0.1", dt=1.0 / 256, picard_max=60
     ),
     "lagged-tensor-65": lambda: dataclasses.replace(reference_config(65, a=4.0, b=12.0, m=0.2), dt=4.0 / 64),
+    # the mollifier on and every state stored
+    "mollified-65": lambda: dataclasses.replace(reference_config(65), reg=RegParams(moll_radius=0.1), output_every=1),
 }
 
-COLUMNS = ("passes", "most_per_step", "bicgstab_its", "splu_calls", "retries", "raw_s")
+COLUMNS = ("passes", "most_per_step", "bicgstab_its", "splu_calls", "retries", "digest", "raw_s")
 
 
-def measure(cfg: transport.RunConfig) -> dict[str, float]:
+def digest(traj: transport.Trajectory) -> str:
+    """The first 12 hex digits of a SHA-256 over the run's diagnostics rows and stored states."""
+    h = hashlib.sha256()
+    for row in traj.diagnostics:
+        h.update((transport._format_row(row) + "\n").encode())
+    for state in traj.states:
+        h.update(str(state.step).encode())
+        h.update(state.u.values.tobytes())
+        h.update(state.v.values.tobytes())
+    return h.hexdigest()[:12]
+
+
+def measure(cfg: transport.RunConfig) -> dict[str, float | str]:
     """The counts of one run of ``cfg``."""
     counts = {"bicgstab_its": 0, "splu_calls": 0}
     bicgstab, splu = spla.bicgstab, spla.splu
@@ -76,6 +92,7 @@ def measure(cfg: transport.RunConfig) -> dict[str, float]:
         "most_per_step": max(passes),
         **counts,
         "retries": sum(r.start == "plain" for r in traj.reports[2:]),
+        "digest": digest(traj),
         "raw_s": round(raw_s, 2),
     }
 
