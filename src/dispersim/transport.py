@@ -8,96 +8,31 @@ coupling of the continuous problem,
     (u_new - u_old)/dt = div(D_eps grad u_new) - div(u_new q),
 
 with zero total flux (diffusive co-normal plus advective) through every
-boundary face.  The spatial scheme is a node-centered finite-volume
-discretization: cells are the trapezoidal-weight boxes around each node,
-diffusive fluxes use face-averaged tensor entries including the d12
-cross term, and advective fluxes are upwinded by the sign of the face
-flux.  Both face directions are assembled by one routine, the second
-call seeing the transposed arrays.
+boundary face.  Where each part lives:
 
-Advective face fluxes are exact line integrals of q through the face,
-computed as differences of vertex-averaged stream values.  Those
-fluxes telescope to zero around every cell, so constants are exact
-steady states and the advective matrix is an M-matrix contribution; with
-a diagonal tensor this makes the step satisfy a discrete maximum
-principle.  Mass conservation is structural: every interior face
-contributes equal and opposite amounts to its two cells and boundary
-faces contribute nothing, so the cell-weighted sum of u (the trapezoidal
-integral) is conserved to the linear-solver floor.
-
-The step matrix's pattern is fixed per grid shape: the 9-point stencil
-plus the couplings two nodes in of the one-sided closures on the edge
-lines (149,765 nonzeros at n = 129, 148,225 for 9 points alone).  The
-upwind term puts the outflow part of a face flux in the column behind the
-face and the inflow part in the column ahead, so no position depends on
-a flux sign.  Each pass fills nine stencil planes with array slices, one
-face routine call per direction, and takes the CSR data from them
-through one index array cached per shape; the planes and the CSR data
-are allocated in one place, once per time step (once per call of a
-standalone ``parabolic_step``), and refilled by each of its passes.
-
-Each Picard pass makes one sine-transform solve for the stream function
-(see ``elliptic``), one coefficient build and one assembly and BiCGSTAB
-solve for the transport step.  A pass near acceptance asks BiCGSTAB for a
-relative residual of 1e-13 (``_KRYLOV_RTOL``).  A pass far from it (pass 0
-of an attempt, or one after a gap above 1e4 picard_tol) asks only for
-min(1e-11, lin_tol/10) (``_FAR_RTOL``), never below 1e-13, and a far result
-that lands within 100 picard_tol of its start is continued from there to
-1e-13 by a second call on the same matrix and preconditioner before its
-gap is tested: so every accepted pass is solved to 1e-13, and the passes
-that are only mixed and solved again cost fewer iterations.  Every call is
-preconditioned by the inverse of the step matrix for the constant tensor
-c I (c the mean of (d11 + d22)/2) without advection: two type-I cosine
-transforms and a division (Concus & Golub,
-SIAM J. Numer. Anal. 10(6), 1973), run in single precision after a
-power-of-two range scaling, inside the float64 BiCGSTAB (Carson & Higham,
-SIAM J. Sci. Comput. 40(2), 2018).  The residual enters that inverse
-divided by the diagonal of the actual step matrix, which the assembly
-leaves in its centre stencil plane, rather than by the cell weights, so
-each node is weighted by its own diffusion and outflow: about a fifth fewer
-iterations on the reference runs, 40-50 % fewer on strongly varying
-tensors.  A pass whose last call stops short of its target within
-``_FAST_ITERATIONS`` iterations (strong tensor contrast) or misses
-``lin_tol`` factors a CSC copy of its own matrix exactly (SuperLU,
-minimum-degree ordering on A^T A + A) and solves with the factor
-directly.  The true residual is recomputed in float64 and checked
-against ``lin_tol``, so the single-precision preconditioner never
-certifies a pass and solver error stays far below the conservation
-diagnostics.
-
-Passes after the first are Anderson-mixed (Walker & Ni type II, depth
-``_ANDERSON_DEPTH``): the next iterate combines the latest transport
-result with those of up to ``_ANDERSON_DEPTH`` earlier passes, which
-takes fewer passes than plain Picard and finishes convection-dominated
-steps where plain Picard stalls.  The mix's least-squares fit is solved
-from its normal equations, a system of at most ``_ANDERSON_DEPTH`` unknowns
-(``_anderson_fit``).  Each solve raises ``SolverError`` on its own
-failure; the Picard loop raises it only for a stalled fixed point, a
-least-squares fit that fails, or a mix that is not finite.
-
-A ``SimState`` holds the physics of one time level alone; what a step's
-Picard start remembers of earlier steps is a ``StartMemory``, which
-``run`` creates once and hands to every step.  The memory keeps (t, u, v)
-of up to ``_PREDICTOR_ORDER`` earlier accepted steps (never the initial
-condition), and a step's first pass starts from the Lagrange polynomial
-in time through the state and that history (quartic once four earlier
-steps are kept), the usual predictor of implicit integrators.  The
-Poisson problem is linear and solved exactly to rounding, so the same
-combination of the stored stream functions is the predicted stream
-function: the predicted start costs one coefficient build and no Poisson
-solve.  The solution is smooth in time, so the error of that start,
-u_{n+1} - u*, changes slowly from step to step: the memory keeps the
-start errors of up to four recent steps of one dt, and a full-order
-start adds their least-squares extrapolation (minimal polynomial
-extrapolation), with the same combination of the stored stream-function
-errors, again without a Poisson solve.  The memory also carries the
-secant pair of the latest step's first two passes, and the next
-predicted attempt puts it in the first row of its difference window, so
-that its first pass is Anderson-mixed too: with one column, along the
-direction in which the previous step's start was wrong.  A predicted
-attempt that fails is retried once from u_n, the start of a step without
-a memory, without the secant or the extrapolated error.  The states
-that ``run`` stores are the states the steps return.
+- ``_face_fluxes_from_stream``: the advective face fluxes, exact line
+  integrals of q through each face as differences of vertex-averaged
+  stream values.  They telescope to zero around every cell, so constants
+  are exact steady states, and the advective part is an M-matrix
+  contribution (a discrete maximum principle for a diagonal tensor).
+- ``_add_face_family``, ``_csr_layout``, ``_assemble_parabolic``: the
+  node-centred finite-volume step matrix, with face-averaged tensor
+  entries, the d12 cross term and upwinded advection, filled into nine
+  stencil planes and gathered into its CSR data through one index array
+  cached per grid shape.  Every interior face adds equal and opposite
+  amounts to its two cells and boundary faces add nothing, so the
+  trapezoidal integral of u is conserved to the linear-solver floor.  The
+  planes and the data come from ``_assembly_buffers``, once per Picard
+  attempt (once per call of a standalone ``parabolic_step``).
+- ``parabolic_step``: one transport solve, BiCGSTAB preconditioned by
+  ``_cosine_preconditioner``, with an exact sparse LU where it falls
+  short.
+- ``_picard_attempt``: the Picard passes of one step from one start,
+  Anderson-mixed (``_anderson_fit``), to the fixed point or a stall.
+- ``picard_coupled_step``: one time step, its start from a
+  ``StartMemory`` (``_predicted_start``), the retry from u_n and the
+  memory's update.
+- ``run``: the trajectory, its diagnostics rows and its snapshots.
 """
 
 from __future__ import annotations
@@ -289,7 +224,8 @@ _PRESET_ALIASES = {"gaussian-bump": "gaussian", "cosine-checker": "checker"}
 def _preset_params(ic: str, ic_params: str, grid: GridSpec) -> tuple[str, dict[str, float]] | None:
     """The preset that ``ic`` names and its parameters, defaults filled in; None for a snapshot path.
 
-    Names the preset does not take, a width that is not positive, and any
+    Names the preset does not take, a width that is not positive or so
+    small that (lx^2 + ly^2)/(2 width^2) is not a finite float, and any
     parameter given with a snapshot are errors; like those of
     ``_parse_params``, each message names ``ic_params`` first.  An ``ic``
     that is neither a preset nor an existing file is an error naming ``ic``.
@@ -313,8 +249,13 @@ def _preset_params(ic: str, ic_params: str, grid: GridSpec) -> tuple[str, dict[s
     if unknown:
         raise ValueError(f"ic_params: unknown ic parameters for {name!r}: {sorted(unknown)}")
     merged = {**defaults, **params}
-    if "width" in merged and not merged["width"] > 0:
-        raise ValueError(f"ic_params: width must be positive, got {merged['width']}")
+    if "width" in merged:
+        width = merged["width"]
+        if not width > 0:
+            raise ValueError(f"ic_params: width must be positive, got {width}")
+        # (lx^2 + ly^2)/(2 width^2) bounds the exponents the preset evaluates; a width^2 that underflows to 0 fails too
+        if not (width * width > 0 and math.isfinite((grid.lx * grid.lx + grid.ly * grid.ly) / (2.0 * width * width))):
+            raise ValueError(f"ic_params: width {width} is too small: (lx^2 + ly^2)/(2 width^2) is not a finite float")
     return name, merged
 
 
@@ -344,21 +285,14 @@ def initial_condition(ic: str, ic_params: str, grid: GridSpec) -> ScalarField:
 def _face_fluxes_from_stream(v: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Advective face fluxes as stream-value differences between face endpoints.
 
-    Vertex values are 4-node averages; endpoints on the boundary use the
+    Vertex values are 4-node averages; endpoints on the boundary take the
     exact Dirichlet value 0.  The four fluxes around any cell then sum to
     zero up to rounding, and boundary-normal fluxes vanish identically.
     """
-    vh = 0.25 * (v[:-1, :-1] + v[:-1, 1:] + v[1:, :-1] + v[1:, 1:])
     ny, nx = grid.shape
-    fe = np.empty((ny, nx - 1))
-    fe[1:-1, :] = vh[:-1, :] - vh[1:, :]
-    fe[0, :] = -vh[0, :]
-    fe[-1, :] = vh[-1, :]
-    fn = np.empty((ny - 1, nx))
-    fn[:, 1:-1] = vh[:, 1:] - vh[:, :-1]
-    fn[:, 0] = vh[:, 0]
-    fn[:, -1] = -vh[:, -1]
-    return fe, fn
+    vh = np.zeros((ny + 1, nx + 1))  # the ring of boundary vertices keeps the exact value 0
+    vh[1:-1, 1:-1] = 0.25 * (v[:-1, :-1] + v[:-1, 1:] + v[1:, :-1] + v[1:, 1:])
+    return vh[:-1, 1:-1] - vh[1:, 1:-1], vh[1:-1, 1:] - vh[1:-1, :-1]
 
 
 # Cross-term weights on the first and last line of nodes along the faces (face length halved,
@@ -443,7 +377,7 @@ def _csr_layout(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def _assembly_buffers(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The stencil planes and the CSR data of ``_assemble_parabolic``, for every pass of a step to refill."""
+    """The stencil planes and the CSR data of ``_assemble_parabolic``, for every pass of an attempt to refill."""
     ny, nx = shape
     # the planes, then a row for their view one row on
     return np.empty(9 * ny * nx + nx), np.empty(_csr_layout(shape)[0].size)
@@ -478,13 +412,9 @@ def _assemble_parabolic(
 
 
 # BiCGSTAB iterations the cosine-preconditioned solve may take before an
-# exact LU is cheaper.  On a 2-core x86-64 host with one BLAS thread, one
-# splu (and its solve) of a first-step reference matrix costs about 25-29,
-# 48-50 and 78-83 iterations with the single-precision preconditioner at
-# n = 65, 129 and 257, and the lagged-tensor runs
-# reference_config(n, a=4, b=12, m=0.2), dt = 4/(n-1), need at most 16-17
-# (41-46 with the residual divided by the cell weights alone).
-# A fixed count, not a timing rule, keeps reruns byte-identical.
+# exact LU is cheaper: the cap sits near the cost of one sparse LU and its
+# solve, counted in iterations.  A fixed count, not a timing rule, keeps
+# reruns byte-identical.
 _FAST_ITERATIONS = 60
 
 # The relative residual BiCGSTAB is asked for on every pass that may be
@@ -708,141 +638,150 @@ def _anderson_fit(window: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.ldexp(np.linalg.lstsq(gram, scaled @ f, rcond=None)[0], -e)
 
 
+def _picard_attempt(
+    u_n: ScalarField, start: tuple[ScalarField, ScalarField, SymTensorField],
+    secant: tuple[np.ndarray, np.ndarray] | None, cfg: RunConfig, dt: float, report: StepReport,
+) -> tuple[ScalarField, ScalarField, SymTensorField, tuple[np.ndarray, np.ndarray] | None]:
+    """Picard passes of one step from ``start`` = (u_0, v_0, tensor); returns (u, v, D_eps, secant).
+
+    Pass k re-solves the parabolic step from ``u_n`` with the coefficients
+    of the iterate u_k, which gives G(u_k); the pass's gap is the max-norm
+    of f_k = G(u_k) - u_k.  Once the gap drops below picard_tol, G(u_k) is
+    accepted, with v and the tensor refreshed from it, so its elliptic
+    residual is below lin_tol.  Otherwise the next iterate is the Walker &
+    Ni type-II Anderson mix (SIAM J. Numer. Anal. 49(4), 2011) with mixing
+    1: G(u_k) - dG gamma, where gamma is the least-squares fit of f_k by the
+    window dF of the last ``_ANDERSON_DEPTH`` differences of f, and dG those
+    of G.  Pass 0 has no difference of its own: with ``secant`` (sdF, sdG)
+    the window opens with that one column, so pass 0 is the same mix with
+    gamma the fit of f_0 by sdF (0 for a zero sdF), and pass 1's own
+    difference overwrites it; without it pass 0 takes G(u_0) itself.  Every
+    pass at depth 0 takes G(u_k): plain Picard.  The returned secant is a
+    copy of the window's first row as pass 1 wrote it, None after one pass
+    or at depth 0.
+
+    Each pass's transport solve (see ``parabolic_step``) starts from u_k
+    and refills one assembly workspace, allocated with dF and dG once per
+    attempt.  A pass far from acceptance, pass 0 or one whose previous gap
+    exceeds 1e4 picard_tol, is solved to the loose target of ``_FAR_RTOL``
+    and continued to ``_KRYLOV_RTOL`` if its result lies within 100
+    picard_tol of u_k; every other pass is solved to ``_KRYLOV_RTOL``, so a
+    pass whose gap can pass picard_tol is always solved tight.
+
+    Each pass appends its gap to ``report.picard_gap_history`` and raises
+    ``report.linear_residual`` to its relative residual.  ``SolverError``
+    comes from a solve, from a least-squares fit that fails or a mix that is
+    not finite, or from a stall: no accepted pass in ``cfg.picard_max``.
+    The passes made stay in the report.
+    """
+    u_k, v_k, D_eps_k = start
+    depth = _ANDERSON_DEPTH
+    # rows (k - 1) % depth of dF and dG hold f_k - f_{k-1} and G(u_k) - G(u_{k-1})
+    dF = np.empty((depth, u_n.values.size))
+    dG = np.empty_like(dF)
+    workspace = _assembly_buffers(cfg.grid.shape)
+    pair, cols = None, 0
+    if depth and secant is not None:  # the window's one column on pass 0; pass 1 overwrites it
+        dF[0], dG[0] = secant
+        cols = 1
+    for k in range(cfg.picard_max):
+        far = k == 0 or gap > 1e4 * cfg.picard_tol  # see _FAR_RTOL
+        g_k, rel = parabolic_step(
+            u_n, D_eps_k, v_k, dt, lin_tol=cfg.lin_tol, x0=u_k, workspace=workspace,
+            loose_beyond=100.0 * cfg.picard_tol if far else None,
+        )
+        report.linear_residual = max(report.linear_residual, rel)
+        g, f = g_k.values.ravel(), (g_k.values - u_k.values).ravel()
+        gap = float(np.max(np.abs(f)))
+        report.picard_gap_history.append(gap)
+        if k and depth:
+            dF[(k - 1) % depth], dG[(k - 1) % depth] = f - f_prev, g - g_prev
+            cols = min(k, depth)
+            if k == 1:  # pass depth + 1 overwrites row 0
+                pair = (dF[0].copy(), dG[0].copy())
+        u_k = g_k
+        if cols and gap > cfg.picard_tol:
+            try:
+                gamma = _anderson_fit(dF[:cols], f)
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(f"Anderson mixing failed on pass {k + 1}: {exc}") from exc
+            mixed = g - gamma @ dG[:cols]
+            if not np.all(np.isfinite(mixed)):
+                raise SolverError(f"Anderson mixing produced non-finite values on pass {k + 1}")
+            u_k = ScalarField(cfg.grid, mixed.reshape(cfg.grid.shape))
+        f_prev, g_prev = f, g
+        v_k, D_eps_k = _coupled_fields(u_k, cfg)
+        if gap <= cfg.picard_tol:
+            return u_k, v_k, D_eps_k, pair
+    raise SolverError(f"fixed-point iteration stalled after {cfg.picard_max} passes, last gap {gap:.3e}")
+
+
 def picard_coupled_step(
     state: SimState, cfg: RunConfig, dt: float | None = None, *, memory: StartMemory | None = None
 ) -> tuple[SimState, StepReport]:
-    """Advance one time step, iterating the elliptic/coefficient/parabolic loop.
-
-    Pass k re-solves the parabolic step from the same u_old with the
-    coefficients of the iterate u_k, which gives G(u_k); the pass's gap is
-    the max-norm of f_k = G(u_k) - u_k.  Once the gap drops below
-    picard_tol, G(u_k) is accepted.  Otherwise the next iterate is the
-    Walker & Ni type-II Anderson mix (SIAM J. Numer. Anal. 49(4), 2011)
-    with mixing 1: G(u_k) - dG gamma, where gamma is the least-squares fit
-    of f_k by the differences dF of the last ``_ANDERSON_DEPTH`` values of
-    f, and dG those of G.  The first pass has no difference of its own: it
-    takes G(u_0) itself, except in a predicted attempt (below); every pass
-    at depth 0 takes G(u_k): plain Picard.  Each pass's transport solve
-    (see ``parabolic_step``) starts from u_k and refills one assembly
-    workspace allocated for the step; the report's ``linear_residual`` is
-    the worst of them.  A pass far from acceptance, pass 0 of an attempt
-    or one whose previous gap in the attempt exceeds 1e4 picard_tol, is
-    solved to the loose target of ``_FAR_RTOL`` and continued to
-    ``_KRYLOV_RTOL`` if its result lies within 100 picard_tol of u_k;
-    every other pass is solved to ``_KRYLOV_RTOL``, so a pass whose gap
-    can pass picard_tol is always solved tight.  The returned state's v
-    and tensor are refreshed from the accepted u, so its elliptic residual
-    is below lin_tol.
+    """Advance one time step by the Picard attempts of ``_picard_attempt``.
 
     The start comes from ``memory``, a ``StartMemory`` of the earlier
     steps; without one the step uses a fresh, empty memory.  With an
-    empty history the step starts from u_0 = u_n with the state's v and
-    tensor as they are.  Otherwise u_0 and v_0 are the Lagrange
+    empty history the step makes one plain attempt, from u_0 = u_n with
+    the state's v and tensor as they are and no secant.  Otherwise it
+    first makes a predicted attempt: u_0 and v_0 are the Lagrange
     polynomials in time through the state and the memory's history,
     evaluated at the new time (linear, quadratic, and so on as the
     history fills, up to ``_PREDICTOR_ORDER``), plus the extrapolation of
     the memory's ``errors`` once it holds two, and the tensor is built
-    from v_0 without a Poisson solve (see ``_predicted_start``).  That
-    predicted attempt starts its window of differences with the memory's
-    ``secant`` (sdF, sdG), the pair (f_1 - f_0, G(u_1) - G(u_0)) of the
-    previous step's first two passes, so its first pass is the same mix
-    with that one column: u_1 = G(u_0) - gamma sdG, gamma the
-    least-squares fit of f_0 by sdF (0 for a zero sdF).  The previous
-    step's start was wrong along much the same direction, so the mix can
-    remove much of that error in one pass; pass 1's own difference then
-    overwrites the column.  If the predicted attempt raises
-    ``SolverError``, the step is retried once from u_n as with an empty
-    memory, and the report's gaps hold the passes of both attempts; its
-    ``start`` names the accepted attempt.  A stalled retry, a
-    least-squares fit that fails or a mix that is not finite raises
-    ``SolverError``.
+    from v_0 without a Poisson solve (see ``_predicted_start``).  Its
+    window opens with the memory's ``secant``, the pair (f_1 - f_0,
+    G(u_1) - G(u_0)) of the previous step's first two passes: that step's
+    start was wrong along much the same direction, so the first mix can
+    remove much of this one's error in one pass.  If the predicted
+    attempt raises ``SolverError``, the step is retried once with the
+    plain attempt.  The report's gaps then hold the passes of both
+    attempts and its ``linear_residual`` is the worst of them; its
+    ``start`` names the accepted attempt.  A plain attempt that fails
+    raises its ``SolverError``.
 
     The step then updates the memory in place, reassigning each field
     and mutating no tuple or array in it.  Its history becomes the given
     state's (t, u, v), unless that is the initial state (step 0),
     followed by the earlier history, cut to ``_PREDICTOR_ORDER`` entries;
-    its secant a copy of the window's first row as the accepted attempt's
-    second pass wrote it, None if that attempt took one pass or the depth
-    is 0.  Its errors become (dt, u - u*, v - v*), with (u*, v*) the
-    step's Lagrange start from the history before this update, followed
-    by the earlier errors, cut to ``_EXTRAPOLATION_DEPTH`` + 1 entries, if
-    the step was accepted from a predicted start at full order
-    (``_PREDICTOR_ORDER`` history entries); otherwise they are emptied.
-    A dt other than that of the memory's errors neither uses nor extends
-    them, and empties them as the step starts.  The returned state holds
-    u, v, the tensor, t and the step number alone.
+    its secant the accepted attempt's.  Its errors become
+    (dt, u - u*, v - v*), with (u*, v*) the step's Lagrange start from
+    the history before this update, followed by the earlier errors, cut
+    to ``_EXTRAPOLATION_DEPTH`` + 1 entries, if the step was accepted
+    from a predicted start at full order (``_PREDICTOR_ORDER`` history
+    entries); otherwise they are emptied.  A dt other than that of the
+    memory's errors neither uses nor extends them, and empties them as
+    the step starts.  The returned state holds u, v, the tensor, t and
+    the step number alone.
     """
     dt = cfg.dt if dt is None else dt
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     u_n = state.u
-    depth = _ANDERSON_DEPTH
-    # allocated once per step for every pass of both attempts: rows (k - 1) % depth of dF and dG
-    # hold f_k - f_{k-1} and G(u_k) - G(u_{k-1}), and the assembly refills its planes and CSR data
-    dF = np.empty((depth, u_n.values.size))
-    dG = np.empty_like(dF)
-    workspace = _assembly_buffers(cfg.grid.shape)
-    gaps: list[float] = []
-    rels: list[float] = []
-
-    def iterate(u_k: ScalarField, v_k: ScalarField, D_eps_k: SymTensorField, secant: tuple | None):
-        pair, cols = None, 0
-        if depth and secant is not None:  # the window's one column on pass 0; pass 1 overwrites it
-            dF[0], dG[0] = secant
-            cols = 1
-        for k in range(cfg.picard_max):
-            far = k == 0 or gap > 1e4 * cfg.picard_tol  # see _FAR_RTOL
-            g_k, rel = parabolic_step(
-                u_n, D_eps_k, v_k, dt, lin_tol=cfg.lin_tol, x0=u_k, workspace=workspace,
-                loose_beyond=100.0 * cfg.picard_tol if far else None,
-            )
-            rels.append(rel)
-            g, f = g_k.values.ravel(), (g_k.values - u_k.values).ravel()
-            gap = float(np.max(np.abs(f)))
-            gaps.append(gap)
-            if k and depth:
-                dF[(k - 1) % depth], dG[(k - 1) % depth] = f - f_prev, g - g_prev
-                cols = min(k, depth)
-                if k == 1:  # pass depth + 1 overwrites row 0
-                    pair = (dF[0].copy(), dG[0].copy())
-            u_k = g_k
-            if cols and gap > cfg.picard_tol:
-                try:
-                    gamma = _anderson_fit(dF[:cols], f)
-                except np.linalg.LinAlgError as exc:
-                    raise SolverError(f"Anderson mixing failed on pass {k + 1}: {exc}") from exc
-                mixed = g - gamma @ dG[:cols]
-                if not np.all(np.isfinite(mixed)):
-                    raise SolverError(f"Anderson mixing produced non-finite values on pass {k + 1}")
-                u_k = ScalarField(cfg.grid, mixed.reshape(cfg.grid.shape))
-            f_prev, g_prev = f, g
-            v_k, D_eps_k = _coupled_fields(u_k, cfg)
-            if gap <= cfg.picard_tol:
-                return (u_k, v_k, D_eps_k), pair
-        raise SolverError(f"fixed-point iteration stalled after {cfg.picard_max} passes, last gap {gap:.3e}")
-
     memory = StartMemory() if memory is None else memory
     same_dt = not memory.errors or memory.errors[0][0] == dt
     memory.errors = memory.errors if same_dt else ()  # the ring holds the start errors of steps of one dt
-    accepted, start = None, "plain"
+    report = StepReport([], 0.0, "plain")
     if memory.history[:_PREDICTOR_ORDER]:
         predicted = _predicted_start(state, memory, state.t + dt, cfg)
         try:
-            accepted, start = iterate(*predicted, memory.secant), "predicted"
+            accepted = _picard_attempt(u_n, predicted, memory.secant, cfg, dt, report)
+            report.start = "predicted"
         except SolverError:
-            pass  # its passes stay in gaps
-    if accepted is None:
-        accepted = iterate(u_n, state.v, state.D_eps, None)
-    (u, v, D_eps), secant = accepted
+            pass  # its passes stay in the report
+    if report.start == "plain":
+        accepted = _picard_attempt(u_n, (u_n, state.v, state.D_eps), None, cfg, dt, report)
+    u, v, D_eps, secant = accepted
     errors = ()
-    if _EXTRAPOLATION_DEPTH and same_dt and start == "predicted" and len(memory.history) >= _PREDICTOR_ORDER:
+    if _EXTRAPOLATION_DEPTH and same_dt and report.start == "predicted" and len(memory.history) >= _PREDICTOR_ORDER:
         u_star, v_star = _lagrange_start(state, memory, state.t + dt)
         errors = ((dt, u.values - u_star, v.values - v_star),) + memory.errors[:_EXTRAPOLATION_DEPTH]
     # the initial condition is no step of the scheme, and a polynomial through it carries its
     # initial layer, so it never enters the history
     latest = ((state.t, u_n, state.v),) if state.step else ()
     memory.history, memory.secant, memory.errors = (latest + memory.history)[:_PREDICTOR_ORDER], secant, errors
-    return SimState(u, v, D_eps, t=state.t + dt, step=state.step + 1), StepReport(gaps, max(rels), start)
+    return SimState(u, v, D_eps, t=state.t + dt, step=state.step + 1), report
 
 
 def state_consistency_residual(state: SimState) -> float:

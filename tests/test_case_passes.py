@@ -37,3 +37,12 @@ def test_case_row_counts_the_run_and_restores_the_solvers(capsys):
 def test_unknown_case_exits_2(capsys):
     assert case_passes.main(["reference-34"]) == 2
     assert "unknown case 'reference-34'" in capsys.readouterr().err
+
+
+def test_stalled_case_prints_a_stalled_row_and_restores_the_solvers(capsys):
+    bicgstab, splu = spla.bicgstab, spla.splu
+    assert case_passes.main(["a50"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert row.split()[:2] == ["a50", "stalled:"]
+    assert "fixed-point iteration stalled after 30 passes" in row
+    assert (spla.bicgstab, spla.splu) == (bicgstab, splu)

@@ -165,11 +165,11 @@ def test_cli_run_non_finite_value_exit_2_at_its_line(tmp_path, capsys, key, bad)
     assert not (tmp_path / "out").exists()
 
 
-# a width that is not positive, a name the preset does not take and a name given twice are caught at the ic_params
-# line, before the run evaluates the initial condition
+# a width that is not positive or whose (lx^2 + ly^2)/(2 width^2) is not a finite float, a name the preset does not
+# take and a name given twice are caught at the ic_params line, before the run evaluates the initial condition
 @pytest.mark.parametrize(
     "params", ["width=nan", "amplitude=inf", "width=abc", "width", "width=-0.1", "width=0", "widht=0.2",
-               "amplitude=1,amplitude=5"]
+               "amplitude=1,amplitude=5", "width=1e-200", "width=1e-160"]
 )
 def test_cli_run_bad_ic_params_exit_2_at_its_line(tmp_path, capsys, params):
     path = _write_cfg(tmp_path, f"ic_params = {params}\n")

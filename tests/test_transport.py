@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -482,7 +483,8 @@ def test_refilled_workspace_gives_the_fresh_assembly_bit_for_bit():
     assert np.array_equal(w, w_fresh)
 
 
-def test_assembly_buffers_are_allocated_once_per_step(monkeypatch):
+def test_assembly_buffers_are_allocated_once_per_attempt(monkeypatch):
+    # no step of this run is retried, so each makes one attempt (a retried step: see below)
     calls = _counting(monkeypatch, transport, "_assembly_buffers")
     tr = run(_cfg())
     assert sum(r.picard_iterations for r in tr.reports) > 2 * len(tr.reports)
@@ -686,6 +688,31 @@ def test_failed_predicted_start_falls_back_to_the_plain_start(monkeypatch):
     assert (st2.t, st2.step) == (plain.t, plain.step)
     assert [h[0] for h in memory.history] == [st.t] + [h[0] for h in earlier[:2]]
     assert (report.start, plain_report.start) == ("plain", "plain")
+
+
+def test_retried_step_reports_the_worst_pass_of_both_attempts_and_allocates_per_attempt(monkeypatch):
+    cfg = _cfg()
+    st, memory = _stepped(cfg, 2)
+    passes = picard_coupled_step(st, cfg)[1].picard_iterations
+    monkeypatch.setattr(transport, "_predicted_start", _far_off_start)
+    recorded = _recording_passes(monkeypatch)
+    allocate, workspaces = transport._assembly_buffers, []
+    freed = []  # per allocation: whether every earlier attempt's buffers were freed by then
+
+    def tracked(shape):
+        freed.append(all(ref() is None for ref in workspaces))
+        values, data = allocate(shape)
+        workspaces.extend((weakref.ref(values), weakref.ref(data)))
+        return values, data
+
+    monkeypatch.setattr(transport, "_assembly_buffers", tracked)
+    allocations = _counting(monkeypatch, transport, "_assembly_buffers")
+    _, report = picard_coupled_step(st, dataclasses.replace(cfg, picard_max=passes), memory=memory)
+    assert report.start == "plain" and len(recorded) == report.picard_iterations == 2 * passes
+    rels = [p.rel for p in recorded]
+    # the worst pass is one of the failed attempt's
+    assert report.linear_residual == max(rels[:passes]) > max(rels[passes:])
+    assert len(allocations) == 2 and freed == [True, True]
 
 
 @pytest.mark.parametrize("case", ["reference-33", "reference-65", "checker-33"])

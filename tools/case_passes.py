@@ -4,7 +4,9 @@ Each case is one ``transport.run`` of a configuration built from the package
 alone.  A row gives the case's Picard passes, the most passes of one step,
 the BiCGSTAB iterations (counted by a callback), the ``splu`` calls, the
 retried steps (from the third step on, those whose accepted start is
-"plain") and the raw seconds of the run.  Run with one BLAS thread
+"plain") and the raw seconds of the run.  A case whose run raises
+``SolverError`` prints a row that says it stalled, with the error's message,
+in place of the counts.  Run with one BLAS thread
 (``OPENBLAS_NUM_THREADS=1``) to compare counts between trees.
 
     python3 tools/case_passes.py                          # every case
@@ -27,12 +29,20 @@ import scipy.sparse.linalg as spla  # noqa: E402
 from dispersim import transport  # noqa: E402
 from dispersim.acceptance import reference_config  # noqa: E402
 from dispersim.coefficients import RegParams  # noqa: E402
+from dispersim.elliptic import SolverError  # noqa: E402
 
 
 def _checker(n: int) -> transport.RunConfig:
     """Convection-dominated with weak dispersion: the hard regime of the Picard loop."""
     return dataclasses.replace(
         reference_config(n, a=0.05, b=0.5, m=0.01), ic="checker", ic_params="amplitude=5,kx=1,ky=1", dt=1.0 / 128
+    )
+
+
+def _stall(n: int, ic_params: str) -> transport.RunConfig:
+    """A checker case that the Picard loop does not finish: its first step stalls at picard_max."""
+    return dataclasses.replace(
+        reference_config(n, a=0.05, b=0.5, m=0.01), ic="checker", ic_params=ic_params, dt=1.0 / 32
     )
 
 
@@ -50,6 +60,9 @@ CASES = {
     "lagged-tensor-65": lambda: dataclasses.replace(reference_config(65, a=4.0, b=12.0, m=0.2), dt=4.0 / 64),
     # the mollifier on and every state stored
     "mollified-65": lambda: dataclasses.replace(reference_config(65), reg=RegParams(moll_radius=0.1), output_every=1),
+    "a50": lambda: _stall(33, "amplitude=50,kx=1,ky=1"),
+    "a20": lambda: _stall(65, "amplitude=20,kx=1,ky=1"),
+    "k32": lambda: _stall(65, "amplitude=5,kx=3,ky=2"),
 }
 
 COLUMNS = ("passes", "most_per_step", "bicgstab_its", "splu_calls", "retries", "digest", "raw_s")
@@ -104,7 +117,11 @@ def main(argv: list[str]) -> int:
         return 2
     print(f"{'case':18s}" + "".join(f"{c:>15s}" for c in COLUMNS))
     for name in argv or CASES:
-        row = measure(CASES[name]())
+        try:
+            row = measure(CASES[name]())
+        except SolverError as exc:
+            print(f"{name:18s} stalled: {exc}", flush=True)
+            continue
         print(f"{name:18s}" + "".join(f"{row[c]:>15}" for c in COLUMNS), flush=True)
     return 0
 
