@@ -11,6 +11,7 @@ from .coefficients import (
     mollify,
     stream_velocity,
 )
+from .config import RunConfig
 from .elliptic import EllipticSolveReport, PoissonSolver, SolverError
 from .grid import (
     GridSpec,
@@ -24,7 +25,6 @@ from .grid import (
     write_snapshot,
 )
 from .transport import (
-    RunConfig,
     SimState,
     StartMemory,
     StepReport,

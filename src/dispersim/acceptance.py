@@ -20,13 +20,13 @@ import numpy as np
 
 from .coefficients import (
     PhysParams,
-    RegParams,
     dispersion_entries,
     dispersion_tensor,
     divergence,
     eigen_bounds,
     stream_velocity,
 )
+from .config import RunConfig, reference_config
 from .grid import GridSpec, ScalarField, VectorField, quad_form
 from .identities import (
     RecursionParams,
@@ -56,7 +56,7 @@ from .mapped_domain import (
     transformed_transport_residual,
 )
 from .mms import poisson_convergence
-from .transport import RunConfig, Trajectory, run
+from .transport import Trajectory, run
 
 DEFAULT_SEED = 20250810
 
@@ -78,18 +78,6 @@ def _row(name, trials, value, threshold, cmp, seed, t0, note="", extra=True) -> 
     """A row that passes when ``value cmp threshold`` holds and the check's ``extra`` condition is true."""
     passed = (value <= threshold if cmp == "<=" else value >= threshold) and extra
     return CheckRow(name, trials, float(value), float(threshold), cmp, bool(passed), seed, time.perf_counter() - t0, note)
-
-
-def reference_config(n: int = 65, a: float = 1.0, b: float = 2.0, m: float = 0.5, t_end: float = 0.25) -> RunConfig:
-    return RunConfig(
-        grid=GridSpec(n, n),
-        phys=PhysParams(a, b, m),
-        reg=RegParams(),
-        dt=1.0 / (n - 1),
-        t_end=t_end,
-        ic="gaussian",
-        ic_params="amplitude=1,width=0.1",
-    )
 
 
 class RunCache:

@@ -117,11 +117,6 @@ class ScalarField:
     def full(cls, grid: GridSpec, value: float) -> "ScalarField":
         return cls(grid, np.full(grid.shape, float(value)))
 
-    @classmethod
-    def from_function(cls, grid: GridSpec, fn) -> "ScalarField":
-        x1, x2 = grid.nodes()
-        return cls(grid, np.broadcast_to(np.asarray(fn(x1, x2), dtype=float), grid.shape).copy())
-
 
 @dataclass
 class VectorField:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import reference_config
 from .elliptic import PoissonSolver
 from .grid import GridSpec, ScalarField
 from .transport import run
@@ -74,8 +75,6 @@ def coupled_time_convergence(levels: int = 3) -> tuple[list[ConvergenceLevel], f
 
     The base run is ``reference_config(33, t_end=0.125)`` at dt = 1/64.
     """
-    from .acceptance import reference_config
-
     _check_levels(levels)
     base = replace(reference_config(n=33, t_end=0.125), dt=1.0 / 64)
     finals = [run(replace(base, dt=base.dt / 2**k)).final.u.values for k in range(levels)]

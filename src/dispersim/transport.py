@@ -1,4 +1,4 @@
-"""Implicit transport of the density u coupled to the stream-function Poisson solve.
+"""Implicit transport of the density u coupled to the stream-function Poisson solve, and the run.
 
 One time step solves, by a fixed-point (Picard) iteration mirroring the
 coupling of the continuous problem,
@@ -8,8 +8,11 @@ coupling of the continuous problem,
     (u_new - u_old)/dt = div(D_eps grad u_new) - div(u_new q),
 
 with zero total flux (diffusive co-normal plus advective) through every
-boundary face.  Where each part lives:
+boundary face.  The run's configuration, ``RunConfig``, and the rules of
+its ``ic`` and ``ic_params`` are in ``config``.  Where each part lives:
 
+- ``initial_condition``, ``initial_state``: the initial field of a preset's
+  formula or of a snapshot, and its stream function and tensor.
 - ``_face_fluxes_from_stream``: the advective face fluxes, exact line
   integrals of q through each face as differences of vertex-averaged
   stream values.  They telescope to zero around every cell, so constants
@@ -47,13 +50,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.fft import dctn, idctn
 
-from .coefficients import (
-    PhysParams,
-    RegParams,
-    dispersion_tensor_regularized,
-    mollify,
-    stream_velocity,
-)
+from .coefficients import dispersion_tensor_regularized, mollify, stream_velocity
+from .config import RunConfig, _preset_params, serialize_config
 from .elliptic import PoissonSolver, SolverError, laplacian_eigenvalues
 from .grid import (
     GridSpec,
@@ -116,50 +114,6 @@ class StepReport:
         return self.picard_gap_history[-1]
 
 
-# The most steps a run may plan, t_end/dt: about a thousand times the longest
-# run the package makes (mms --case coupled --levels 8, 1,024 steps).  A
-# reference step at n = 129 takes about 0.025 s on a 2-core x86-64 host, so
-# 10^6 of them already run for 7 hours and write 10^6 diagnostics rows.
-_MAX_STEPS = 10**6
-
-
-@dataclass
-class RunConfig:
-    grid: GridSpec
-    phys: PhysParams
-    reg: RegParams
-    dt: float
-    t_end: float
-    picard_tol: float = 1e-10
-    picard_max: int = 30
-    lin_tol: float = 1e-10
-    ic: str = "gaussian"
-    ic_params: str = ""
-    output_every: int = 0
-    outdir: str = ""
-
-    def __post_init__(self):
-        for name in ("dt", "t_end", "picard_tol", "lin_tol"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        if self.t_end < self.dt:
-            raise ValueError(f"t_end must be at least dt, got t_end={self.t_end}, dt={self.dt}")
-        # run() takes about t_end/dt steps; past _MAX_STEPS (also when the ratio overflows) it would not finish
-        if not self.t_end / self.dt <= _MAX_STEPS:
-            raise ValueError(
-                f"dt is too small for t_end: t_end/dt = {self.t_end / self.dt:.3g} steps exceeds {_MAX_STEPS:,},"
-                f" got dt={self.dt}, t_end={self.t_end}"
-            )
-        if self.picard_max < 1:
-            raise ValueError(f"picard_max must be at least 1, got {self.picard_max}")
-        if self.output_every < 0:
-            raise ValueError(f"output_every must be nonnegative, got {self.output_every}")
-        _preset_params(self.ic, self.ic_params, self.grid)
-        # the mollifier radius is bounded by the domain, which RegParams does not know
-        if self.reg.moll_radius > 0.5 * min(self.grid.lx, self.grid.ly):
-            raise ValueError(f"moll_radius {self.reg.moll_radius} exceeds half the domain size")
-
-
 @dataclass
 class DiagnosticsRow:
     step: int
@@ -196,69 +150,6 @@ class Trajectory:
 # initial conditions
 
 
-def _parse_params(text: str) -> dict[str, float]:
-    """The name=value pairs of ``ic_params``; each message names ``ic_params`` first, which locates its line."""
-    out: dict[str, float] = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise ValueError(f"ic_params: malformed parameter {part!r}, expected name=value")
-        key, val = part.split("=", 1)
-        key = key.strip()
-        if key in out:
-            raise ValueError(f"ic_params: duplicate parameter {key!r}")
-        try:
-            out[key] = float(val)
-        except ValueError as exc:
-            raise ValueError(f"ic_params: parameter {key!r} has non-numeric value {val!r}") from exc
-        if not math.isfinite(out[key]):
-            raise ValueError(f"ic_params: parameter {key!r} must be finite, got {val!r}")
-    return out
-
-
-_PRESET_ALIASES = {"gaussian-bump": "gaussian", "cosine-checker": "checker"}
-
-
-def _preset_params(ic: str, ic_params: str, grid: GridSpec) -> tuple[str, dict[str, float]] | None:
-    """The preset that ``ic`` names and its parameters, defaults filled in; None for a snapshot path.
-
-    Names the preset does not take, a width that is not positive or so
-    small that (lx^2 + ly^2)/(2 width^2) is not a finite float, and any
-    parameter given with a snapshot are errors; like those of
-    ``_parse_params``, each message names ``ic_params`` first.  An ``ic``
-    that is neither a preset nor an existing file is an error naming ``ic``.
-    """
-    params = _parse_params(ic_params)
-    name = ic.strip().lower()
-    name = _PRESET_ALIASES.get(name, name)
-    defaults = {
-        "constant": {"value": 1.0},
-        "gaussian": {"amplitude": 1.0, "cx": grid.lx / 2.0, "cy": grid.ly / 2.0, "width": 0.1},
-        "stripe": {"amplitude": 1.0, "cx": grid.lx / 2.0, "width": 0.1},
-        "checker": {"amplitude": 1.0, "kx": 1.0, "ky": 1.0},
-    }.get(name)
-    if defaults is None:
-        if not Path(ic).is_file():
-            raise ValueError(f"ic: unknown ic preset or missing file: {ic!r}")
-        if params:
-            raise ValueError(f"ic_params: a snapshot initial condition takes no parameters, got {sorted(params)}")
-        return None
-    unknown = set(params) - set(defaults)
-    if unknown:
-        raise ValueError(f"ic_params: unknown ic parameters for {name!r}: {sorted(unknown)}")
-    merged = {**defaults, **params}
-    if "width" in merged:
-        width = merged["width"]
-        if not width > 0:
-            raise ValueError(f"ic_params: width must be positive, got {width}")
-        # (lx^2 + ly^2)/(2 width^2) bounds the exponents the preset evaluates; a width^2 that underflows to 0 fails too
-        if not (width * width > 0 and math.isfinite((grid.lx * grid.lx + grid.ly * grid.ly) / (2.0 * width * width))):
-            raise ValueError(f"ic_params: width {width} is too small: (lx^2 + ly^2)/(2 width^2) is not a finite float")
-    return name, merged
-
-
 def initial_condition(ic: str, ic_params: str, grid: GridSpec) -> ScalarField:
     """Evaluate a smooth preset, or load a snapshot CSV validated against the grid."""
     preset = _preset_params(ic, ic_params, grid)
@@ -270,9 +161,9 @@ def initial_condition(ic: str, ic_params: str, grid: GridSpec) -> ScalarField:
         return ScalarField.full(grid, p["value"])
     if name == "gaussian":
         r2 = (x1 - p["cx"]) ** 2 + (x2 - p["cy"]) ** 2
-        return ScalarField(grid, p["amplitude"] * np.exp(-r2 / (2.0 * p["width"] ** 2)))
+        return ScalarField(grid, p["amplitude"] * np.exp(-r2 / (2.0 * p["width"] * p["width"])))
     if name == "stripe":
-        return ScalarField(grid, p["amplitude"] * np.exp(-((x1 - p["cx"]) ** 2) / (2.0 * p["width"] ** 2)))
+        return ScalarField(grid, p["amplitude"] * np.exp(-((x1 - p["cx"]) ** 2) / (2.0 * p["width"] * p["width"])))
     return ScalarField(
         grid, p["amplitude"] * np.cos(p["kx"] * np.pi * x1 / grid.lx) * np.cos(p["ky"] * np.pi * x2 / grid.ly)
     )
@@ -784,11 +675,6 @@ def picard_coupled_step(
     return SimState(u, v, D_eps, t=state.t + dt, step=state.step + 1), report
 
 
-def state_consistency_residual(state: SimState) -> float:
-    """Residual of the state's stream function against its own density field."""
-    return PoissonSolver(state.u.grid).residual_norm(state.v, diff_x1(state.u))
-
-
 # ---------------------------------------------------------------------------
 # trajectories and diagnostics
 
@@ -860,8 +746,6 @@ def run(cfg: RunConfig, outdir: str | Path | None = None) -> Trajectory:
     diag_file = None
     if target:
         target.mkdir(parents=True, exist_ok=True)
-        from .config import serialize_config
-
         (target / "resolved.cfg").write_text(serialize_config(cfg))
         diag_file = open(target / "diagnostics.csv", "w")
         diag_file.write(",".join(DIAGNOSTIC_COLUMNS) + "\n")

@@ -48,7 +48,7 @@ def test_stream_velocity_basic():
     g = GridSpec(17, 17)
     q = stream_velocity(ScalarField.full(g, 0.0))
     assert np.max(np.abs(q.comp1)) == 0.0 and np.max(np.abs(q.comp2)) == 0.0
-    q = stream_velocity(ScalarField.from_function(g, lambda x1, x2: x1))
+    q = stream_velocity(ScalarField(g, g.nodes()[0]))
     assert np.max(np.abs(q.comp1)) == 0.0
     assert np.max(np.abs(q.comp2 - 1.0)) == 0.0
 

@@ -86,7 +86,7 @@ def test_dt_too_small_for_t_end_rejected_at_dt_line(tmp_path, capsys):
 
 def test_step_count_above_the_cap_rejected_at_dt_line(tmp_path, capsys):
     # t_end/dt = 2^20 steps is above the 10^6 that a run may plan; parsed and refused, never started
-    assert transport._MAX_STEPS == 10**6
+    assert config._MAX_STEPS == 10**6
     text = MINIMAL.replace("dt = 0.0625", f"dt = {2.0**-23!r}")
     with pytest.raises(ConfigError, match=r"^line 8: dt is too small for t_end: t_end/dt = 1\.05e\+06 steps") as info:
         parse_config(text)
@@ -177,6 +177,17 @@ def test_cli_run_bad_ic_params_exit_2_at_its_line(tmp_path, capsys, params):
     assert main(["run", "--config", str(path), "--outdir", str(tmp_path / "out")]) == 2
     assert f"configuration error: line {lineno}: ic_params: " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_huge_width_gives_the_constant_amplitude_and_runs(tmp_path):
+    # 2 width^2 overflows to inf, so every exponent is -0.0: a width too large for a float square is a flat field
+    g = GridSpec(17, 17)
+    for ic in ("gaussian", "stripe"):
+        f = transport.initial_condition(ic, "amplitude=3,width=1e200", g)
+        assert np.all(f.values == 3.0)
+    path = _write_cfg(tmp_path, "ic_params = width=1e200\n")
+    assert main(["run", "--config", str(path), "--outdir", str(tmp_path / "out")]) == 0
+    assert np.all(read_snapshot(tmp_path / "out" / "u_000002.csv", g).values == 1.0)
 
 
 def test_cli_run_ic_params_with_snapshot_exit_2_at_its_line(tmp_path, capsys):

@@ -44,14 +44,14 @@ def test_nonfinite_values_rejected():
 
 def test_diff_affine_exact():
     g = GridSpec(9, 9)
-    f = ScalarField.from_function(g, lambda x1, x2: 3.0 * x1 + 5.0)
+    f = ScalarField(g, 3.0 * g.nodes()[0] + 5.0)
     assert np.max(np.abs(diff_x1(f).values - 3.0)) == 0.0
     assert np.max(np.abs(deriv1(f.values, g.hy, axis=0))) == 0.0
 
 
 def test_diff_quadratic_central_exact_at_half():
     g = GridSpec(5, 5)  # x2 = 0.5 is the center row
-    f = ScalarField.from_function(g, lambda x1, x2: x2**2)
+    f = ScalarField(g, g.nodes()[1] ** 2)
     d = deriv1(f.values, g.hy, axis=0)
     assert d[2, 2] == 1.0
 
@@ -60,7 +60,7 @@ def test_diff_second_order_convergence():
     errs = []
     for n in (65, 129):
         g = GridSpec(n, n)
-        f = ScalarField.from_function(g, lambda x1, x2: np.sin(np.pi * x1))
+        f = ScalarField(g, np.sin(np.pi * g.nodes()[0]))
         exact = np.pi * np.cos(np.pi * g.nodes()[0])
         errs.append(np.max(np.abs(diff_x1(f).values - exact)))
     ratio = errs[0] / errs[1]
@@ -70,7 +70,7 @@ def test_diff_second_order_convergence():
 def test_integrate_exact_cases():
     g = GridSpec(33, 33)
     assert integrate(ScalarField.full(g, 1.0)) == pytest.approx(1.0, abs=1e-14)
-    f = ScalarField.from_function(g, lambda x1, x2: x1)
+    f = ScalarField(g, g.nodes()[0])
     assert integrate(f) == pytest.approx(0.5, abs=1e-14)
 
 
@@ -85,7 +85,8 @@ def test_integrate_rejects_non_finite_values(bad):
 
 def test_integrate_sine_product():
     g = GridSpec(129, 129)
-    f = ScalarField.from_function(g, lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2))
+    x1, x2 = g.nodes()
+    f = ScalarField(g, np.sin(np.pi * x1) * np.sin(np.pi * x2))
     assert integrate(f) == pytest.approx(4.0 / np.pi**2, rel=2e-4)
 
 
