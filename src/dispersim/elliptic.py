@@ -35,7 +35,7 @@ class SolverError(RuntimeError):
 
 @dataclass
 class EllipticSolveReport:
-    iterations: int  # solver applications: 0 for a zero rhs, 1 otherwise
+    iterations: int  # transform applications: 0 for a zero rhs, 2 with the residual correction, 1 otherwise
     residual_norm: float
 
 
@@ -94,8 +94,10 @@ class PoissonSolver:
         x = self._apply_inverse(b)
         r = b - (self.matrix @ x.ravel()).reshape(b.shape)
         residual = float(np.linalg.norm(r))
+        applications = 1
         if not residual <= tol * bnorm:  # a miss, or nan: one residual correction through the same transform
             x += self._apply_inverse(r)
+            applications = 2
             residual = float(np.linalg.norm(b - (self.matrix @ x.ravel()).reshape(b.shape)))
         if not np.all(np.isfinite(x)):
             raise SolverError("sine-transform Poisson solve produced non-finite values")
@@ -105,7 +107,7 @@ class PoissonSolver:
                 f"residual {residual:.3e} > tol {tol:.1e} * ||b|| {bnorm:.3e}"
             )
         v[1:-1, 1:-1] = x
-        return ScalarField(self.grid, v), EllipticSolveReport(1, residual)
+        return ScalarField(self.grid, v), EllipticSolveReport(applications, residual)
 
     def residual_norm(self, v: ScalarField, rhs: ScalarField) -> float:
         """||A v - b||_2 for an externally supplied candidate solution."""

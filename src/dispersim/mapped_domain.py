@@ -22,6 +22,8 @@ form of each equation agrees with the original-coordinate form:
   equals u_t - div(D grad u) + grad(u).q evaluated at the mapped points,
   so the finite-difference evaluation of the former minus the analytic
   value of the latter converges to zero under grid refinement.
+  ``transport_pair`` is the one manufactured (u, v) pair these residuals
+  are evaluated on.
 
 The scalars h1, h2 absorb the second derivatives of the chart:
 
@@ -41,6 +43,7 @@ Jacobians from one ``_sampled_jacobians``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -223,54 +226,37 @@ def transformed_poisson_residual(mesh, v_fn: Callable, u_fn: Callable) -> tuple[
     return windowed_residual(div_p + h1 * qt1 + h2 * qt2 - rhs, window)
 
 
-@dataclass(frozen=True)
-class TransportFields:
-    """Analytic manufactured pair with every derivative the residuals need."""
+def transport_pair(x1, x2, t: float) -> SimpleNamespace:
+    """The manufactured (u, v) pair of the transport residuals and every derivative they need, at (x1, x2, t).
 
-    u: Callable  # (x1, x2, t)
-    u_t: Callable
-    u_x1: Callable
-    u_x2: Callable
-    u_x1x1: Callable
-    u_x1x2: Callable
-    u_x2x2: Callable
-    v: Callable  # (x1, x2)
-    v_x1: Callable
-    v_x2: Callable
-    v_x1x1: Callable
-    v_x1x2: Callable
-    v_x2x2: Callable
-
-
-def default_transport_fields() -> TransportFields:
-    """Polynomial pair with |q| bounded away from zero on the built-in charts."""
-    return TransportFields(
-        u=lambda x1, x2, t: (x1**2 + x1 * x2 / 3.0) * (1.0 + t),
-        u_t=lambda x1, x2, t: x1**2 + x1 * x2 / 3.0,
-        u_x1=lambda x1, x2, t: (2.0 * x1 + x2 / 3.0) * (1.0 + t),
-        u_x2=lambda x1, x2, t: (x1 / 3.0) * (1.0 + t),
-        u_x1x1=lambda x1, x2, t: 2.0 * (1.0 + t) * np.ones_like(x1),
-        u_x1x2=lambda x1, x2, t: (1.0 + t) / 3.0 * np.ones_like(x1),
-        u_x2x2=lambda x1, x2, t: np.zeros_like(x1),
-        v=lambda x1, x2: (x1 * x2**2 + x1**2) / 7.0,
-        v_x1=lambda x1, x2: (x2**2 + 2.0 * x1) / 7.0,
-        v_x2=lambda x1, x2: 2.0 * x1 * x2 / 7.0,
-        v_x1x1=lambda x1, x2: 2.0 / 7.0 * np.ones_like(x1),
-        v_x1x2=lambda x1, x2: 2.0 * x2 / 7.0,
-        v_x2x2=lambda x1, x2: 2.0 * x1 / 7.0,
+    A polynomial pair with |q| bounded away from zero on the built-in charts.
+    """
+    return SimpleNamespace(
+        u=(x1**2 + x1 * x2 / 3.0) * (1.0 + t),
+        u_t=x1**2 + x1 * x2 / 3.0,
+        u_x1=(2.0 * x1 + x2 / 3.0) * (1.0 + t),
+        u_x2=(x1 / 3.0) * (1.0 + t),
+        u_x1x1=2.0 * (1.0 + t) * np.ones_like(x1),
+        u_x1x2=(1.0 + t) / 3.0 * np.ones_like(x1),
+        u_x2x2=np.zeros_like(x1),
+        v=(x1 * x2**2 + x1**2) / 7.0,
+        v_x1=(x2**2 + 2.0 * x1) / 7.0,
+        v_x2=2.0 * x1 * x2 / 7.0,
+        v_x1x1=2.0 / 7.0 * np.ones_like(x1),
+        v_x1x2=2.0 * x2 / 7.0,
+        v_x2x2=2.0 * x1 / 7.0,
     )
 
 
-def transport_expression_x(fix: TransportFields, x1, x2, t: float, p: PhysParams) -> np.ndarray:
-    """Analytic value of u_t - div(D grad u) + grad(u).q in original coordinates.
+def transport_expression_x(fix: SimpleNamespace, p: PhysParams) -> np.ndarray:
+    """Analytic value of u_t - div(D grad u) + grad(u).q in original coordinates, for a ``transport_pair``.
 
     Written in the split form u_t - D:hess(u) - div(D).grad(u) + grad(u).q;
     the tensor derivatives come from the chain rule through q.
     """
-    q1 = -fix.v_x2(x1, x2)
-    q2 = fix.v_x1(x1, x2)
-    q1_1, q1_2 = -fix.v_x1x2(x1, x2), -fix.v_x2x2(x1, x2)
-    q2_1, q2_2 = fix.v_x1x1(x1, x2), fix.v_x1x2(x1, x2)
+    q1, q2 = -fix.v_x2, fix.v_x1
+    q1_1, q1_2 = -fix.v_x1x2, -fix.v_x2x2
+    q2_1, q2_2 = fix.v_x1x1, fix.v_x1x2
     qn = np.hypot(q1, q2)
     d11, d12, d22 = dispersion_entries(q1, q2, p)
     ba = p.b - p.a
@@ -286,28 +272,27 @@ def transport_expression_x(fix: TransportFields, x1, x2, t: float, p: PhysParams
     d11_2, d12_2, d22_2 = d_entries_deriv(q1_2, q2_2)
     div_d1 = d11_1 + d12_2
     div_d2 = d12_1 + d22_2
-    ux1, ux2 = fix.u_x1(x1, x2, t), fix.u_x2(x1, x2, t)
+    ux1, ux2 = fix.u_x1, fix.u_x2
     return (
-        fix.u_t(x1, x2, t)
-        - contract((d11, d12, d22), (fix.u_x1x1(x1, x2, t), fix.u_x1x2(x1, x2, t), fix.u_x2x2(x1, x2, t)))
+        fix.u_t
+        - contract((d11, d12, d22), (fix.u_x1x1, fix.u_x1x2, fix.u_x2x2))
         - (div_d1 * ux1 + div_d2 * ux2)
         + (ux1 * q1 + ux2 * q2)
     )
 
 
-def transformed_transport_residual(mesh, fix: TransportFields) -> tuple[np.ndarray, float]:
+def transformed_transport_residual(mesh) -> tuple[np.ndarray, float]:
     """Flattened-minus-original transport expression on a ``chart_mesh``; converges to zero under refinement.
 
     The flattened expression is evaluated by finite differences on the eta
     mesh, the original one analytically at the chart's preimages of its
     nodes; the residual is returned over the mesh's window.
     """
-    t, p = _TRANSPORT_T, _TRANSPORT_PHYS
+    p = _TRANSPORT_PHYS
     h1m, h2m, x1, x2, jg, h1, h2, window = mesh
-    ut = np.asarray(fix.u(x1, x2, t), dtype=float)
-    vt = np.asarray(fix.v(x1, x2), dtype=float)
-    ut_1, ut_2 = grad_4(ut, h1m, h2m)
-    vt_1, vt_2 = grad_4(vt, h1m, h2m)
+    fix = transport_pair(x1, x2, _TRANSPORT_T)
+    ut_1, ut_2 = grad_4(fix.u, h1m, h2m)
+    vt_1, vt_2 = grad_4(fix.v, h1m, h2m)
     beta1, beta2 = matvec(jg, vt_1, vt_2)
     qt1, qt2 = -beta2, beta1
     d11, d12, d22 = dispersion_entries(qt1, qt2, p)
@@ -317,16 +302,16 @@ def transformed_transport_residual(mesh, fix: TransportFields) -> tuple[np.ndarr
     jgu1, jgu2 = matvec(jg, ut_1, ut_2)
     y1, y2 = matvec(((d11, d12), (d12, d22)), jgu1, jgu2)
     expr = (
-        np.asarray(fix.u_t(x1, x2, t), dtype=float)
-        - contract((m11, m12, m22), hess_4(ut, h1m, h2m))
+        fix.u_t
+        - contract((m11, m12, m22), hess_4(fix.u, h1m, h2m))
         - (div_m1 * ut_1 + div_m2 * ut_2)
         - (h2 * y1 - h1 * y2)
         + (jgu1 * qt1 + jgu2 * qt2)
     )
-    return windowed_residual(expr - transport_expression_x(fix, x1, x2, t, p), window)
+    return windowed_residual(expr - transport_expression_x(fix, p), window)
 
 
-def plain_transport_residual(fix: TransportFields, n: int) -> tuple[np.ndarray, float]:
+def plain_transport_residual(n: int) -> tuple[np.ndarray, float]:
     """Untransformed counterpart: finite differences in the original coordinates.
 
     Computes u_t - D:hess(u) - div(D).grad(u) + grad(u).q by finite
@@ -334,24 +319,22 @@ def plain_transport_residual(fix: TransportFields, n: int) -> tuple[np.ndarray, 
     value, the uncropped reference: with the identity chart,
     ``transformed_transport_residual`` reproduces this field bit for bit.
     """
-    t, p = _TRANSPORT_T, _TRANSPORT_PHYS
+    p = _TRANSPORT_PHYS
     e1, e2, h1, h2 = _rect_axes(ETA_RECT, n)
-    X1, X2 = np.meshgrid(e1, e2)
-    u = np.asarray(fix.u(X1, X2, t), dtype=float)
-    v = np.asarray(fix.v(X1, X2), dtype=float)
-    u_1, u_2 = grad_4(u, h1, h2)
-    v_1, v_2 = grad_4(v, h1, h2)
+    fix = transport_pair(*np.meshgrid(e1, e2), _TRANSPORT_T)
+    u_1, u_2 = grad_4(fix.u, h1, h2)
+    v_1, v_2 = grad_4(fix.v, h1, h2)
     q1, q2 = -v_2, v_1
     d11, d12, d22 = dispersion_entries(q1, q2, p)
     div_d1 = div_4(d11, d12, h1, h2)
     div_d2 = div_4(d12, d22, h1, h2)
     expr = (
-        np.asarray(fix.u_t(X1, X2, t), dtype=float)
-        - contract((d11, d12, d22), hess_4(u, h1, h2))
+        fix.u_t
+        - contract((d11, d12, d22), hess_4(fix.u, h1, h2))
         - (div_d1 * u_1 + div_d2 * u_2)
         + (u_1 * q1 + u_2 * q2)
     )
-    return windowed_residual(expr - transport_expression_x(fix, X1, X2, t, p), window_crop((n, n), _CENTRAL_BOX, 0)[0])
+    return windowed_residual(expr - transport_expression_x(fix, p), window_crop((n, n), _CENTRAL_BOX, 0)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import replace
 from pathlib import Path
 
-from .config import KEYS, ConfigError
-from .transport import DIAGNOSTIC_COLUMNS, RunConfig, Trajectory, _format_row, run
+from .config import KEYS, ConfigError, RunConfig
+from .transport import DIAGNOSTIC_COLUMNS, _format_row, run
 
 SWEEPABLE = ("a", "b", "m", "eps", "moll_radius", "dt")
 
@@ -44,7 +44,7 @@ def apply_value(cfg: RunConfig, name: str, value: float) -> RunConfig:
         raise ConfigError(f"sweep value {name}={value} is invalid: {exc}") from exc
 
 
-def run_sweep(cfg: RunConfig, name: str, values: list[float], outdir) -> list[Trajectory]:
+def run_sweep(cfg: RunConfig, name: str, values: list[float], outdir) -> None:
     """Run every parameter value; summary rows are ordered by value.
 
     Every value is validated, and must get a run directory of its own,
@@ -59,12 +59,9 @@ def run_sweep(cfg: RunConfig, name: str, values: list[float], outdir) -> list[Tr
         raise ConfigError(f"sweep values would share a run directory: {'; '.join(shared)}")
     base = Path(outdir)
     base.mkdir(parents=True, exist_ok=True)
-    results: list[Trajectory] = []
     with open(base / "summary.csv", "w") as fh:
         fh.write("param,value," + ",".join(DIAGNOSTIC_COLUMNS) + "\n")
         for subdir, v, variant in variants:
-            tr = run(variant, outdir=base / subdir)
-            results.append(tr)
-            fh.write(f"{name},{v:.17g}," + _format_row(tr.diagnostics[-1]) + "\n")
+            last = run(variant, outdir=base / subdir).diagnostics[-1]
+            fh.write(f"{name},{v:.17g}," + _format_row(last) + "\n")
             fh.flush()
-    return results

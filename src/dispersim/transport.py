@@ -136,7 +136,6 @@ DIAGNOSTIC_COLUMNS = tuple(f.name for f in fields(DiagnosticsRow))
 
 @dataclass
 class Trajectory:
-    config: RunConfig
     states: list[SimState]
     reports: list[StepReport]
     diagnostics: list[DiagnosticsRow]
@@ -780,4 +779,4 @@ def run(cfg: RunConfig, outdir: str | Path | None = None) -> Trajectory:
     finally:
         if diag_file:
             diag_file.close()
-    return Trajectory(cfg, states, reports, rows)
+    return Trajectory(states, reports, rows)

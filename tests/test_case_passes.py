@@ -5,7 +5,7 @@ from pathlib import Path
 import scipy.sparse.linalg as spla
 
 from dispersim import transport
-from dispersim.acceptance import reference_config
+from dispersim.config import reference_config
 
 _spec = importlib.util.spec_from_file_location(
     "case_passes", Path(__file__).resolve().parent.parent / "tools" / "case_passes.py"

@@ -90,6 +90,7 @@ def test_residual_correction_only_on_a_miss(monkeypatch, tol, transforms):
     monkeypatch.setattr(PoissonSolver, "_apply_inverse", counted)
     v, rep = solver.solve(rhs, tol=tol)
     assert len(calls) == transforms
+    assert rep.iterations == transforms
     assert rep.residual_norm == solver.residual_norm(v, rhs)
     assert rep.residual_norm <= tol * np.linalg.norm(rhs.values[1:-1, 1:-1])
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from dispersim import transport
-from dispersim.acceptance import reference_config
 from dispersim.coefficients import RegParams
+from dispersim.config import reference_config
 from dispersim.grid import (
     GridSpec,
     ScalarField,

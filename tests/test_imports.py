@@ -1,5 +1,9 @@
 import ast
 import graphlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import dispersim
@@ -24,3 +28,18 @@ def test_package_import_graph_is_acyclic():
     except graphlib.CycleError as exc:
         raise AssertionError(f"import cycle: {exc.args[1]}") from None
     assert order.index("config") < order.index("transport")
+
+
+def test_package_root_imports_nothing():
+    # a fresh interpreter: the root loads no module of the package, and the CLI loads the solver only per subcommand
+    code = (
+        "import json, sys; import dispersim; root = sorted(sys.modules); import dispersim.cli; "
+        "print(json.dumps([root, sorted(sys.modules)]))"
+    )
+    src = str(PACKAGE.resolve().parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    root, cli = json.loads(out.stdout)
+    assert [m for m in root if m.startswith("dispersim.")] == []
+    assert "dispersim.cli" in cli
+    assert "dispersim.transport" not in cli and "scipy.sparse.linalg" not in cli

@@ -8,7 +8,6 @@ from dispersim.mapped_domain import (
     ETA_RECT,
     builtin_charts,
     chart_mesh,
-    default_transport_fields,
     det_product_residual,
     exponential_chart,
     identity_chart,
@@ -19,6 +18,7 @@ from dispersim.mapped_domain import (
     shear_chart,
     transformed_poisson_residual,
     transformed_transport_residual,
+    transport_pair,
 )
 
 
@@ -73,9 +73,8 @@ def test_transformed_poisson_refines(chart_fn):
 
 @pytest.mark.parametrize("chart_fn", [shear_chart, exponential_chart])
 def test_transformed_transport_refines(chart_fn):
-    fix = default_transport_fields()
     chart = chart_fn()
-    norms = [transformed_transport_residual(chart_mesh(chart, n), fix)[1] for n in (33, 65)]
+    norms = [transformed_transport_residual(chart_mesh(chart, n))[1] for n in (33, 65)]
     assert norms[0] / norms[1] >= 3.0
 
 
@@ -83,13 +82,12 @@ def test_transformed_transport_refines(chart_fn):
 @pytest.mark.parametrize("chart_fn", [identity_chart, shear_chart, exponential_chart])
 def test_cropped_chart_mesh_matches_full_mesh_bit_for_bit(monkeypatch, chart_fn, n):
     v_fn, u_fn = _poisson_pair()
-    fix = default_transport_fields()
     halo = mapped_domain._CHART_HALO
 
     def build(h):
         monkeypatch.setattr(mapped_domain, "_CHART_HALO", h)
         mesh = chart_mesh(chart_fn(), n)
-        return mesh[2].shape, [transformed_poisson_residual(mesh, v_fn, u_fn), transformed_transport_residual(mesh, fix)]
+        return mesh[2].shape, [transformed_poisson_residual(mesh, v_fn, u_fn), transformed_transport_residual(mesh)]
 
     full_shape, full = build(n)  # a halo that covers the mesh
     assert full_shape == (n, n)
@@ -103,23 +101,22 @@ def test_cropped_chart_mesh_matches_full_mesh_bit_for_bit(monkeypatch, chart_fn,
 
 
 def test_identity_chart_matches_plain_bit_for_bit():
-    fix = default_transport_fields()
-    res_chart, _ = transformed_transport_residual(chart_mesh(identity_chart(), 41), fix)
-    res_plain, _ = plain_transport_residual(fix, 41)
+    res_chart, _ = transformed_transport_residual(chart_mesh(identity_chart(), 41))
+    res_plain, _ = plain_transport_residual(41)
     assert np.array_equal(res_chart, res_plain)
 
 
 def test_transformed_tensor_positive_definite_with_scaled_bounds():
     chart = exponential_chart()
-    fix = default_transport_fields()
     n = 17
     lo1, hi1, lo2, hi2 = ETA_RECT
     E1, E2 = np.meshgrid(np.linspace(lo1, hi1, n), np.linspace(lo2, hi2, n))
     x1, x2 = chart.inv(E1, E2)
     jg = chart.grad_fwd(x1, x2)
     p = PhysParams(1.0, 2.0, 1.0)
-    q1 = -fix.v_x2(x1, x2)
-    q2 = fix.v_x1(x1, x2)
+    fix = transport_pair(x1, x2, 0.0)
+    q1 = -fix.v_x2
+    q2 = fix.v_x1
     qn = np.hypot(q1, q2)
     iso = p.a * qn + p.m
     d11 = iso + (p.b - p.a) * q1**2 / qn

@@ -7,7 +7,6 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dispersim.acceptance import reference_config
 from dispersim import transport
 from dispersim.coefficients import (
     PhysParams,
@@ -16,6 +15,7 @@ from dispersim.coefficients import (
     mollify,
     stream_velocity,
 )
+from dispersim.config import reference_config
 from dispersim.elliptic import PoissonSolver, SolverError
 from dispersim.grid import (
     GridSpec,

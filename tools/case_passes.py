@@ -27,8 +27,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import scipy.sparse.linalg as spla  # noqa: E402
 
 from dispersim import transport  # noqa: E402
-from dispersim.acceptance import reference_config  # noqa: E402
 from dispersim.coefficients import RegParams  # noqa: E402
+from dispersim.config import reference_config  # noqa: E402
 from dispersim.elliptic import SolverError  # noqa: E402
 
 
