@@ -34,9 +34,10 @@ from scipy.fft import irfft2, next_fast_len, rfft2
 
 
 # The most nodes a grid may have, nx*ny: four times the finest grid the package builds (the
-# Poisson ladder of mms --levels 8, 2049^2).  A coupled run keeps about 830 bytes a node (peak RSS
-# of six reference steps at n = 513 on x86-64), so 2^24 nodes already need 13 GiB; a much larger
-# size would also overflow the int32 column indices of the transport step matrix.
+# Poisson ladder of mms --levels 8, 2049^2).  A coupled run keeps about 700 bytes a node (the growth
+# of peak RSS over six reference steps at n = 513 on x86-64, tools/run_memory.py), so 2^24 nodes
+# already need 11 GiB; a much larger size would also overflow the int32 column indices of the
+# transport step matrix.
 _MAX_NODES = 2**24
 
 

@@ -21,8 +21,10 @@ its ``ic`` and ``ic_params`` are in ``config``.  Where each part lives:
 - ``_add_face_family``, ``_csr_layout``, ``_assemble_parabolic``: the
   node-centred finite-volume step matrix, with face-averaged tensor
   entries, the d12 cross term and upwinded advection, filled into nine
-  stencil planes and gathered into its CSR data through one index array
-  cached per grid shape.  Every interior face adds equal and opposite
+  stencil planes.  Every row of its CSR form stores nine entries, four of
+  them (at the grid's corners) stored zeros, so the data is the planes
+  transposed, with a fix-up of the boundary rows cached per grid shape.
+  Every interior face adds equal and opposite
   amounts to its two cells and boundary faces add nothing, so the
   trapezoidal integral of u is conserved to the linear-solver floor.  The
   planes and the data come from ``_assembly_buffers``, once per Picard
@@ -81,7 +83,9 @@ class StartMemory:
 
     ``picard_coupled_step`` updates it in place by reassigning its fields and never mutates the
     tuples or arrays in them, so ``dataclasses.replace(memory)`` is a snapshot that later steps
-    leave alone.
+    leave alone.  A step takes the secant out as it starts (``take_secant``), so that the pair
+    dies once the step's first pass has read it, and puts the new one in as it ends: a step that
+    raises leaves ``secant`` None.
     """
 
     # (t, u, v) of up to _PREDICTOR_ORDER earlier accepted steps, the latest first; the initial
@@ -95,6 +99,11 @@ class StartMemory:
     # error of each one's Lagrange start (u*, v*), kept for steps accepted from a full-order
     # predicted start
     errors: tuple[tuple[float, np.ndarray, np.ndarray], ...] = ()
+
+    def take_secant(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The secant, leaving None in its place."""
+        secant, self.secant = self.secant, None
+        return secant
 
 
 @dataclass
@@ -241,36 +250,49 @@ def _add_face_family(
 
 
 @lru_cache(maxsize=8)
-def _csr_layout(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The step matrix's ``perm``, ``indices`` and ``indptr``: its CSR data is ``values[perm]``.
+def _csr_layout(shape: tuple[int, int]) -> tuple[np.ndarray, ...]:
+    """The step matrix's ``indices`` and ``indptr``, its gather's fix-up ``dst`` and ``src``, and ``corners``.
 
-    Slot (di, dj) of node (i, j) in the stencil planes holds column (i + di, j + dj); a slot off
-    the grid on one axis holds the column two nodes in on that axis, (i - 2 di, j + dj) or
-    (i + di, j - 2 dj), and one off on both is unused.  The pattern never depends on the values.
+    Slot (di, dj) of node (i, j) in the stencil planes holds column (i + di, j + dj); on an axis
+    where that is off the grid, the column two nodes in on that axis, i - 2 di or j - 2 dj.  So
+    every row stores its nine slots, at nine distinct columns (fixed-width ELLPACK rows, Saad,
+    Iterative Methods for Sparse Linear Systems, 2003, 3.4), and the four corner slots off the
+    grid on both axes, which no face writes, are stored zeros at the data positions ``corners``.
+    The CSR data is the planes transposed to node-major order, then ``data[dst] = data[src]``
+    puts the rows of the boundary nodes, whose slot order is not their column order, in column
+    order.  ``dst`` and ``src`` are intp and name only the entries that move.  The pattern never
+    depends on the values.
     """
     ny, nx = shape
     size = ny * nx
     di, dj, i, j = np.ix_(range(-1, 2), range(-1, 2), range(ny), range(nx))
     ti, tj = i + di, j + dj
     off_i, off_j = (ti < 0) | (ti >= ny), (tj < 0) | (tj >= nx)
-    keys = (i * nx + j) * size + np.where(off_i, i - 2 * di, ti) * nx + np.where(off_j, j - 2 * dj, tj)
-    perm = np.flatnonzero(~(off_i & off_j))
-    keys = keys.ravel()[perm]
-    order = np.argsort(keys)
-    perm, keys = perm[order], keys[order]
-    indices = (keys % size).astype(np.int32)
-    indptr = np.searchsorted(keys, np.arange(size + 1) * size).astype(np.int32)
-    # perm stays writable: np.take copies a read-only index array on every call (1.2 MB at n = 129)
-    for arr in (indices, indptr):
+
+    def by_node(x: np.ndarray) -> np.ndarray:  # a (node, slot) table of a plane-shaped x
+        return np.broadcast_to(x, (3, 3, ny, nx)).reshape(9, size).T
+
+    columns = by_node(np.where(off_i, i - 2 * di, ti) * nx + np.where(off_j, j - 2 * dj, tj))
+    order = np.argsort(columns, axis=1)
+    moved = order != np.arange(9)
+    indices = np.take_along_axis(columns, order, axis=1).astype(np.int32).ravel()
+    indptr = np.arange(0, 9 * size + 1, 9, dtype=np.int32)
+    dst, src = np.flatnonzero(moved), (order + 9 * np.arange(size)[:, None])[moved]
+    corners = np.flatnonzero(np.take_along_axis(by_node(off_i & off_j), order, axis=1))
+    layout = indices, indptr, dst, src, corners
+    for arr in layout:
         arr.flags.writeable = False
-    return perm, indices, indptr
+    return layout
 
 
 def _assembly_buffers(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The stencil planes and the CSR data of ``_assemble_parabolic``, for every pass of an attempt to refill."""
+    """The stencil planes and the CSR data of ``_assemble_parabolic``, for every pass of an attempt to refill.
+
+    The data holds nine entries a node, as many as the planes, which are followed by a row for
+    their view one row on.
+    """
     ny, nx = shape
-    # the planes, then a row for their view one row on
-    return np.empty(9 * ny * nx + nx), np.empty(_csr_layout(shape)[0].size)
+    return np.empty(9 * ny * nx + nx), np.empty(9 * ny * nx)
 
 
 def _assemble_parabolic(
@@ -283,21 +305,22 @@ def _assemble_parabolic(
 ) -> tuple[sp.csr_matrix, np.ndarray]:
     """Backward-Euler finite-volume matrix in CSR form; rhs is cell_weights/dt * u_old.
 
-    The cell weights over dt and both face directions fill the stencil planes; see ``_csr_layout``.
+    The cell weights over dt and both face directions fill the stencil planes, which one
+    transposed copy and the boundary rows' fix-up of ``_csr_layout`` gather into the CSR data.
     ``workspace`` (from ``_assembly_buffers``) holds the planes and the CSR data to refill, and the
     matrix's data is its second array.
     """
     ny, nx = grid.shape
     size = ny * nx
-    perm, indices, indptr = _csr_layout(grid.shape)
+    indices, indptr, dst, src, _ = _csr_layout(grid.shape)
     w = grid.cell_weights()
     values, data = workspace
     values.fill(0.0)
     values[4 * size:5 * size] = (w / dt).ravel()  # plane [1, 1], the diagonal
     _add_face_family(values, D.d11, D.d12, fe, grid.hx, grid.hy, axis=1)
     _add_face_family(values, D.d22, D.d12, fn, grid.hy, grid.hx, axis=0)
-    # mode="wrap" writes straight into data; the default mode buffers a copy of it (perm is in range)
-    np.take(values, perm, out=data, mode="wrap")
+    np.copyto(data.reshape(size, 9), values[:9 * size].reshape(9, size).T)
+    data[dst] = data[src]
     return sp.csr_matrix((data, indices, indptr), shape=(size, size)), w
 
 
@@ -439,8 +462,14 @@ def parabolic_step(
         x, info = spla.bicgstab(A, b, x0=x, rtol=_KRYLOV_RTOL, atol=0.0, maxiter=_FAST_ITERATIONS, M=M)
     rel = float(np.linalg.norm(b - A @ x)) / bnorm
     if info != 0 or not rel <= lin_tol:  # capped, broken down, a miss, or nan
+        # the factor leaves out the four stored corner zeros, which would change its ordering
+        corners = _csr_layout(grid.shape)[4]
+        B = sp.csr_matrix(
+            (np.delete(A.data, corners), np.delete(A.indices, corners), A.indptr - np.searchsorted(corners, A.indptr)),
+            shape=A.shape,
+        )
         try:
-            lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            lu = spla.splu(B.tocsc(), permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise SolverError(f"LU factorization failed: {exc}") from exc
         x = lu.solve(b)
@@ -574,6 +603,7 @@ def _picard_attempt(
     if depth and secant is not None:  # the window's one column on pass 0; pass 1 overwrites it
         dF[0], dG[0] = secant
         cols = 1
+    del start, secant  # the start dies as pass 0 replaces its fields, the secant lives on in the window
     for k in range(cfg.picard_max):
         far = k == 0 or gap > 1e4 * cfg.picard_tol  # see _FAR_RTOL
         g_k, rel = parabolic_step(
@@ -631,19 +661,22 @@ def picard_coupled_step(
     ``start`` names the accepted attempt.  A plain attempt that fails
     raises its ``SolverError``.
 
-    The step then updates the memory in place, reassigning each field
-    and mutating no tuple or array in it.  Its history becomes the given
-    state's (t, u, v), unless that is the initial state (step 0),
-    followed by the earlier history, cut to ``_PREDICTOR_ORDER`` entries;
-    its secant the accepted attempt's.  Its errors become
-    (dt, u - u*, v - v*), with (u*, v*) the step's Lagrange start from
-    the history before this update, followed by the earlier errors, cut
-    to ``_EXTRAPOLATION_DEPTH`` + 1 entries, if the step was accepted
-    from a predicted start at full order (``_PREDICTOR_ORDER`` history
-    entries); otherwise they are emptied.  A dt other than that of the
-    memory's errors neither uses nor extends them, and empties them as
-    the step starts.  The returned state holds u, v, the tensor, t and
-    the step number alone.
+    The memory's secant leaves it as the step starts: the predicted
+    attempt takes it and keeps neither it nor its start past pass 0, and
+    a step without one drops it, so a step that raises leaves
+    ``memory.secant`` None.  A step that returns updates the memory in
+    place, reassigning each field and mutating no tuple or array in it.
+    Its history becomes the given state's (t, u, v), unless that is the
+    initial state (step 0), followed by the earlier history, cut to
+    ``_PREDICTOR_ORDER`` entries; its secant the accepted attempt's.
+    Its errors become (dt, u - u*, v - v*), with (u*, v*) the step's
+    Lagrange start from the history before this update, followed by the
+    earlier errors, cut to ``_EXTRAPOLATION_DEPTH`` + 1 entries, if the
+    step was accepted from a predicted start at full order
+    (``_PREDICTOR_ORDER`` history entries); otherwise they are emptied.
+    A dt other than that of the memory's errors neither uses nor extends
+    them, and empties them as the step starts.  The returned state holds
+    u, v, the tensor, t and the step number alone.
     """
     dt = cfg.dt if dt is None else dt
     if not (math.isfinite(dt) and dt > 0):
@@ -654,12 +687,15 @@ def picard_coupled_step(
     memory.errors = memory.errors if same_dt else ()  # the ring holds the start errors of steps of one dt
     report = StepReport([], 0.0, "plain")
     if memory.history[:_PREDICTOR_ORDER]:
-        predicted = _predicted_start(state, memory, state.t + dt, cfg)
         try:
-            accepted = _picard_attempt(u_n, predicted, memory.secant, cfg, dt, report)
+            # no name here holds the start or the secant, so both die in the attempt after pass 0
+            accepted = _picard_attempt(
+                u_n, _predicted_start(state, memory, state.t + dt, cfg), memory.take_secant(), cfg, dt, report
+            )
             report.start = "predicted"
         except SolverError:
             pass  # its passes stay in the report
+    memory.secant = None  # a step without a predicted attempt drops it unread
     if report.start == "plain":
         accepted = _picard_attempt(u_n, (u_n, state.v, state.D_eps), None, cfg, dt, report)
     u, v, D_eps, secant = accepted
